@@ -1,10 +1,10 @@
 // Extension: allocation-free hot path at scale — flooded grids up to
-// N = 10000 nodes under the culled and sharded media and both
-// scheduler policies, plus a pooled-vs-heap ablation. Not a paper
-// figure; it charts what the recycling memory subsystem (util::pool,
-// SmallFn callbacks, pooled packets/PDUs/transmissions) buys: the
-// paper's testbed stops at 6 nodes, and memory churn is what stands
-// between an event simulator and city-block topologies.
+// N = 10000 nodes under the culled and sharded media, plus a
+// pooled-vs-heap ablation. Not a paper figure; it charts what the
+// recycling memory subsystem (util::pool, SmallFn callbacks, pooled
+// packets/PDUs/transmissions) buys: the paper's testbed stops at 6
+// nodes, and memory churn is what stands between an event simulator
+// and city-block topologies.
 //
 // Unlike the other scale benches this one drives topo::Scenario
 // directly instead of going through app::run_experiment, for two
@@ -23,8 +23,8 @@
 // are baseline-gated like any other metric; peak RSS and wall time are
 // host-dependent and excluded (the driver skips wall/rss columns).
 //
-// Table 2 (scale): N = 1024 / 4096 / 10000 across {culled, sharded@4}
-// × {serial, windows@4}. Transmissions, deliveries, fan-out and
+// Table 2 (scale): N = 1024 / 4096 / 10000 across {culled, sharded@4},
+// both on the serial event loop. Transmissions, deliveries, fan-out and
 // executed events are pinned by the determinism contract across every
 // backend (asserted here before the table is emitted, and gated by the
 // baseline); deliveries per wall-second ride along unguarded as the
@@ -50,8 +50,7 @@ constexpr std::uint64_t kSeed = 1;
 
 topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
                               topo::MediumPolicy medium,
-                              std::size_t shard_threads,
-                              topo::SchedulerPolicy sched, unsigned workers) {
+                              std::size_t shard_threads) {
   auto spec = topo::ScenarioSpec::grid(rows, cols);
   // 10 m spacing: the reach radius (~36.5 m) covers a few rings of the
   // lattice, so culled fan-out stays ~constant as N grows.
@@ -62,8 +61,6 @@ topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
   spec.sessions.clear();
   spec.medium.policy = medium;
   spec.medium.shard_threads = shard_threads;
-  spec.scheduler.policy = sched;
-  spec.scheduler.workers = workers;
   return spec;
 }
 
@@ -131,9 +128,7 @@ Run run_flood(const topo::ScenarioSpec& spec, sim::Duration sim_time) {
 void ablation_table() {
   // 32×32 = 1024 nodes, culled medium, serial scheduler: one thread,
   // one shard, so the run-loop allocation counters are exact.
-  const auto spec =
-      flood_spec(32, 32, topo::MediumPolicy::kCulled, 0,
-                 topo::SchedulerPolicy::kSerial, 1);
+  const auto spec = flood_spec(32, 32, topo::MediumPolicy::kCulled, 0);
   const auto sim_time = sim::Duration::seconds(2);
 
   util::set_pooling_enabled(true);
@@ -203,18 +198,10 @@ void scale_table() {
     const char* label;
     topo::MediumPolicy medium;
     std::size_t shard_threads;
-    topo::SchedulerPolicy sched;
-    unsigned workers;
   };
   const Config configs[] = {
-      {"culled/serial", topo::MediumPolicy::kCulled, 0,
-       topo::SchedulerPolicy::kSerial, 1},
-      {"culled/win4", topo::MediumPolicy::kCulled, 0,
-       topo::SchedulerPolicy::kParallelWindows, 4},
-      {"sharded4/serial", topo::MediumPolicy::kSharded, 4,
-       topo::SchedulerPolicy::kSerial, 1},
-      {"sharded4/win4", topo::MediumPolicy::kSharded, 4,
-       topo::SchedulerPolicy::kParallelWindows, 4},
+      {"culled/serial", topo::MediumPolicy::kCulled, 0},
+      {"sharded4/serial", topo::MediumPolicy::kSharded, 4},
   };
 
   stats::Table table({"config", "nodes", "tx frames", "deliveries",
@@ -224,12 +211,12 @@ void scale_table() {
     const std::size_t nodes = size.rows * size.cols;
     std::vector<Run> runs;
     for (const Config& c : configs) {
-      runs.push_back(run_flood(flood_spec(size.rows, size.cols, c.medium,
-                                          c.shard_threads, c.sched, c.workers),
-                               size.sim_time));
+      runs.push_back(run_flood(
+          flood_spec(size.rows, size.cols, c.medium, c.shard_threads),
+          size.sim_time));
     }
     // The determinism contract, asserted before publication: same
-    // traffic and same event sequence under every backend pairing.
+    // traffic and same event sequence under culled and sharded delivery.
     const Run& reference = runs.front();
     for (const Run& run : runs) {
       HYDRA_ASSERT_MSG(run.transmissions == reference.transmissions &&
@@ -272,8 +259,8 @@ int main() {
       "Every node floods 40 B every 250 ms on a 10 m lattice. Table 1 "
       "ablates pooled vs heap storage (identical simulations, gated "
       "run-loop allocation counts); table 2 scales N across "
-      "medium/scheduler backends.");
-  bench::record_threads(4);  // the sharded/windowed rows use 4 workers
+      "medium backends.");
+  bench::record_threads(4);  // the sharded rows use 4 workers
   ablation_table();
   scale_table();
   return 0;

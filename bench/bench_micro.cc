@@ -63,44 +63,6 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelChurn)->Arg(1000)->Arg(10000);
 
-// The parallel-window engine against plain serial stepping, on a pure
-// scheduler workload (no medium, no MAC): `batch` same-instant events
-// per window tick across 8 node affinities, a fixed fat lookahead so
-// every tick forms one window. Charts the per-window overhead — event
-// collection, group partition, the barrier commit — that the
-// conservative mode pays even when a window holds a single event
-// (batch = 1), against the gain when windows are dense (batch = 4096).
-void BM_SchedulerWindowCommit(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const bool parallel = state.range(1) != 0;
-  constexpr std::size_t kEvents = 8192;
-  for (auto _ : state) {
-    sim::Scheduler sched;
-    if (parallel) {
-      sched.set_lookahead_provider([] { return sim::Duration::micros(5); });
-      sched.set_execution(sim::ExecutionPolicy::kParallelWindows, 4);
-    }
-    std::uint64_t sum = 0;
-    std::size_t scheduled = 0;
-    for (std::int64_t tick = 0; scheduled < kEvents; ++tick) {
-      for (std::size_t i = 0; i < batch && scheduled < kEvents;
-           ++i, ++scheduled) {
-        const sim::Scheduler::AffinityScope scope(
-            static_cast<std::uint32_t>(i % 8));
-        sched.schedule_at(
-            sim::TimePoint::at(sim::Duration::micros(tick * 10)),
-            [&sum, i] { sum += i; });
-      }
-    }
-    sched.run();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kEvents));
-}
-BENCHMARK(BM_SchedulerWindowCommit)
-    ->ArgsProduct({{1, 64, 4096}, {0, 1}});
-
 void BM_Crc32(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -220,9 +220,6 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   result.phy_incremental_detaches = scenario.medium().incremental_detaches();
   result.phy_incremental_moves = scenario.medium().incremental_moves();
   result.sched_executed_events = simulation.scheduler().executed_events();
-  result.sched_windows = simulation.scheduler().windows_executed();
-  result.sched_parallel_events =
-      simulation.scheduler().parallel_events_executed();
   for (std::size_t i = 0; i < node_count; ++i) {
     result.node_stats.push_back(scenario.node(i).mac_stats());
     result.transport_injected_drops += scenario.node(i).stack().injected_drops();

@@ -13,9 +13,7 @@ FileSenderApp::FileSenderApp(sim::Simulation& simulation, net::Node& node,
       destination_(destination),
       file_bytes_(file_bytes),
       tcp_config_(tcp),
-      start_timer_(simulation.scheduler(), [this] { begin(); }) {
-  start_timer_.set_affinity(node.phy().id());
-}
+      start_timer_(simulation.scheduler(), [this] { begin(); }) {}
 
 void FileSenderApp::start(sim::TimePoint at) {
   const auto now = sim_.now();

@@ -9,11 +9,7 @@ FloodApp::FloodApp(sim::Simulation& simulation, net::Node& node,
     : sim_(simulation),
       node_(node),
       config_(config),
-      timer_(simulation.scheduler(), [this] { tick(); }) {
-  // Ticks are this node's work: pin them so start() from setup code
-  // still lands the first event in the node's parallel-window group.
-  timer_.set_affinity(node.phy().id());
-}
+      timer_(simulation.scheduler(), [this] { tick(); }) {}
 
 void FloodApp::start() { timer_.arm(config_.initial_offset); }
 

@@ -20,8 +20,6 @@ PingApp::PingApp(sim::Simulation& simulation, net::Node& node,
       socket_(transport::mux_of(node).open_udp(local_port)),
       interval_timer_(simulation.scheduler(), [this] { send_probe(); }),
       timeout_timer_(simulation.scheduler(), [this] { on_timeout(); }) {
-  interval_timer_.set_affinity(node.phy().id());
-  timeout_timer_.set_affinity(node.phy().id());
   socket_.on_receive = [this](const proto::Packet&) { on_reply(); };
 }
 

@@ -57,7 +57,7 @@ class Fingerprinter {
 // containers); elsewhere the fingerprints still work, they just lose
 // the compile-time reminder.
 #if defined(__GLIBCXX__) && defined(__x86_64__) && !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(topo::ScenarioSpec) == 376,
+static_assert(sizeof(topo::ScenarioSpec) == 368,
               "ScenarioSpec changed: update spec_fingerprint");
 static_assert(sizeof(topo::MobilitySpec) == 96,
               "MobilitySpec changed: update spec_fingerprint");
@@ -65,7 +65,7 @@ static_assert(sizeof(topo::NodeParams) == 128,
               "NodeParams changed: update spec_fingerprint");
 static_assert(sizeof(core::AggregationPolicy) == 48,
               "AggregationPolicy changed: update spec_fingerprint");
-static_assert(sizeof(topo::ExperimentConfig) == 584,
+static_assert(sizeof(topo::ExperimentConfig) == 576,
               "ExperimentConfig changed: update workload_fingerprint");
 static_assert(sizeof(transport::TcpConfig) == 96,
               "TcpConfig changed: update workload_fingerprint");
@@ -74,7 +74,7 @@ static_assert(sizeof(transport::TransportTuning) == 48,
 // The disk-cache serializer hand-enumerates every field of these four;
 // a field added without extending serialize/deserialize_result would
 // silently persist partial results.
-static_assert(sizeof(topo::ExperimentResult) == 272,
+static_assert(sizeof(topo::ExperimentResult) == 256,
               "ExperimentResult changed: update serialize_result");
 static_assert(sizeof(topo::FlowResult) == 32,
               "FlowResult changed: update serialize_result");
@@ -104,10 +104,6 @@ std::string spec_fingerprint(const topo::ScenarioSpec& spec) {
   fp.add("w%d sr%d rd%d cm%.17g sh%zu ", spec.neighbor_whitelist,
          spec.static_routes, spec.route_discovery,
          spec.medium.cull_margin_db, spec.medium.shard_threads);
-  // Scheduler policy and workers ride along on the same principle as
-  // shard_threads: outcome-neutral by contract, fingerprinted anyway.
-  fp.add("sc%d scw%u ", static_cast<int>(spec.scheduler.policy),
-         spec.scheduler.workers);
   // Mobility changes the outcome through node motion and churn; every
   // knob (including the explicit mobile list) feeds the key.
   const auto& mob = spec.mobility;
@@ -201,7 +197,7 @@ std::filesystem::path disk_path_for(const std::string& dir,
 std::string serialize_result(const topo::ExperimentResult& result) {
   std::ostringstream out;
   out << std::setprecision(17);
-  out << "hydra-sweep-result 2\n";
+  out << "hydra-sweep-result 3\n";
   out << "sim_time " << result.sim_time.ns() << "\n";
   out << "counters " << result.phy_transmissions << ' '
       << result.phy_deliveries << ' ' << result.phy_shards << ' '
@@ -209,7 +205,6 @@ std::string serialize_result(const topo::ExperimentResult& result) {
       << result.phy_detaches << ' ' << result.phy_moves << ' '
       << result.phy_incremental_detaches << ' '
       << result.phy_incremental_moves << ' ' << result.sched_executed_events
-      << ' ' << result.sched_windows << ' ' << result.sched_parallel_events
       << ' ' << result.heap_allocations << ' '
       << result.heap_bytes_allocated << ' ' << result.pool_requests << ' '
       << result.pool_recycled << ' ' << result.peak_rss_kb << ' '
@@ -247,9 +242,9 @@ bool deserialize_result(const std::string& text,
   std::istringstream in(text);
   std::string tag;
   int version = 0;
-  // Version 1 files predate the transport counters; they fail the parse
-  // and degrade to a cache miss (re-simulated, then re-stored as v2).
-  if (!(in >> tag >> version) || tag != "hydra-sweep-result" || version != 2) {
+  // Older versions carry a different counter set; they fail the parse
+  // and degrade to a cache miss (re-simulated, then re-stored as v3).
+  if (!(in >> tag >> version) || tag != "hydra-sweep-result" || version != 3) {
     return false;
   }
   topo::ExperimentResult r;
@@ -260,7 +255,7 @@ bool deserialize_result(const std::string& text,
         r.phy_shards >> r.phy_rebuilds >> r.phy_incremental_attaches >>
         r.phy_detaches >> r.phy_moves >> r.phy_incremental_detaches >>
         r.phy_incremental_moves >> r.sched_executed_events >>
-        r.sched_windows >> r.sched_parallel_events >> r.heap_allocations >>
+        r.heap_allocations >>
         r.heap_bytes_allocated >> r.pool_requests >> r.pool_recycled >>
         r.peak_rss_kb >> r.tcp_retransmits >> r.tcp_timeouts >>
         r.tcp_acks_sent >> r.tcp_acks_delayed >> r.tcp_channel_losses >>
@@ -313,45 +308,39 @@ std::vector<SweepPoint> expand_sweep(const SweepGrid& grid) {
   std::vector<SweepPoint> points;
   points.reserve(grid.scenarios.size() * grid.policies.size() *
                  grid.rate_adaptations.size() * grid.mediums.size() *
-                 grid.schedulers.size() * grid.transports.size());
+                 grid.transports.size());
   for (const auto& [scenario_label, spec] : grid.scenarios) {
     for (const auto& [policy_label, policy] : grid.policies) {
       for (const auto scheme : grid.rate_adaptations) {
         for (const auto& [medium_label, medium_policy] : grid.mediums) {
-          for (const auto& [sched_label, sched_policy] : grid.schedulers) {
-            for (const auto& [transport_label, tuning] : grid.transports) {
-              SweepPoint point;
-              point.scenario_label =
-                  scenario_label.empty() ? spec.label() : scenario_label;
-              point.policy_label = policy_label;
-              point.rate_adaptation = scheme;
-              point.medium_label = medium_label;
-              point.scheduler_label = sched_label;
-              point.config = grid.base;
-              point.config.scenario = spec;
-              point.config.scenario.node.policy = policy;
-              point.config.scenario.node.rate_adaptation = scheme;
-              // kAuto axis entries defer to the spec's own tuning (a spec
-              // that pinned full mesh or parallel windows stays pinned
-              // under the default axis); a concrete axis policy overrides.
-              if (medium_policy != topo::MediumPolicy::kAuto) {
-                point.config.scenario.medium.policy = medium_policy;
-              }
-              if (sched_policy != topo::SchedulerPolicy::kAuto) {
-                point.config.scenario.scheduler.policy = sched_policy;
-              }
-              // Same deferral for the transport axis: nullopt keeps the
-              // base config's tuning (and the historical "" label).
-              if (tuning.has_value()) {
-                point.config.tcp.tuning = *tuning;
-                point.transport_label = transport_label.empty()
-                                            ? transport::to_string(*tuning)
-                                            : transport_label;
-              } else {
-                point.transport_label = transport_label;
-              }
-              points.push_back(std::move(point));
+          for (const auto& [transport_label, tuning] : grid.transports) {
+            SweepPoint point;
+            point.scenario_label =
+                scenario_label.empty() ? spec.label() : scenario_label;
+            point.policy_label = policy_label;
+            point.rate_adaptation = scheme;
+            point.medium_label = medium_label;
+            point.config = grid.base;
+            point.config.scenario = spec;
+            point.config.scenario.node.policy = policy;
+            point.config.scenario.node.rate_adaptation = scheme;
+            // A kAuto axis entry defers to the spec's own tuning (a spec
+            // that pinned full mesh stays pinned under the default axis);
+            // a concrete axis policy overrides.
+            if (medium_policy != topo::MediumPolicy::kAuto) {
+              point.config.scenario.medium.policy = medium_policy;
             }
+            // Same deferral for the transport axis: nullopt keeps the
+            // base config's tuning (and the historical "" label).
+            if (tuning.has_value()) {
+              point.config.tcp.tuning = *tuning;
+              point.transport_label = transport_label.empty()
+                                          ? transport::to_string(*tuning)
+                                          : transport_label;
+            } else {
+              point.transport_label = transport_label;
+            }
+            points.push_back(std::move(point));
           }
         }
       }

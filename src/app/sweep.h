@@ -33,8 +33,6 @@ struct SweepPoint {
   // Label of the medium-policy axis entry ("" for the default axis, so
   // single-policy sweeps keep their historical labels).
   std::string medium_label;
-  // Label of the scheduler-policy axis entry (same convention).
-  std::string scheduler_label;
   // Label of the transport-scheme axis entry (same convention; "" for
   // the default axis, whose points run the base config's tuning).
   std::string transport_label;
@@ -66,16 +64,10 @@ struct SweepGrid {
   // force that policy onto every spec of the grid.
   std::vector<std::pair<std::string, topo::MediumPolicy>> mediums = {
       {"", topo::MediumPolicy::kAuto}};
-  // Scheduler execution axis, same kAuto convention: the default entry
-  // leaves each spec's own SchedulerTuning in charge; kSerial or
-  // kParallelWindows entries force that policy onto every point (the
-  // parallel determinism suites sweep this axis to pin digest equality).
-  std::vector<std::pair<std::string, topo::SchedulerPolicy>> schedulers = {
-      {"", topo::SchedulerPolicy::kAuto}};
   // Transport-scheme axis (congestion control × ACK policy), innermost.
-  // The same deferral convention as mediums/schedulers: a nullopt entry
-  // leaves base.tcp.tuning in charge; a concrete TransportTuning
-  // overwrites it on every point. Empty labels resolve to the tuning's
+  // The same deferral convention as mediums: a nullopt entry leaves
+  // base.tcp.tuning in charge; a concrete TransportTuning overwrites it
+  // on every point. Empty labels resolve to the tuning's
   // own to_string ("newreno+ack-imm") so ablation tables stay readable.
   std::vector<std::pair<std::string, std::optional<transport::TransportTuning>>>
       transports = {{"", std::nullopt}};

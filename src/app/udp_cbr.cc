@@ -9,9 +9,7 @@ UdpCbrApp::UdpCbrApp(sim::Simulation& simulation, net::Node& node,
     : sim_(simulation),
       config_(config),
       socket_(transport::mux_of(node).open_udp(local_port)),
-      timer_(simulation.scheduler(), [this] { tick(); }) {
-  timer_.set_affinity(node.phy().id());
-}
+      timer_(simulation.scheduler(), [this] { tick(); }) {}
 
 void UdpCbrApp::start() {
   const auto now = sim_.now();

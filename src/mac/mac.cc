@@ -29,14 +29,6 @@ Mac::Mac(sim::Simulation& simulation, phy::Phy& phy, MacConfig config)
         pending_response_.reset();
         transmit_control(frame, kind);
       }) {
-  // All five timers drive this node's own state machine: pinning them to
-  // the PHY id keeps every MAC event in the node's parallel-window group
-  // even when armed from setup code or another node's delivery path.
-  access_timer_.set_affinity(phy.id());
-  nav_timer_.set_affinity(phy.id());
-  dba_timer_.set_affinity(phy.id());
-  response_timer_.set_affinity(phy.id());
-  respond_timer_.set_affinity(phy.id());
   rate_adapter_ = make_rate_adapter(config_.rate_adaptation,
                                     proto::mode_index_of(config_.unicast_mode));
   aggregator_.set_modes(config_.broadcast_mode, config_.unicast_mode);

@@ -17,7 +17,6 @@ RouteDiscovery::RouteDiscovery(sim::Simulation& simulation, Node& node,
       node_(node),
       config_(config),
       timeout_timer_(simulation.scheduler(), [this] { on_timeout(); }) {
-  timeout_timer_.set_affinity(node.phy().id());
   node_.stack().register_protocol(
       proto::kProtoDiscovery,
       [this](const proto::PacketPtr& packet, proto::MacAddress from) {

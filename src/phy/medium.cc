@@ -386,17 +386,7 @@ std::unique_ptr<DeliveryBackend> make_delivery_backend(DeliveryPolicy policy) {
 
 Medium::Medium(sim::Simulation& simulation, MediumConfig config,
                ErrorModel error_model)
-    : sim_(simulation), config_(config), error_model_(error_model) {
-  // The medium is the authority on how soon one node can affect another,
-  // so it feeds the scheduler's conservative lookahead. Last-registered
-  // wins if a simulation ever hosts several media; the loser's pairs
-  // would have to be folded in by the caller.
-  sim_.scheduler().set_lookahead_provider([this] { return min_lookahead(); });
-}
-
-Medium::~Medium() {
-  sim_.scheduler().set_lookahead_provider(nullptr);
-}
+    : sim_(simulation), config_(config), error_model_(error_model) {}
 
 void Medium::attach(Phy& phy) {
   for (const auto* existing : phys_) {
@@ -404,7 +394,6 @@ void Medium::attach(Phy& phy) {
   }
   phys_.push_back(&phy);
   phy.attached_ = true;
-  min_prop_dirty_ = true;
   if (backend_ && !backend_dirty_ &&
       backend_->attach_incremental(phy, phys_, config_)) {
     ++incremental_attaches_;
@@ -421,7 +410,6 @@ bool Medium::detach(Phy& phy) {
   phy.attached_ = false;
   phys_.erase(it);
   ++detaches_;
-  min_prop_dirty_ = true;
   if (backend_ && !backend_dirty_ &&
       backend_->detach_incremental(phy, phys_, config_)) {
     ++incremental_detaches_;
@@ -436,7 +424,6 @@ void Medium::move_node(Phy& phy, Position position) {
   phy.config_.position = position;
   if (!phy.attached_) return;  // takes effect when the PHY re-attaches
   ++moves_;
-  min_prop_dirty_ = true;
   if (backend_ && !backend_dirty_ &&
       backend_->move_incremental(phy, old, phys_, config_)) {
     ++incremental_moves_;
@@ -458,14 +445,12 @@ void Medium::on_phy_destroyed(Phy& phy) {
   cancel_pending_rx(phy);
   phys_.erase(it);
   backend_dirty_ = true;
-  min_prop_dirty_ = true;
 }
 
 void Medium::set_backend(std::unique_ptr<DeliveryBackend> backend) {
   HYDRA_ASSERT_MSG(backend != nullptr, "null delivery backend");
   backend_ = std::move(backend);
   backend_dirty_ = true;
-  min_prop_dirty_ = true;
 }
 
 const DeliveryBackend& Medium::backend() {
@@ -487,26 +472,6 @@ void Medium::ensure_backend() {
   }
 }
 
-sim::Duration Medium::min_lookahead() {
-  if (min_prop_dirty_) {
-    ensure_backend();
-    sim::Duration min = sim::Duration::infinite();
-    bool any = false;
-    for (const Phy* src : phys_) {
-      for (const Delivery& d : backend_->deliveries(*src)) {
-        if (!any || d.propagation < min) min = d.propagation;
-        any = true;
-      }
-    }
-    // No live pairs: nothing constrains the window, but zero is the
-    // honest answer (the scheduler then steps serially, which is also
-    // the only sensible mode for a pairless topology).
-    min_prop_ = any ? min : sim::Duration::zero();
-    min_prop_dirty_ = false;
-  }
-  return min_prop_;
-}
-
 double Medium::rx_power_dbm(const Phy& src, const Phy& dst) const {
   const double d =
       distance_m(src.config().position, dst.config().position);
@@ -518,10 +483,6 @@ double Medium::snr_db(const Phy& src, const Phy& dst) const {
 }
 
 sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
-  // The medium is cross-node shared state: tx ids, delivery counters and
-  // the batch scratch are one global sequence, so a parallel-window
-  // event must wait for its exact serial turn before touching them.
-  sim::Scheduler::acquire_shared_turn();
   const auto timing =
       frame_timing(frame.broadcast, frame.unicast, src.config().timings);
   // A detached radio still burns airtime — the MAC's timing machinery
@@ -549,15 +510,10 @@ sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
   for (const Delivery& delivery : deliveries) {
     Phy* dst = delivery.destination;
     const double power = delivery.rx_power_dbm;
-    // Each rx event belongs to its receiver: tagging it with the
-    // destination id lets the parallel scheduler run different
-    // receivers' events concurrently.
     batch_.push_back({now + delivery.propagation,
-                      [dst, tx, power] { dst->rx_start(tx, power); },
-                      dst->id()});
+                      [dst, tx, power] { dst->rx_start(tx, power); }});
     batch_.push_back({now + delivery.propagation + timing.total,
-                      [dst, tx, power] { dst->rx_end(tx, power); },
-                      dst->id()});
+                      [dst, tx, power] { dst->rx_end(tx, power); }});
   }
   batch_ids_.clear();
   sim_.scheduler().schedule_batch(batch_, &batch_ids_);

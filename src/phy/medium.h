@@ -51,8 +51,6 @@
 #include "phy/frame.h"
 #include "phy/spatial_index.h"
 #include "sim/simulation.h"
-#include "sim/turn.h"
-#include "util/thread_annotations.h"
 
 namespace hydra::phy {
 
@@ -198,7 +196,6 @@ class Medium {
  public:
   Medium(sim::Simulation& simulation, MediumConfig config = {},
          ErrorModel error_model = ErrorModel{});
-  ~Medium();
 
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
@@ -238,18 +235,12 @@ class Medium {
   void set_backend(std::unique_ptr<DeliveryBackend> backend);
   const DeliveryBackend& backend();
 
-  // Counter reads for result collection. Outside the analysis: they are
-  // called between runs (or after a window barrier), when no event is
-  // executing and the turn capability has no holder to name.
-  std::uint64_t transmissions_started() const NO_THREAD_SAFETY_ANALYSIS {
-    return next_tx_id_ - 1;
-  }
+  // Counter reads for result collection.
+  std::uint64_t transmissions_started() const { return next_tx_id_ - 1; }
   // Receiver deliveries scheduled so far (each is one rx_start/rx_end
   // event pair); deliveries ÷ transmissions is the per-frame fan-out the
   // scale bench charts.
-  std::uint64_t deliveries_scheduled() const NO_THREAD_SAFETY_ANALYSIS {
-    return deliveries_scheduled_;
-  }
+  std::uint64_t deliveries_scheduled() const { return deliveries_scheduled_; }
 
   // Delivery-list accounting: full rebuilds performed; attaches, detaches
   // and moves the backend absorbed incrementally instead of rebuilding;
@@ -269,15 +260,6 @@ class Medium {
   // from-scratch rebuild over exactly this set).
   const std::vector<Phy*>& attached() const { return phys_; }
 
-  // The scheduler's safe lookahead: the minimum propagation delay over
-  // every live delivery pair (an event at one node cannot reach another
-  // node's queue sooner than this). Zero when no pairs exist, which
-  // makes the parallel-window policy degrade to serial stepping. The
-  // medium registers this as the simulation scheduler's lookahead
-  // provider on construction; recomputed lazily after any attach /
-  // detach / move / backend change.
-  sim::Duration min_lookahead();
-
  private:
   friend class Phy;
 
@@ -296,24 +278,14 @@ class Medium {
   std::vector<Phy*> phys_;
   std::unique_ptr<DeliveryBackend> backend_;
   bool backend_dirty_ = true;
-  // min_lookahead() cache; dirtied by the same topology changes that
-  // dirty the backend, plus incremental patches (which bypass
-  // backend_dirty_ but can still shrink the minimum).
-  bool min_prop_dirty_ = true;
-  sim::Duration min_prop_ = sim::Duration::zero();
-  // Transmission-path state is one global sequence shared by every
-  // node: in parallel-window execution start_transmission must hold the
-  // scheduler's canonical turn before touching it (enforced at compile
-  // time by GUARDED_BY under HYDRA_THREAD_SAFETY).
-  std::uint64_t next_tx_id_ GUARDED_BY(sim::shared_turn) = 1;
-  std::uint64_t deliveries_scheduled_ GUARDED_BY(sim::shared_turn) = 0;
-  // Topology bookkeeping (the delivery lists behind backend_, the
-  // lookahead cache, the rebuild counters) is NOT turn-guarded: it
-  // mutates through attach/detach/move_node, which run either between
-  // simulations or from untagged (window-fencing, hence serial) events.
-  // The sharded backend's rebuild additionally writes disjoint
-  // per-source lists from pool workers — a partitioning discipline no
-  // mutex annotation can express; the TSan CI slice covers it.
+  // Transmission-path state: one global sequence shared by every node.
+  std::uint64_t next_tx_id_ = 1;
+  std::uint64_t deliveries_scheduled_ = 0;
+  // Topology bookkeeping mutates through attach/detach/move_node on the
+  // event loop's thread. The sharded backend's rebuild additionally
+  // writes disjoint per-source lists from pool workers — a partitioning
+  // discipline no mutex annotation can express; the TSan CI slice
+  // covers it.
   std::uint64_t rebuilds_ = 0;
   std::uint64_t incremental_attaches_ = 0;
   std::uint64_t detaches_ = 0;
@@ -323,9 +295,8 @@ class Medium {
   // Reused per transmission: the batch the delivery fan-out commits
   // through (one schedule_batch call instead of 2·k schedule_in heap
   // pushes), and the ids it hands back for per-receiver cancellation.
-  // Shared scratch, so turn-guarded like the counters above.
-  std::vector<sim::Scheduler::BatchEvent> batch_ GUARDED_BY(sim::shared_turn);
-  std::vector<sim::EventId> batch_ids_ GUARDED_BY(sim::shared_turn);
+  std::vector<sim::Scheduler::BatchEvent> batch_;
+  std::vector<sim::EventId> batch_ids_;
 };
 
 }  // namespace hydra::phy

@@ -25,10 +25,6 @@ void Phy::transmit(PhyFrame frame) {
   update_cca();
 
   const auto airtime = medium_.start_transmission(*this, std::move(frame));
-  // Pin the tx-complete event to this node even when transmit() is
-  // reached from an untagged context (test harnesses driving the PHY
-  // directly).
-  const sim::Scheduler::AffinityScope scope(id_);
   tx_complete_event_ = sim_.scheduler().schedule_in(airtime, [this] {
     transmitting_ = false;
     update_cca();

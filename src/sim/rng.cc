@@ -1,27 +1,20 @@
 #include "sim/rng.h"
 
-#include "sim/scheduler.h"
 #include "util/assert.h"
 
 namespace hydra::sim {
 
-// Every method that consumes engine_ state takes the shared turn first:
-// the engine is one global draw sequence, so parallel-window events must
-// draw from it in exactly the serial order. (bernoulli's p<=0 / p>=1
-// short-circuits draw nothing and so need no turn — matching the fact
-// that they leave the serial draw sequence untouched too.)
-
 std::uint64_t Rng::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   HYDRA_ASSERT(lo <= hi);
-  Scheduler::acquire_shared_turn();
   return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
 }
 
 double Rng::uniform() {
-  Scheduler::acquire_shared_turn();
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
 }
 
+// The p<=0 / p>=1 short-circuits draw nothing, so they leave the draw
+// sequence untouched.
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -30,7 +23,6 @@ bool Rng::bernoulli(double p) {
 
 double Rng::exponential(double mean) {
   HYDRA_ASSERT(mean > 0.0);
-  Scheduler::acquire_shared_turn();
   return std::exponential_distribution<double>(1.0 / mean)(engine_);
 }
 

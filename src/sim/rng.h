@@ -7,9 +7,6 @@
 #include <cstdint>
 #include <random>
 
-#include "sim/turn.h"
-#include "util/thread_annotations.h"
-
 namespace hydra::sim {
 
 class Rng {
@@ -26,17 +23,12 @@ class Rng {
   double exponential(double mean);
 
   // Direct engine access for pre-run setup (scenario placement, seeding
-  // helpers). Outside the analysis on purpose: no simulation events are
-  // in flight when it is legitimately used, so there is no turn to
-  // hold — callers drawing mid-run must go through the methods above.
-  std::mt19937_64& engine() NO_THREAD_SAFETY_ANALYSIS { return engine_; }
+  // helpers).
+  std::mt19937_64& engine() { return engine_; }
 
  private:
-  // One global draw sequence: a parallel-window event must take its
-  // exact serial turn before consuming engine state (rng.cc), or draw
-  // order — and with it every error-model outcome — would depend on
-  // thread timing.
-  std::mt19937_64 engine_ GUARDED_BY(shared_turn);
+  // One global draw sequence: every draw, in event order, advances it.
+  std::mt19937_64 engine_;
 };
 
 }  // namespace hydra::sim

@@ -1,18 +1,13 @@
-// Discrete-event scheduler: a stable min-heap of (time, sequence) events,
-// with an opt-in conservative parallel mode (Chandy–Misra-style lookahead
-// windows executed on a util::TaskPool — see ExecutionPolicy below).
+// Discrete-event scheduler: a stable min-heap of (time, sequence) events
+// run one at a time on the calling thread.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "sim/time.h"
-#include "sim/turn.h"
 #include "util/small_fn.h"
-#include "util/thread_annotations.h"
 
 namespace hydra::sim {
 
@@ -31,27 +26,7 @@ class EventId {
   std::uint64_t id_ = 0;
 };
 
-// How run()/run_until() execute the queue.
-//
-//   kSerial           one event at a time on the calling thread (the
-//                     default, and the reference semantics).
-//   kParallelWindows  conservative parallel DES: a lookahead provider
-//                     (the medium's minimum live-pair propagation delay)
-//                     bounds a window [now, now + lookahead) in which no
-//                     event can affect a different node; window events
-//                     are grouped by affinity (owning node id) and the
-//                     groups run concurrently on a worker pool. Events
-//                     that touch cross-node shared state (the medium,
-//                     the global RNG, the trace) serialize themselves in
-//                     exact serial order through acquire_shared_turn(),
-//                     and side-effect schedule/cancel calls commit in
-//                     canonical order at the window barrier — so the
-//                     observable event sequence is bit-identical to
-//                     kSerial, at any worker count.
-enum class ExecutionPolicy { kSerial, kParallelWindows };
-
-// Single-threaded event loop by default; see ExecutionPolicy for the
-// opt-in parallel-window mode. Events scheduled for the same instant run
+// Single-threaded event loop. Events scheduled for the same instant run
 // in scheduling order (FIFO), which keeps protocol traces deterministic.
 class Scheduler {
  public:
@@ -60,29 +35,14 @@ class Scheduler {
   // from the system heap in steady state. Accepts any void() callable,
   // like std::function, but is moved — never copied — through the heap.
   using Callback = util::SmallFn;
-  // Returns the current safe lookahead: no event executed now may
-  // schedule onto a *different* affinity sooner than now + lookahead.
-  // Zero (or a negative/absent value) disables window formation and
-  // falls back to serial stepping.
-  using LookaheadProvider = std::function<Duration()>;
 
-  // Affinity = the node that owns an event (kNoAffinity = untagged;
-  // untagged events act as serial barriers in parallel-window mode, so
-  // partial tagging is always correct, just less parallel).
-  static constexpr std::uint32_t kNoAffinity = 0xFFFFFFFFu;
-
-  Scheduler();
-  ~Scheduler();
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  // During window execution this is the executing event's own time (the
-  // scheduler-wide clock only advances at the window barrier).
-  TimePoint now() const;
+  TimePoint now() const { return now_; }
 
   // Schedules `cb` to run at absolute time `at` (must not be in the past).
-  // The event's affinity is the scheduling context's: an AffinityScope
-  // if one is active, else the affinity of the event being executed.
   EventId schedule_at(TimePoint at, Callback cb);
   // Schedules `cb` to run `delay` from now.
   EventId schedule_in(Duration delay, Callback cb);
@@ -91,7 +51,6 @@ class Scheduler {
   struct BatchEvent {
     TimePoint at;
     Callback cb;
-    std::uint32_t affinity = kNoAffinity;
   };
   // Commits every event of `events` (in order — the sequence numbers are
   // assigned contiguously, so same-instant FIFO semantics match N
@@ -102,9 +61,7 @@ class Scheduler {
   // batch order (the ids cost nothing extra — batch events already
   // occupy cancel slots), so callers can cancel individual deliveries
   // later; without it the batch is fire-and-forget. `events` is left
-  // cleared for reuse; `ids` is appended to, not cleared. A BatchEvent
-  // affinity of kNoAffinity inherits the scheduling context's affinity,
-  // like schedule_at.
+  // cleared for reuse; `ids` is appended to, not cleared.
   void schedule_batch(std::vector<BatchEvent>& events,
                       std::vector<EventId>* ids = nullptr);
 
@@ -125,65 +82,17 @@ class Scheduler {
   // Runs events with time <= deadline; leaves later events queued and
   // advances now() to the deadline. Returns the number executed.
   std::size_t run_until(TimePoint deadline);
-  // Executes at most one event (always serially, regardless of policy).
-  // Returns false if the queue is empty.
+  // Executes at most one event. Returns false if the queue is empty.
   bool step();
-
-  // Selects how run()/run_until() execute. kParallelWindows spawns a
-  // persistent worker pool (workers = 0 resolves to the hardware
-  // concurrency, clamped to [1, 8]); switching back to kSerial releases
-  // it. Changing policy never changes observable behaviour — that is
-  // the whole contract — only wall-clock. Must be called between runs,
-  // not from inside a callback.
-  void set_execution(ExecutionPolicy policy, unsigned workers = 0);
-  ExecutionPolicy execution_policy() const { return policy_; }
-  unsigned execution_workers() const { return workers_; }
-
-  // Registers the lookahead source for kParallelWindows (the medium
-  // registers its min live-pair propagation delay on construction).
-  // Replaces any previous provider; nullptr clears it, which makes the
-  // parallel policy degrade to serial stepping.
-  void set_lookahead_provider(LookaheadProvider provider);
 
   std::size_t pending_events() const { return pending_count_; }
   std::uint64_t executed_events() const { return executed_; }
-  // Lookahead windows run by the parallel mode, and how many events ran
-  // inside windows that actually had >1 concurrent group.
-  std::uint64_t windows_executed() const { return windows_; }
-  std::uint64_t parallel_events_executed() const { return parallel_events_; }
-
-  // Serializes access to cross-node shared state from inside a parallel
-  // window: blocks until every window event with a smaller canonical
-  // (time, sequence) position has completed, so shared-state touches
-  // happen in exactly the serial order. The turn is held (idempotently)
-  // until the calling event finishes. A no-op outside window execution,
-  // so shared subsystems (medium, RNG, trace) can call it
-  // unconditionally on their hot paths. ASSERT_CAPABILITY (rather than
-  // ACQUIRE) because there is no matching release call: the turn lapses
-  // implicitly when the calling event's callback returns.
-  static void acquire_shared_turn() ASSERT_CAPABILITY(shared_turn);
-
-  // Tags every event scheduled while in scope with a fixed affinity,
-  // overriding inheritance from the currently executing event. Used at
-  // the roots of per-node activity (timer arms, a PHY's own tx-complete).
-  class AffinityScope {
-   public:
-    explicit AffinityScope(std::uint32_t affinity);
-    ~AffinityScope();
-    AffinityScope(const AffinityScope&) = delete;
-    AffinityScope& operator=(const AffinityScope&) = delete;
-
-   private:
-    std::uint32_t prev_;
-    bool had_prev_;
-  };
 
  private:
   struct Entry {
     TimePoint at;
     std::uint64_t seq;   // tie-breaker: FIFO among same-time events
     std::uint32_t slot;  // index into slots_
-    std::uint32_t affinity;
     Callback cb;
   };
   struct Later {
@@ -201,68 +110,23 @@ class Scheduler {
     bool pending = false;
   };
 
-  // Per-thread execution context: which scheduler/event this thread is
-  // currently running a callback for. Serial execution installs one so
-  // children inherit affinity; window execution installs one so
-  // schedule/cancel calls route to the deferred-op machinery and
-  // acquire_shared_turn knows the event's canonical position.
-  struct ExecContext;
-  // All parallel-window state (worker pool, window bookkeeping,
-  // deferred ops); allocated only while policy is kParallelWindows.
-  struct WindowEngine;
-  friend struct WindowEngine;
-
   void pop_and_run();
   std::uint32_t acquire_slot();
   void vacate(std::uint32_t slot);
-  // The affinity new events get in the current context (AffinityScope
-  // override first, then the executing event's, then kNoAffinity).
-  static std::uint32_t current_affinity();
-  // The window ExecContext of this thread iff it belongs to this
-  // scheduler and a window is executing, else nullptr.
-  ExecContext* window_ctx() const;
-
-  // Forms and executes one lookahead window starting at the head of the
-  // heap (events with time in [head, head + lookahead) and <= deadline,
-  // up to the first untagged event). Returns false — leaving the queue
-  // untouched — when no window can form (no/zero lookahead, head
-  // untagged or beyond deadline); the caller then steps serially.
-  bool run_parallel_window(TimePoint deadline);
-  // Schedule/cancel/pending while executing inside a window.
-  EventId window_schedule(TimePoint at, std::uint32_t affinity, Callback cb,
-                          ExecContext& ctx);
-  bool window_cancel(EventId id, ExecContext& ctx);
-  bool window_pending(EventId id) const;
 
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::uint64_t windows_ = 0;
-  std::uint64_t parallel_events_ = 0;
   std::size_t pending_count_ = 0;
-  ExecutionPolicy policy_ = ExecutionPolicy::kSerial;
-  unsigned workers_ = 0;
-  LookaheadProvider lookahead_;
-  std::unique_ptr<WindowEngine> win_;
   // Kept in heap order by the std::*_heap algorithms (not a
   // priority_queue: batch commits need to append a run of entries and
   // restore the invariant in one make_heap pass).
   std::vector<Entry> heap_;
   // Slot storage grows to the high-water mark of concurrently scheduled
   // events and is then recycled through the free list; cancelled heap
-  // entries are dropped lazily when popped. Concurrency discipline the
-  // annotations cannot express (the guarding mutex lives in the
-  // policy-dependent WindowEngine): outside window execution only the
-  // run loop's thread touches slots_/free_slots_/pending_count_; inside
-  // a window every access routes through the engine's op_mutex
-  // (window_schedule / window_cancel / execute). The TSan CI slice
-  // (`ctest -L parallel`) covers what GUARDED_BY here cannot.
+  // entries are dropped lazily when popped.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-
-  static thread_local ExecContext* tl_ctx_;
-  static thread_local std::uint32_t tl_affinity_override_;
-  static thread_local bool tl_affinity_override_set_;
 };
 
 }  // namespace hydra::sim

@@ -22,12 +22,6 @@ class Simulation {
   Rng& rng() { return rng_; }
   TimePoint now() const { return scheduler_.now(); }
 
-  // Convenience passthrough: selects serial or parallel-window event
-  // execution (see sim::ExecutionPolicy). Behaviour-neutral by contract.
-  void set_execution(ExecutionPolicy policy, unsigned workers = 0) {
-    scheduler_.set_execution(policy, workers);
-  }
-
   // Runs until no events remain.
   void run() { scheduler_.run(); }
   // Runs until the given simulated instant.

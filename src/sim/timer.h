@@ -21,29 +21,11 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  // Pins the affinity (owning node id) every future arm() schedules
-  // with, instead of inheriting it from whatever event happens to be
-  // executing. Protocol machines set this once at construction so their
-  // timers land in the right parallel-window group even when first
-  // armed from setup code.
-  void set_affinity(std::uint32_t affinity) {
-    affinity_ = affinity;
-    has_affinity_ = true;
-  }
-
   // (Re)arms the timer to fire `delay` from now. An already-pending firing
   // is cancelled first.
   void arm(Duration delay) {
     cancel();
     deadline_ = sched_.now() + delay;
-    if (has_affinity_) {
-      const Scheduler::AffinityScope scope(affinity_);
-      id_ = sched_.schedule_at(deadline_, [this] {
-        id_ = EventId();
-        on_fire_();
-      });
-      return;
-    }
     id_ = sched_.schedule_at(deadline_, [this] {
       id_ = EventId();
       on_fire_();
@@ -66,8 +48,6 @@ class Timer {
   std::function<void()> on_fire_;
   EventId id_;
   TimePoint deadline_;
-  std::uint32_t affinity_ = Scheduler::kNoAffinity;
-  bool has_affinity_ = false;
 };
 
 }  // namespace hydra::sim

@@ -110,14 +110,8 @@ struct ExperimentResult {
   std::uint64_t phy_incremental_detaches = 0;
   std::uint64_t phy_incremental_moves = 0;
 
-  // Scheduler accounting: events executed, lookahead windows the
-  // parallel policy formed, and events run inside windows with more than
-  // one concurrent group. Windows/parallel stay 0 under serial
-  // execution; executed events are policy-invariant by the determinism
-  // contract (the parallel suites pin exact equality).
+  // Events the scheduler executed over the run.
   std::uint64_t sched_executed_events = 0;
-  std::uint64_t sched_windows = 0;
-  std::uint64_t sched_parallel_events = 0;
 
   // Memory accounting over the run (scenario build + traffic), from the
   // process-wide counters in util/alloc_stats.h and util/pool.h:

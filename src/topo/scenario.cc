@@ -50,15 +50,6 @@ std::string to_string(MediumPolicy policy) {
   HYDRA_UNREACHABLE("bad medium policy");
 }
 
-std::string to_string(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kAuto: return "auto";
-    case SchedulerPolicy::kSerial: return "serial";
-    case SchedulerPolicy::kParallelWindows: return "parallel-windows";
-  }
-  HYDRA_UNREACHABLE("bad scheduler policy");
-}
-
 double WorldBounds::diagonal_m() const {
   return std::sqrt(width_m() * width_m() + height_m() * height_m());
 }
@@ -422,12 +413,6 @@ phy::MediumConfig ScenarioSpec::medium_config() const {
   return mc;
 }
 
-sim::ExecutionPolicy ScenarioSpec::scheduler_policy() const {
-  return scheduler.policy == SchedulerPolicy::kParallelWindows
-             ? sim::ExecutionPolicy::kParallelWindows
-             : sim::ExecutionPolicy::kSerial;
-}
-
 WorldBounds ScenarioSpec::world_bounds() const {
   const auto pos = positions();
   HYDRA_ASSERT_MSG(!pos.empty(), "world_bounds of an empty scenario");
@@ -474,12 +459,7 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t seed)
     : spec_(spec),
       sim_(std::make_unique<sim::Simulation>(seed)),
       medium_(std::make_unique<phy::Medium>(*sim_, spec.medium_config())),
-      trace_(std::make_shared<std::vector<std::string>>()) {
-  if (spec.scheduler_policy() == sim::ExecutionPolicy::kParallelWindows) {
-    sim_->set_execution(sim::ExecutionPolicy::kParallelWindows,
-                        spec.scheduler.workers);
-  }
-}
+      trace_(std::make_shared<std::vector<std::string>>()) {}
 
 Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
   Scenario s(spec, seed);
@@ -577,10 +557,6 @@ namespace {
 void record_line(const sim::Simulation& sim, std::vector<std::string>& trace,
                  std::size_t node, const char* kind,
                  const proto::PacketPtr& pkt) {
-  // The trace is one global append-ordered vector: a parallel-window
-  // event must take its serial turn before writing, which is exactly
-  // what keeps trace digests bit-identical across execution policies.
-  sim::Scheduler::acquire_shared_turn();
   const auto bytes = pkt->serialize();
   char line[96];
   std::snprintf(line, sizeof line, "t=%lld n%zu %s len=%zu crc=%08x",

@@ -66,22 +66,6 @@ struct MediumTuning {
   std::size_t shard_threads = 0;
 };
 
-// How the scenario's scheduler executes events. kAuto resolves to
-// serial: parallel windows are behaviour-identical by contract (pinned
-// by the `parallel` determinism suites), but the worker count is a host
-// property, so the parallel mode stays opt-in the same way kSharded
-// delivery does.
-enum class SchedulerPolicy { kAuto, kSerial, kParallelWindows };
-
-std::string to_string(SchedulerPolicy policy);
-
-struct SchedulerTuning {
-  SchedulerPolicy policy = SchedulerPolicy::kAuto;
-  // kParallelWindows: scheduler worker count; 0 resolves to the host's
-  // hardware concurrency (capped at 8) — see sim::Scheduler::set_execution.
-  unsigned workers = 0;
-};
-
 // Axis-aligned bounding box of a scenario's node placement.
 struct WorldBounds {
   phy::Position min;
@@ -142,10 +126,6 @@ struct ScenarioSpec {
 
   // Medium delivery policy and cull tuning (see MediumTuning).
   MediumTuning medium;
-
-  // Event-execution policy for the scenario's scheduler (see
-  // SchedulerTuning); kAuto keeps the serial reference loop.
-  SchedulerTuning scheduler;
 
   // Motion/churn while traffic runs (see topo/mobility.h); kNone keeps
   // the topology static. The driver starts with the scenario and ticks
@@ -213,8 +193,6 @@ struct ScenarioSpec {
   // The medium configuration this spec resolves to: kAuto picks culled
   // delivery at kCullAutoThreshold nodes and full mesh below it.
   phy::MediumConfig medium_config() const;
-  // The execution policy this spec's scheduler runs under (kAuto -> serial).
-  sim::ExecutionPolicy scheduler_policy() const;
   // Bounding box of the node placement (positions_override included).
   WorldBounds world_bounds() const;
   // The largest reach radius of this spec's transmitters under the

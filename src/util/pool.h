@@ -8,9 +8,9 @@
 // shard in a 16-byte header; freeing from the owning thread pushes onto
 // the local free list, freeing from any other thread pushes onto the
 // owner's lock-free MPSC return stack, which the owner drains the next
-// time it allocates. This composes with the sharded medium and the
-// parallel-window scheduler: TaskPool workers recycle among themselves
-// without ever contending with the main thread.
+// time it allocates. This composes with the sharded medium and parallel
+// sweeps: TaskPool workers recycle among themselves without ever
+// contending with the main thread.
 //
 // Shards live in a process-lifetime registry (guarded by an annotated
 // util::Mutex — the one lock, taken only on thread birth/death and in
@@ -23,7 +23,7 @@
 // matching free is always safe. Determinism contract: the pool hands
 // out storage only — event order, RNG streams and trace digests are
 // bit-identical pooled or not, which tests/pool_determinism_test.cc
-// pins across every delivery backend and execution policy.
+// pins across every delivery backend.
 #pragma once
 
 #include <cstddef>

@@ -7,7 +7,7 @@
 // through the BufferPool, so steady-state event scheduling allocates
 // nothing from the system heap. Move-only (no copy), matching how the
 // scheduler actually handles callbacks: constructed once, moved through
-// the heap/window engine, invoked, destroyed.
+// the heap, invoked, destroyed.
 #pragma once
 
 #include <cstddef>

@@ -10,9 +10,9 @@
 //
 // The vocabulary follows the clang documentation
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html): a CAPABILITY
-// is a resource (a mutex, or something more abstract like the
-// scheduler's canonical shared turn) that threads acquire and release;
-// GUARDED_BY ties data to the capability that must be held to touch it.
+// is a resource (a mutex, or something more abstract) that threads
+// acquire and release; GUARDED_BY ties data to the capability that must
+// be held to touch it.
 #pragma once
 
 #if defined(__clang__) && !defined(SWIG)
@@ -49,12 +49,6 @@
   HYDRA_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) \
   HYDRA_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
-// Declares that the function somehow ensures the capability is held on
-// return without a matching release (the scheduler's idempotent
-// acquire_shared_turn, which is implicitly released when the calling
-// event completes, is the canonical user).
-#define ASSERT_CAPABILITY(x) HYDRA_THREAD_ANNOTATION(assert_capability(x))
 
 // Returns a reference to the capability guarding the returned data.
 #define RETURN_CAPABILITY(x) HYDRA_THREAD_ANNOTATION(lock_returned(x))

@@ -1,6 +1,6 @@
 // Fixture: thread identity is assigned by the OS and differs run to
 // run; anything keyed, ordered or hashed by it is nondeterministic
-// under the parallel scheduler.
+// under shard and sweep workers.
 #include <functional>
 #include <thread>
 

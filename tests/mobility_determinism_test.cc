@@ -136,14 +136,9 @@ struct RunFingerprint {
 };
 
 RunFingerprint run_mobile(topo::ScenarioSpec spec, topo::MediumPolicy policy,
-                          std::size_t threads, std::uint64_t seed,
-                          topo::SchedulerPolicy scheduler =
-                              topo::SchedulerPolicy::kAuto,
-                          unsigned scheduler_workers = 0) {
+                          std::size_t threads, std::uint64_t seed) {
   spec.medium.policy = policy;
   spec.medium.shard_threads = threads;
-  spec.scheduler.policy = scheduler;
-  spec.scheduler.workers = scheduler_workers;
   auto s = topo::Scenario::build(spec, seed);
   s.capture_traces();
 
@@ -261,31 +256,6 @@ TEST(MobilityDeterminism, WideWorldWaypointUsesMultipleStripes) {
   const auto culled = assert_backends_agree_in_motion(spec, 9);
   EXPECT_GT(culled.moves, 0u);
   EXPECT_EQ(culled.incremental_moves, culled.moves);
-}
-
-// ---------------------------------------------------------------------
-// Scheduler axis: motion invalidates the medium's minimum-propagation
-// lookahead every tick, so windows reform around moving geometry. The
-// digests must stay serial-identical anyway, at every worker count.
-// ---------------------------------------------------------------------
-
-TEST(MobilityDeterminism, SchedulerAxisUnderMotion) {
-  const auto spec = mobile_grid(topo::MobilityKind::kWaypoint);
-  const auto reference =
-      run_mobile(spec, topo::MediumPolicy::kCulled, 0, 3,
-                 topo::SchedulerPolicy::kSerial);
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    const auto parallel =
-        run_mobile(spec, topo::MediumPolicy::kCulled, 0, 3,
-                   topo::SchedulerPolicy::kParallelWindows, workers);
-    EXPECT_EQ(parallel.digest, reference.digest)
-        << "parallel-windows@" << workers << " digest diverged under motion";
-    EXPECT_EQ(parallel.stats, reference.stats)
-        << "parallel-windows@" << workers << " stats diverged under motion";
-    // The motion schedule (RNG-driven) must be policy-invariant too.
-    EXPECT_EQ(parallel.moves, reference.moves);
-    EXPECT_EQ(parallel.incremental_moves, reference.incremental_moves);
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Pooled vs heap differential determinism: recycling memory through
 // util::BufferPool must be invisible to the simulation. Every paper
 // spec runs twice — pooling on and pooling off — under every medium
-// backend (full mesh, culled, sharded at 1/2/4 threads) and both
-// scheduler policies, and each pair must agree on
+// backend (full mesh, culled, sharded at 1/2/4 threads), and each pair
+// must agree on
 //
 //   - the trace digest (CRC-32 over the network-event trace),
 //   - the per-node MAC stats table, byte for byte, and
@@ -57,12 +57,6 @@ struct Backend {
   std::size_t shard_threads;
 };
 
-struct SchedulerAxis {
-  const char* label;
-  topo::SchedulerPolicy policy;
-  unsigned workers;
-};
-
 constexpr Backend kBackends[] = {
     {"full-mesh", topo::MediumPolicy::kFullMesh, 0},
     {"culled", topo::MediumPolicy::kCulled, 0},
@@ -71,18 +65,11 @@ constexpr Backend kBackends[] = {
     {"sharded@4", topo::MediumPolicy::kSharded, 4},
 };
 
-constexpr SchedulerAxis kSchedulers[] = {
-    {"serial", topo::SchedulerPolicy::kSerial, 0},
-    {"parallel-windows@4", topo::SchedulerPolicy::kParallelWindows, 4},
-};
-
 RunFingerprint run_flood(topo::ScenarioSpec spec, const Backend& backend,
-                         const SchedulerAxis& sched, bool pooled) {
+                         bool pooled) {
   const ScopedPooling pooling(pooled);
   spec.medium.policy = backend.policy;
   spec.medium.shard_threads = backend.shard_threads;
-  spec.scheduler.policy = sched.policy;
-  spec.scheduler.workers = sched.workers;
   auto s = topo::Scenario::build(spec, /*seed=*/7);
   s.capture_traces();
 
@@ -108,18 +95,15 @@ RunFingerprint run_flood(topo::ScenarioSpec spec, const Backend& backend,
 
 void assert_pooling_invisible(const topo::ScenarioSpec& spec) {
   for (const auto& backend : kBackends) {
-    for (const auto& sched : kSchedulers) {
-      const auto pooled = run_flood(spec, backend, sched, /*pooled=*/true);
-      const auto heap = run_flood(spec, backend, sched, /*pooled=*/false);
-      const std::string where = std::string(spec.label()) + " / " +
-                                backend.label + " / " + sched.label;
-      EXPECT_EQ(pooled.digest, heap.digest)
-          << where << ": pooled vs heap trace digest diverged";
-      EXPECT_EQ(pooled.stats, heap.stats)
-          << where << ": pooled vs heap MAC stats diverged";
-      EXPECT_EQ(pooled.transmissions, heap.transmissions) << where;
-      EXPECT_EQ(pooled.deliveries, heap.deliveries) << where;
-    }
+    const auto pooled = run_flood(spec, backend, /*pooled=*/true);
+    const auto heap = run_flood(spec, backend, /*pooled=*/false);
+    const std::string where = std::string(spec.label()) + " / " + backend.label;
+    EXPECT_EQ(pooled.digest, heap.digest)
+        << where << ": pooled vs heap trace digest diverged";
+    EXPECT_EQ(pooled.stats, heap.stats)
+        << where << ": pooled vs heap MAC stats diverged";
+    EXPECT_EQ(pooled.transmissions, heap.transmissions) << where;
+    EXPECT_EQ(pooled.deliveries, heap.deliveries) << where;
   }
 }
 

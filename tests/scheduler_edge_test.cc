@@ -1,8 +1,7 @@
 // Edge cases of the discrete-event scheduler: cancellation semantics,
 // FIFO ordering at one instant, run_until clock handling, pending-event
-// accounting under cancellations, peek_next_time, and the boundary
-// behaviour of parallel lookahead windows (exact-boundary events,
-// in-window cancellation, zero-lookahead fallback).
+// accounting under cancellations, peek_next_time, and schedule_batch
+// (the medium's delivery fan-out path) against N schedule_at calls.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -104,130 +103,124 @@ TEST(SchedulerEdge, PeekNextTimeSkipsCancelledHeads) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel-window boundaries. These drive the window engine directly
-// with a hand-rolled lookahead provider; the scenario-level digest
-// contract lives in parallel_sched_test.
+// schedule_batch. Every transmission's delivery fan-out commits through
+// it, so it must be indistinguishable from N schedule_at calls.
 // ---------------------------------------------------------------------
 
-TEST(SchedulerEdge, EventExactlyAtWindowBoundaryWaitsForTheNextWindow) {
-  Scheduler sched;
-  sched.set_lookahead_provider([] { return Duration::millis(10); });
-  sched.set_execution(ExecutionPolicy::kParallelWindows, 2);
+// Event times for the order tests: a scrambled spread with many
+// repeats, so batch events tie with queued ones and with each other.
+TimePoint spread_time(std::size_t i) {
+  return TimePoint::at(
+      Duration::micros(static_cast<std::int64_t>((i * 11) % 37)));
+}
 
-  // The window is [now, now + lookahead): an event exactly at the
-  // boundary is NOT safe to run concurrently (an in-window event may
-  // schedule onto another node at exactly now + lookahead), so it must
-  // land in the next window, after the clock has advanced.
+// Queues `queued` labelled events through schedule_at, then `batched`
+// more either through one schedule_batch call or through schedule_at
+// one by one, and returns the labels in execution order.
+std::vector<int> run_order(std::size_t queued, std::size_t batched,
+                           bool use_batch) {
+  Scheduler sched;
   std::vector<int> order;
-  Scheduler::AffinityScope scope(0);
-  sched.schedule_at(TimePoint::at(Duration::millis(0)),
-                    [&] { order.push_back(0); });
-  sched.schedule_at(TimePoint::at(Duration::millis(10)),
-                    [&] { order.push_back(1); });
-  EXPECT_EQ(sched.run(), 2u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_GE(sched.windows_executed(), 2u)
-      << "the boundary event must not be absorbed into the first window";
+  // Queued events start at 1 us, so the batch's time-0 event is the
+  // strict minimum: a batch entry left out of heap order would not run
+  // first. (Pops re-sift the heap's tail, which hides any misplaced
+  // entry that is not the minimum.)
+  for (std::size_t i = 0; i < queued; ++i) {
+    sched.schedule_at(spread_time(i) + Duration::micros(1),
+                      [&order, i] { order.push_back(static_cast<int>(i)); });
+  }
+  std::vector<Scheduler::BatchEvent> batch;
+  for (std::size_t j = 0; j < batched; ++j) {
+    const int label = static_cast<int>(queued + j);
+    const TimePoint at = spread_time(j * 3);
+    auto cb = [&order, label] { order.push_back(label); };
+    if (use_batch) {
+      batch.push_back({at, std::move(cb)});
+    } else {
+      sched.schedule_at(at, std::move(cb));
+    }
+  }
+  if (use_batch) sched.schedule_batch(batch);
+  EXPECT_EQ(sched.run(), queued + batched);
+  return order;
 }
 
-TEST(SchedulerEdge, CancelFromInsideAWindow) {
+TEST(SchedulerEdge, BatchAtABusyInstantRunsAfterQueuedEventsInBatchOrder) {
   Scheduler sched;
-  sched.set_lookahead_provider([] { return Duration::millis(50); });
-  sched.set_execution(ExecutionPolicy::kParallelWindows, 2);
-
-  // Both the canceller and the victim sit inside one window on the same
-  // node, so the in-window cancel path (not the deferred-op commit) is
-  // what keeps the victim from running.
-  Scheduler::AffinityScope scope(3);
-  int victim_runs = 0;
-  EventId victim;
-  victim = sched.schedule_at(TimePoint::at(Duration::millis(2)),
-                             [&] { ++victim_runs; });
-  bool cancelled = false;
-  sched.schedule_at(TimePoint::at(Duration::millis(1)),
-                    [&] { cancelled = sched.cancel(victim); });
-  // A post-window victim exercises the deferred-cancel path too.
-  int late_runs = 0;
-  EventId late;
-  late = sched.schedule_at(TimePoint::at(Duration::millis(200)),
-                           [&] { ++late_runs; });
-  sched.schedule_at(TimePoint::at(Duration::millis(3)),
-                    [&] { sched.cancel(late); });
-
-  sched.run();
-  EXPECT_TRUE(cancelled);
-  EXPECT_EQ(victim_runs, 0);
-  EXPECT_EQ(late_runs, 0);
-  EXPECT_EQ(sched.executed_events(), 2u);
-  EXPECT_EQ(sched.pending_events(), 0u);
+  std::vector<int> order;
+  const auto at = TimePoint::at(Duration::millis(5));
+  sched.schedule_at(at, [&] { order.push_back(0); });
+  sched.schedule_at(at, [&] { order.push_back(1); });
+  std::vector<Scheduler::BatchEvent> batch;
+  for (int i = 2; i < 6; ++i) {
+    batch.push_back({at, [&order, i] { order.push_back(i); }});
+  }
+  sched.schedule_batch(batch);
+  // Scheduled after the batch, so it runs after every batch event too.
+  sched.schedule_at(at, [&] { order.push_back(6); });
+  EXPECT_EQ(sched.run(), 7u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
 }
 
-TEST(SchedulerEdge, ZeroLookaheadFallsBackToSerialStepping) {
-  // Three configurations in which the parallel policy must degrade to
-  // plain serial stepping: no provider, a zero provider, and untagged
-  // (kNoAffinity) events under a healthy provider.
-  {
-    Scheduler sched;
-    sched.set_execution(ExecutionPolicy::kParallelWindows, 4);
-    Scheduler::AffinityScope scope(0);
-    int runs = 0;
-    sched.schedule_in(Duration::millis(1), [&] { ++runs; });
-    sched.schedule_in(Duration::millis(2), [&] { ++runs; });
-    EXPECT_EQ(sched.run(), 2u);
-    EXPECT_EQ(runs, 2);
-    EXPECT_EQ(sched.windows_executed(), 0u) << "no provider, no windows";
-  }
-  {
-    Scheduler sched;
-    sched.set_lookahead_provider([] { return Duration::zero(); });
-    sched.set_execution(ExecutionPolicy::kParallelWindows, 4);
-    Scheduler::AffinityScope scope(0);
-    int runs = 0;
-    sched.schedule_in(Duration::millis(1), [&] { ++runs; });
-    EXPECT_EQ(sched.run(), 1u);
-    EXPECT_EQ(runs, 1);
-    EXPECT_EQ(sched.windows_executed(), 0u) << "zero lookahead, no windows";
-  }
-  {
-    Scheduler sched;
-    sched.set_lookahead_provider([] { return Duration::millis(10); });
-    sched.set_execution(ExecutionPolicy::kParallelWindows, 4);
-    int runs = 0;
-    sched.schedule_in(Duration::millis(1), [&] { ++runs; });  // untagged
-    EXPECT_EQ(sched.run(), 1u);
-    EXPECT_EQ(runs, 1);
-    EXPECT_EQ(sched.windows_executed(), 0u)
-        << "untagged events are serial barriers";
-  }
+TEST(SchedulerEdge, SmallBatchMatchesScheduleAtOrder) {
+  // 10 events into a heap of 800: under heap/8, so the batch sifts up
+  // one entry at a time.
+  const auto batched = run_order(800, 10, true);
+  EXPECT_EQ(batched, run_order(800, 10, false));
+  EXPECT_EQ(batched.size(), 810u);
 }
 
-TEST(SchedulerEdge, ParallelCountersTrackWindowsAndOverlap) {
+TEST(SchedulerEdge, LargeBatchMatchesScheduleAtOrder) {
+  // 300 events into a heap of 800 (and into an empty heap): at or over
+  // heap/8, so the batch restores the heap with one make_heap pass.
+  const auto batched = run_order(800, 300, true);
+  EXPECT_EQ(batched, run_order(800, 300, false));
+  EXPECT_EQ(batched.size(), 1100u);
+  EXPECT_EQ(run_order(0, 300, true), run_order(0, 300, false));
+}
+
+TEST(SchedulerEdge, BatchIdsCancelTrackAndGoStale) {
   Scheduler sched;
-  sched.set_lookahead_provider([] { return Duration::millis(100); });
-  sched.set_execution(ExecutionPolicy::kParallelWindows, 4);
-
-  // Four events on four distinct nodes inside one window: one window,
-  // four events executed with more than one concurrent group.
   int runs = 0;
-  for (std::uint32_t node = 0; node < 4; ++node) {
-    Scheduler::AffinityScope scope(node);
-    sched.schedule_at(TimePoint::at(Duration::millis(1 + node)),
-                      [&] { ++runs; });
+  std::vector<Scheduler::BatchEvent> batch;
+  for (int i = 0; i < 3; ++i) {
+    batch.push_back({TimePoint::at(Duration::millis(1 + i)), [&] { ++runs; }});
   }
-  EXPECT_EQ(sched.run(), 4u);
-  EXPECT_EQ(runs, 4);
-  EXPECT_EQ(sched.windows_executed(), 1u);
-  EXPECT_EQ(sched.parallel_events_executed(), 4u);
-  EXPECT_EQ(sched.executed_events(), 4u);
+  std::vector<EventId> ids;
+  sched.schedule_batch(batch, &ids);
+  ASSERT_EQ(ids.size(), 3u);
+  EXPECT_EQ(sched.pending_events(), 3u);
+  for (const auto id : ids) EXPECT_TRUE(sched.pending(id));
 
-  // A single-group window executes but contributes no "parallel" events.
-  {
-    Scheduler::AffinityScope scope(0);
-    sched.schedule_in(Duration::millis(1), [&] { ++runs; });
+  EXPECT_TRUE(sched.cancel(ids[1]));
+  EXPECT_FALSE(sched.pending(ids[1]));
+  EXPECT_EQ(sched.pending_events(), 2u);
+
+  EXPECT_EQ(sched.run(), 2u);
+  EXPECT_EQ(runs, 2);
+  for (const auto id : ids) {
+    EXPECT_FALSE(sched.pending(id));
+    EXPECT_FALSE(sched.cancel(id));  // ran or already cancelled: stale
   }
-  EXPECT_EQ(sched.run(), 1u);
-  EXPECT_EQ(sched.windows_executed(), 2u);
-  EXPECT_EQ(sched.parallel_events_executed(), 4u);
+}
+
+TEST(SchedulerEdge, BatchClearsEventsAndAppendsIds) {
+  Scheduler sched;
+  std::vector<EventId> ids;
+  ids.push_back(sched.schedule_in(Duration::millis(1), [] {}));
+  std::vector<Scheduler::BatchEvent> batch;
+  batch.push_back({TimePoint::at(Duration::millis(2)), [] {}});
+  batch.push_back({TimePoint::at(Duration::millis(3)), [] {}});
+  sched.schedule_batch(batch, &ids);
+  EXPECT_TRUE(batch.empty());
+  ASSERT_EQ(ids.size(), 3u);  // the earlier id is kept, not replaced
+  for (const auto id : ids) EXPECT_TRUE(sched.pending(id));
+  EXPECT_NE(ids[1], ids[2]);
+
+  // An empty batch is a no-op that leaves `ids` alone.
+  sched.schedule_batch(batch, &ids);
+  EXPECT_EQ(ids.size(), 3u);
+  EXPECT_EQ(sched.run(), 3u);
 }
 
 }  // namespace

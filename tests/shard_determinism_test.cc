@@ -42,14 +42,9 @@ enum class Workload {
 
 RunFingerprint run_scenario(topo::ScenarioSpec spec,
                             topo::MediumPolicy policy, std::size_t threads,
-                            std::uint64_t seed, Workload workload,
-                            topo::SchedulerPolicy scheduler =
-                                topo::SchedulerPolicy::kAuto,
-                            unsigned scheduler_workers = 0) {
+                            std::uint64_t seed, Workload workload) {
   spec.medium.policy = policy;
   spec.medium.shard_threads = threads;
-  spec.scheduler.policy = scheduler;
-  spec.scheduler.workers = scheduler_workers;
   auto s = topo::Scenario::build(spec, seed);
   s.capture_traces();
 
@@ -196,33 +191,6 @@ TEST(ShardDeterminism, WideRandomPlacement) {
   auto spec = topo::ScenarioSpec::random(20, 4);
   spec.spacing_m = 10.0;  // ~50 m extent; links stay <= range_m (3.5 m)
   assert_backends_agree(spec, 9, Workload::kFlood);
-}
-
-// ---------------------------------------------------------------------
-// Scheduler axis: the sharded medium must stay backend-invariant when
-// the event loop itself goes parallel. (The full serial-vs-parallel
-// digest matrix lives in parallel_sched_test; this pins the cross
-// product of the two parallel subsystems over a multi-stripe world.)
-// ---------------------------------------------------------------------
-
-TEST(ShardDeterminism, SchedulerAxisOverShardedMedium) {
-  auto spec = topo::ScenarioSpec::chain(16);
-  spec.spacing_m = 7.0;  // multi-stripe, as in WideChainUsesMultipleStripes
-  const auto reference =
-      run_scenario(spec, topo::MediumPolicy::kCulled, 0, 9, Workload::kFlood,
-                   topo::SchedulerPolicy::kSerial);
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    const auto parallel =
-        run_scenario(spec, topo::MediumPolicy::kSharded, 2, 9,
-                     Workload::kFlood, topo::SchedulerPolicy::kParallelWindows,
-                     workers);
-    EXPECT_EQ(parallel.digest, reference.digest)
-        << "sharded@2 × parallel-windows@" << workers << " digest diverged";
-    EXPECT_EQ(parallel.stats, reference.stats)
-        << "sharded@2 × parallel-windows@" << workers << " stats diverged";
-    EXPECT_EQ(parallel.deliveries, reference.deliveries);
-    EXPECT_EQ(parallel.transmissions, reference.transmissions);
-  }
 }
 
 // ---------------------------------------------------------------------

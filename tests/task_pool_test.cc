@@ -103,8 +103,8 @@ TEST(TaskPool, NestedParallelForOnTheSamePoolDies) {
 
 TEST(TaskPool, NestingAcrossDistinctPoolsIsLegal) {
   // The guard is per-pool identity, not a blanket "no pool inside a
-  // pool": the sweep driver's pool runs simulations whose scheduler and
-  // medium own pools of their own, and that layering must keep working.
+  // pool": the sweep driver's pool runs simulations whose sharded medium
+  // owns a pool of its own, and that layering must keep working.
   util::TaskPool outer(2);
   std::atomic<std::uint32_t> inner_runs{0};
   outer.parallel_for(4, [&](std::size_t) {

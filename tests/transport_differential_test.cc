@@ -4,8 +4,7 @@
 // paper spec — plus chain, star and grid worlds — runs the same file
 // workload twice, once over the refactored transport::TcpConnection and
 // once over the frozen pre-seam copy in tests/support/seed_tcp.h, under
-// {full mesh, culled, sharded@4} × {serial, parallel-windows@4}, and
-// each pair must agree on
+// each of {full mesh, culled, sharded@4}, and each pair must agree on
 //
 //   - the trace digest (CRC-32 over the network-event trace),
 //   - the per-node MAC stats table, byte for byte,
@@ -13,7 +12,7 @@
 //   - the scheduler's executed-event count.
 //
 // Both variants get byte-identical wiring: the same staggered sender
-// start times through affinity-pinned timers, the same listener setup,
+// start times through the same timers, the same listener setup,
 // the same run-slice loop — the only degree of freedom is which TCP
 // processes the segments. A seam that scheduled one extra event (say,
 // an always-armed delack timer) or perturbed one windowing decision
@@ -53,27 +52,16 @@ struct Backend {
   std::size_t shard_threads;
 };
 
-struct SchedulerAxis {
-  const char* label;
-  topo::SchedulerPolicy policy;
-  unsigned workers;
-};
-
 constexpr Backend kBackends[] = {
     {"full-mesh", topo::MediumPolicy::kFullMesh, 0},
     {"culled", topo::MediumPolicy::kCulled, 0},
     {"sharded@4", topo::MediumPolicy::kSharded, 4},
 };
 
-constexpr SchedulerAxis kSchedulers[] = {
-    {"serial", topo::SchedulerPolicy::kSerial, 0},
-    {"parallel-windows@4", topo::SchedulerPolicy::kParallelWindows, 4},
-};
-
 // The two sides of the differential, as traits the harness templates
 // over: which mux attaches to a node and which connection type it hands
-// out. Everything else in a run is shared code, so the wiring (timer
-// affinities, callback order, start times) cannot drift between sides.
+// out. Everything else in a run is shared code, so the wiring (timers,
+// callback order, start times) cannot drift between sides.
 struct PluggableSide {
   using Connection = transport::TcpConnection;
   static auto& mux(net::Node& node) { return transport::mux_of(node); }
@@ -85,8 +73,8 @@ struct SeedSide {
 };
 
 // Minimal FileSenderApp equivalent, shared by both sides (the real app
-// is hardwired to the pluggable mux). Same affinity-pinned start timer,
-// same connect/send/close sequence.
+// is hardwired to the pluggable mux). Same start timer, same
+// connect/send/close sequence.
 template <typename Side>
 class Sender {
  public:
@@ -94,9 +82,7 @@ class Sender {
       : sim_(sim),
         node_(node),
         destination_(destination),
-        timer_(sim.scheduler(), [this] { begin(); }) {
-    timer_.set_affinity(node.phy().id());
-  }
+        timer_(sim.scheduler(), [this] { begin(); }) {}
 
   void start(sim::TimePoint at) {
     const auto now = sim_.now();
@@ -117,12 +103,9 @@ class Sender {
 };
 
 template <typename Side>
-RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend,
-                             const SchedulerAxis& sched) {
+RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend) {
   spec.medium.policy = backend.policy;
   spec.medium.shard_threads = backend.shard_threads;
-  spec.scheduler.policy = sched.policy;
-  spec.scheduler.workers = sched.workers;
   auto s = topo::Scenario::build(spec, /*seed=*/5);
   s.capture_traces();
 
@@ -180,22 +163,19 @@ RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend,
 
 void assert_seam_invisible(const topo::ScenarioSpec& spec) {
   for (const auto& backend : kBackends) {
-    for (const auto& sched : kSchedulers) {
-      const auto pluggable = run_transfers<PluggableSide>(spec, backend, sched);
-      const auto seed = run_transfers<SeedSide>(spec, backend, sched);
-      const std::string where = std::string(spec.label()) + " / " +
-                                backend.label + " / " + sched.label;
-      EXPECT_TRUE(seed.all_complete) << where << ": seed run incomplete";
-      EXPECT_EQ(pluggable.digest, seed.digest)
-          << where << ": pluggable vs seed trace digest diverged";
-      EXPECT_EQ(pluggable.stats, seed.stats)
-          << where << ": pluggable vs seed MAC stats diverged";
-      EXPECT_EQ(pluggable.transmissions, seed.transmissions) << where;
-      EXPECT_EQ(pluggable.deliveries, seed.deliveries) << where;
-      EXPECT_EQ(pluggable.executed_events, seed.executed_events)
-          << where << ": event counts diverged (a seam scheduled events)";
-      EXPECT_EQ(pluggable.delivered_bytes, seed.delivered_bytes) << where;
-    }
+    const auto pluggable = run_transfers<PluggableSide>(spec, backend);
+    const auto seed = run_transfers<SeedSide>(spec, backend);
+    const std::string where = std::string(spec.label()) + " / " + backend.label;
+    EXPECT_TRUE(seed.all_complete) << where << ": seed run incomplete";
+    EXPECT_EQ(pluggable.digest, seed.digest)
+        << where << ": pluggable vs seed trace digest diverged";
+    EXPECT_EQ(pluggable.stats, seed.stats)
+        << where << ": pluggable vs seed MAC stats diverged";
+    EXPECT_EQ(pluggable.transmissions, seed.transmissions) << where;
+    EXPECT_EQ(pluggable.deliveries, seed.deliveries) << where;
+    EXPECT_EQ(pluggable.executed_events, seed.executed_events)
+        << where << ": event counts diverged (a seam scheduled events)";
+    EXPECT_EQ(pluggable.delivered_bytes, seed.delivered_bytes) << where;
   }
 }
 

@@ -22,8 +22,8 @@ Rules:
                     anywhere in the tree. Hash-order walks are how
                     nondeterminism actually leaks into event order.
   raw-rand          std::rand/std::srand/std::random_device. All
-                    randomness flows through sim::Rng (seeded,
-                    serialized on the shared turn); random_device is
+                    randomness flows through sim::Rng (seeded, drawn
+                    in event order); random_device is
                     nondeterministic by construction. sim/rng.* is
                     exempt — it owns the engine.
   wall-clock        std::chrono::{system,steady,high_resolution}_clock,
@@ -33,7 +33,7 @@ Rules:
                     exempt (diagnostic timestamps never feed state).
   thread-id         std::this_thread::get_id(). Thread identity varies
                     run to run; anything keyed or ordered by it is
-                    nondeterministic under the parallel scheduler.
+                    nondeterministic under shard and sweep workers.
   ptr-order         Ordered containers keyed on pointers
                     (std::map<T*, ...>, std::set<T*>, std::less<T*>).
                     Pointer values depend on allocation order and
