@@ -55,9 +55,8 @@ topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
   // 10 m spacing: the reach radius (~36.5 m) covers a few rings of the
   // lattice, so culled fan-out stays ~constant as N grows.
   spec.spacing_m = 10.0;
-  // No sessions and no static routes: flooding needs no routing graph,
-  // and skipping it keeps the N = 10000 build out of the O(N^2)
-  // next-hop matrix.
+  // No sessions: flooding never routes. Static routes stay on; they are
+  // computed per lookup, so the N = 10000 build stays O(N).
   spec.sessions.clear();
   spec.medium.policy = medium;
   spec.medium.shard_threads = shard_threads;

@@ -1,6 +1,6 @@
 // Micro-benchmarks of the hot paths (google-benchmark): event scheduler,
-// CRC-32/FCS, wire-format round trips, aggregate assembly, and a full
-// small experiment as an end-to-end figure of merit.
+// CRC-32/FCS, wire-format round trips, aggregate assembly, the route
+// lookup, and a full small experiment as an end-to-end figure of merit.
 #include <benchmark/benchmark.h>
 
 #include "app/experiment.h"
@@ -9,6 +9,7 @@
 #include "proto/packet.h"
 #include "sim/scheduler.h"
 #include "topo/experiment.h"
+#include "topo/scenario.h"
 #include "util/crc32.h"
 
 namespace {
@@ -126,6 +127,23 @@ void BM_AggregatorBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AggregatorBuild);
+
+// The per-packet route lookup of Ipv4Stack::transmit: every node of the
+// paper's three-hop chain looks up every destination.
+void BM_RouteLookup(benchmark::State& state) {
+  auto scenario = topo::Scenario::build(topo::ScenarioSpec::three_hop(), 1);
+  const auto n = static_cast<std::uint32_t>(scenario.size());
+  for (auto _ : state) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto& routes = scenario.node(i).routes();
+      for (std::uint32_t j = 0; j < n; ++j) {
+        benchmark::DoNotOptimize(routes.next_hop(proto::Ipv4Address::for_node(j)));
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n * n);
+}
+BENCHMARK(BM_RouteLookup);
 
 void BM_FullExperimentTcp(benchmark::State& state) {
   for (auto _ : state) {

@@ -6,9 +6,8 @@ namespace hydra::net {
 
 proto::Ipv4Address ip_for(proto::MacAddress address) {
   HYDRA_ASSERT(!address.is_broadcast());
-  // Node i has MAC (i+1) and IP 10.0.0.(i+1).
-  return proto::Ipv4Address::from_octets(
-      10, 0, 0, static_cast<std::uint8_t>(address.value() & 0xff));
+  // Node i has MAC (i+1).
+  return proto::Ipv4Address::for_node(address.value() - 1u);
 }
 
 RouteDiscovery::RouteDiscovery(sim::Simulation& simulation, Node& node,

@@ -3,6 +3,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace hydra::proto {
@@ -17,9 +18,18 @@ class Ipv4Address {
     return Ipv4Address((std::uint32_t{a} << 24) | (std::uint32_t{b} << 16) |
                        (std::uint32_t{c} << 8) | d);
   }
-  // Address of the simulated node with the given index: 10.0.0.(index+1).
+  // Address of the simulated node with the given index: index+1 across
+  // the low 16 bits, 10.0.hi.lo. Worlds of up to 255 nodes keep
+  // 10.0.0.(index+1); the low 16 bits equal MacAddress::for_node(index).
   constexpr static Ipv4Address for_node(std::uint32_t node_index) {
-    return from_octets(10, 0, 0, static_cast<std::uint8_t>(node_index + 1));
+    return Ipv4Address(kNodePrefix | ((node_index + 1) & 0xffffu));
+  }
+  // Inverse of for_node: the node index of a 10.0.hi.lo address; none
+  // for any other address (10.0.0.0 included).
+  constexpr std::optional<std::uint32_t> node_index() const {
+    const std::uint32_t low = value_ & 0xffffu;
+    if ((value_ & 0xffff0000u) != kNodePrefix || low == 0) return std::nullopt;
+    return low - 1;
   }
   constexpr static Ipv4Address broadcast() {
     return Ipv4Address(0xffffffffu);
@@ -32,6 +42,7 @@ class Ipv4Address {
   friend constexpr auto operator<=>(Ipv4Address, Ipv4Address) = default;
 
  private:
+  static constexpr std::uint32_t kNodePrefix = 0x0a000000u;  // 10.0.0.0/16
   std::uint32_t value_ = 0;
 };
 

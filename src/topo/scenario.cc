@@ -27,6 +27,143 @@ std::size_t grid_index(std::size_t row, std::size_t col, std::size_t cols) {
   return row * cols + col;
 }
 
+// i's next hop toward j in an n-node world of one of the closed-form
+// families (everything but kRandom); `cols` is the grid's width.
+std::uint32_t closed_form_hop(Family family, std::uint32_t n, std::uint32_t cols,
+                              std::uint32_t i, std::uint32_t j) {
+  if (i == j) return j;
+  switch (family) {
+    case Family::kChain:
+      // Hop-by-hop toward the destination index.
+      return j > i ? i + 1 : i - 1;
+    case Family::kStar:
+      // Every non-hub pair relays through the hub (node 1).
+      return i == 1 || j == 1 ? j : 1;
+    case Family::kGrid: {
+      // Manhattan (X-then-Y) dimension-order routing.
+      const std::uint32_t ri = i / cols, ci = i % cols;
+      const std::uint32_t rj = j / cols, cj = j % cols;
+      return ci != cj ? ri * cols + (cj > ci ? ci + 1 : ci - 1)
+                      : (rj > ri ? ri + 1 : ri - 1) * cols + ci;
+    }
+    case Family::kRing: {
+      // The shorter arc (clockwise on ties).
+      const std::uint32_t cw = (j + n - i) % n;
+      return cw <= n - cw ? (i + 1) % n : (i + n - 1) % n;
+    }
+    case Family::kRandom:
+      break;
+  }
+  HYDRA_UNREACHABLE("kRandom has no closed-form next hop");
+}
+
+// kRandom's next hops: BFS shortest paths over the nearest-neighbor
+// graph, one tree per destination; index-sorted adjacency keeps
+// tie-breaks stable. toward[dst * n + i] is i's next hop toward dst.
+std::vector<std::uint32_t> bfs_next_hops(
+    const std::vector<std::vector<std::uint32_t>>& adj) {
+  const std::size_t n = adj.size();
+  std::vector<std::uint32_t> toward(n * n);
+  std::vector<bool> seen(n);
+  std::deque<std::uint32_t> queue;
+  for (std::uint32_t dst = 0; dst < n; ++dst) {
+    const auto row = toward.begin() + static_cast<std::ptrdiff_t>(dst * n);
+    std::fill(row, row + static_cast<std::ptrdiff_t>(n), dst);
+    std::fill(seen.begin(), seen.end(), false);
+    queue.push_back(dst);
+    seen[dst] = true;
+    while (!queue.empty()) {
+      const std::uint32_t v = queue.front();
+      queue.pop_front();
+      for (const std::uint32_t u : adj[v]) {
+        if (seen[u]) continue;
+        seen[u] = true;
+        row[u] = v;  // v is one BFS level closer to dst
+        queue.push_back(u);
+      }
+    }
+  }
+  return toward;
+}
+
+// Interior nodes of the sessions' paths under `hop`, in first-traversal
+// order.
+template <typename Hop>
+std::vector<std::uint32_t> walk_relays(const std::vector<Session>& sessions,
+                                       std::size_t n, const Hop& hop) {
+  std::vector<std::uint32_t> relays;
+  for (const auto& session : sessions) {
+    // Sessions are the one spec field factories install *before* the
+    // size knobs can be tweaked — the only way a spec can index out of
+    // range, so the one that needs checking.
+    HYDRA_ASSERT_MSG(session.sender < n && session.receiver < n,
+                     "session endpoint is not a node of this scenario");
+    std::uint32_t cur = session.sender;
+    for (std::size_t step = 0; cur != session.receiver && step < n; ++step) {
+      const std::uint32_t next = hop(cur, session.receiver);
+      if (next == session.receiver) break;
+      if (std::find(relays.begin(), relays.end(), next) == relays.end()) {
+        relays.push_back(next);
+      }
+      cur = next;
+    }
+  }
+  return relays;
+}
+
+// Family F's closed form as a scenario's static routes. F is a
+// compile-time constant, so each lookup runs only its own family's
+// arithmetic.
+template <Family F>
+class ClosedFormRoutes final : public net::StaticRoutes {
+ public:
+  ClosedFormRoutes(std::size_t n, std::size_t cols)
+      : n_(static_cast<std::uint32_t>(n)), cols_(static_cast<std::uint32_t>(cols)) {}
+
+  std::uint32_t next_hop(std::uint32_t from, std::uint32_t to) const override {
+    return to < n_ ? closed_form_hop(F, n_, cols_, from, to) : to;
+  }
+
+ private:
+  std::uint32_t n_;
+  std::uint32_t cols_;
+};
+
+// kRandom's static routes: the per-destination BFS table, built once.
+class BfsRoutes final : public net::StaticRoutes {
+ public:
+  explicit BfsRoutes(const std::vector<std::vector<std::uint32_t>>& adjacency)
+      : n_(adjacency.size()), toward_(bfs_next_hops(adjacency)) {}
+
+  std::uint32_t next_hop(std::uint32_t from, std::uint32_t to) const override {
+    return to < n_ ? toward_[to * n_ + from] : to;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::uint32_t> toward_;
+};
+
+// The static routes every node of a built `spec` shares.
+std::shared_ptr<const net::StaticRoutes> static_routes(
+    const ScenarioSpec& spec,
+    const std::vector<std::vector<std::uint32_t>>& adjacency) {
+  const std::size_t n = spec.node_count();
+  switch (spec.family) {
+    case Family::kChain:
+      return std::make_shared<ClosedFormRoutes<Family::kChain>>(n, spec.cols);
+    case Family::kStar:
+      return std::make_shared<ClosedFormRoutes<Family::kStar>>(n, spec.cols);
+    case Family::kGrid:
+      return std::make_shared<ClosedFormRoutes<Family::kGrid>>(n, spec.cols);
+    case Family::kRing:
+      return std::make_shared<ClosedFormRoutes<Family::kRing>>(n, spec.cols);
+    case Family::kRandom:
+      return std::make_shared<BfsRoutes>(adjacency);
+  }
+  HYDRA_UNREACHABLE("bad scenario family");
+}
+
 }  // namespace
 
 std::string to_string(Family family) {
@@ -273,6 +410,15 @@ std::vector<std::vector<std::uint32_t>> ScenarioSpec::adjacency(
   return adj;
 }
 
+std::uint32_t ScenarioSpec::next_hop(std::uint32_t i, std::uint32_t j) const {
+  const std::size_t n = node_count();
+  HYDRA_ASSERT(i < n && j < n);
+  HYDRA_ASSERT_MSG(family != Family::kRandom,
+                   "kRandom routes come from next_hops(), not a closed form");
+  return closed_form_hop(family, static_cast<std::uint32_t>(n),
+                         static_cast<std::uint32_t>(cols), i, j);
+}
+
 std::vector<std::vector<std::uint32_t>> ScenarioSpec::next_hops() const {
   return next_hops(adjacency());
 }
@@ -281,113 +427,33 @@ std::vector<std::vector<std::uint32_t>> ScenarioSpec::next_hops(
     const std::vector<std::vector<std::uint32_t>>& adjacency) const {
   const std::size_t n = node_count();
   HYDRA_ASSERT(adjacency.size() == n);
-  std::vector<std::vector<std::uint32_t>> hops(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    hops[i].resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      hops[i][j] = static_cast<std::uint32_t>(j);  // direct by default
+  std::vector<std::vector<std::uint32_t>> hops(n, std::vector<std::uint32_t>(n));
+  if (family == Family::kRandom) {
+    const auto toward = bfs_next_hops(adjacency);
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      for (std::size_t i = 0; i < n; ++i) hops[i][dst] = toward[dst * n + i];
     }
+    return hops;
   }
-  switch (family) {
-    case Family::kChain:
-      // Hop-by-hop toward the destination index.
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          hops[i][j] = static_cast<std::uint32_t>(j > i ? i + 1 : i - 1);
-        }
-      }
-      return hops;
-    case Family::kStar:
-      // Every non-hub pair relays through the hub (node 1).
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j || i == 1 || j == 1) continue;
-          hops[i][j] = 1;
-        }
-      }
-      return hops;
-    case Family::kGrid:
-      // Manhattan (X-then-Y) dimension-order routing.
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t ri = i / cols, ci = i % cols;
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          const std::size_t rj = j / cols, cj = j % cols;
-          std::size_t next;
-          if (ci != cj) {
-            next = grid_index(ri, cj > ci ? ci + 1 : ci - 1, cols);
-          } else {
-            next = grid_index(rj > ri ? ri + 1 : ri - 1, ci, cols);
-          }
-          hops[i][j] = static_cast<std::uint32_t>(next);
-        }
-      }
-      return hops;
-    case Family::kRing:
-      // The shorter arc (clockwise on ties).
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (i == j) continue;
-          const std::size_t cw = (j + n - i) % n;
-          hops[i][j] = static_cast<std::uint32_t>(cw <= n - cw ? (i + 1) % n
-                                                              : (i + n - 1) % n);
-        }
-      }
-      return hops;
-    case Family::kRandom: {
-      // BFS shortest paths over the nearest-neighbor graph, one tree per
-      // destination; index-sorted adjacency keeps tie-breaks stable.
-      const auto& adj = adjacency;
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        std::vector<std::uint32_t> toward(n, static_cast<std::uint32_t>(dst));
-        std::vector<bool> seen(n, false);
-        std::deque<std::uint32_t> queue{static_cast<std::uint32_t>(dst)};
-        seen[dst] = true;
-        while (!queue.empty()) {
-          const std::uint32_t v = queue.front();
-          queue.pop_front();
-          for (const std::uint32_t u : adj[v]) {
-            if (seen[u]) continue;
-            seen[u] = true;
-            toward[u] = v;  // v is one BFS level closer to dst
-            queue.push_back(u);
-          }
-        }
-        for (std::size_t i = 0; i < n; ++i) hops[i][dst] = toward[i];
-      }
-      return hops;
-    }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = 0; j < n; ++j) hops[i][j] = next_hop(i, j);
   }
-  HYDRA_UNREACHABLE("bad scenario family");
+  return hops;
 }
 
 std::vector<std::uint32_t> ScenarioSpec::relay_indices() const {
-  return relay_indices(next_hops());
+  if (family == Family::kRandom) return relay_indices(next_hops());
+  return walk_relays(sessions, node_count(),
+                     [this](std::uint32_t i, std::uint32_t j) { return next_hop(i, j); });
 }
 
 std::vector<std::uint32_t> ScenarioSpec::relay_indices(
     const std::vector<std::vector<std::uint32_t>>& next_hops) const {
   const std::size_t n = node_count();
   HYDRA_ASSERT(next_hops.size() == n);
-  std::vector<std::uint32_t> relays;
-  for (const auto& session : sessions) {
-    // Sessions are the one spec field factories install *before* the
-    // size knobs can be tweaked — the only way a spec can index out of
-    // range, so the one that needs checking.
-    HYDRA_ASSERT_MSG(session.sender < n && session.receiver < n,
-                     "session endpoint is not a node of this scenario");
-    std::uint32_t cur = session.sender;
-    for (std::size_t step = 0; cur != session.receiver && step < n; ++step) {
-      const std::uint32_t next = next_hops[cur][session.receiver];
-      if (next == session.receiver) break;
-      if (std::find(relays.begin(), relays.end(), next) == relays.end()) {
-        relays.push_back(next);
-      }
-      cur = next;
-    }
-  }
-  return relays;
+  return walk_relays(sessions, n, [&next_hops](std::uint32_t i, std::uint32_t j) {
+    return next_hops[i][j];
+  });
 }
 
 phy::MediumConfig ScenarioSpec::medium_config() const {
@@ -462,25 +528,26 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t seed)
       trace_(std::make_shared<std::vector<std::string>>()) {}
 
 Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
+  // Node index i is link address i+1 (proto::MacAddress::for_node), so
+  // index 0xfffe would be the MAC broadcast address.
+  HYDRA_ASSERT_MSG(spec.node_count() < 0xffff,
+                   "a scenario holds at most 65 534 nodes (16-bit addresses)");
   Scenario s(spec, seed);
-  // Each derived view feeds the next, computed once: positions →
-  // adjacency → next hops → relays (kRandom's placement sampling and
-  // BFS are the expensive steps). A spec that routes nothing — no
-  // static routes, no whitelist, no sessions — skips the graph views
-  // entirely: the full next-hop matrix is O(N²) memory, which is what
-  // caps pure-flooding scale runs otherwise.
+  // Placement is computed once. The adjacency feeds only the neighbour
+  // whitelist and kRandom's BFS routes; the other families' next hops
+  // are closed forms, so no O(N²) view is ever built for them.
   const auto positions = spec.positions();
-  const bool needs_graph =
-      spec.static_routes || spec.neighbor_whitelist || !spec.sessions.empty();
   std::vector<std::vector<std::uint32_t>> adjacency;
-  std::vector<std::vector<std::uint32_t>> hops;
-  if (needs_graph) {
+  if (spec.neighbor_whitelist || spec.family == Family::kRandom) {
     adjacency = spec.adjacency(positions);
-    hops = spec.next_hops(adjacency);
-    s.relays_ = spec.relay_indices(hops);
   }
-
+  const auto routes = static_routes(spec, adjacency);
   const std::size_t n = positions.size();
+  s.relays_ = walk_relays(spec.sessions, n,
+                          [&routes](std::uint32_t i, std::uint32_t j) {
+                            return routes->next_hop(i, j);
+                          });
+
   s.nodes_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     net::NodeConfig nc;
@@ -502,16 +569,7 @@ Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
       }
     }
     s.nodes_.push_back(std::make_unique<net::Node>(*s.sim_, *s.medium_, i, nc));
-  }
-
-  if (spec.static_routes) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t j = 0; j < n; ++j) {
-        if (i == j || hops[i][j] == j) continue;  // direct: no route needed
-        s.nodes_[i]->routes().add_route(proto::Ipv4Address::for_node(j),
-                                        proto::Ipv4Address::for_node(hops[i][j]));
-      }
-    }
+    if (spec.static_routes) s.nodes_.back()->routes().set_static_routes(routes, i);
   }
 
   if (spec.route_discovery) {

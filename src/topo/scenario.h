@@ -136,7 +136,7 @@ struct ScenarioSpec {
   // still hears every frame, but only adjacent links deliver — the
   // standard trick for forcing multi-hop on a single channel.
   bool neighbor_whitelist = false;
-  // Install the family's hop-by-hop static routes.
+  // Route by the family's hop-by-hop static next hops (next_hop).
   bool static_routes = true;
   // Attach a RouteDiscovery engine to every node.
   bool route_discovery = false;
@@ -171,15 +171,21 @@ struct ScenarioSpec {
   // Topological neighbour lists (chain/ring adjacency, grid 4-neighbour,
   // star hub-and-spoke, random range graph), index-sorted.
   std::vector<std::vector<std::uint32_t>> adjacency() const;
-  // Full next-hop matrix: next_hop[i][j] is i's next hop toward j
-  // (== j when delivery is direct).
+  // i's next hop toward j (== j when delivery is direct), in O(1) from
+  // the family's closed form: chain and ring step along the line (ring
+  // takes the shorter arc, clockwise on ties), star relays through the
+  // hub, grid routes X-then-Y. kRandom has no closed form (its hops come
+  // from a per-destination BFS; see next_hops) and asserts here.
+  std::uint32_t next_hop(std::uint32_t i, std::uint32_t j) const;
+  // Full next-hop matrix: next_hops()[i][j] is i's next hop toward j.
+  // O(N²) memory; Scenario::build never materialises it.
   std::vector<std::vector<std::uint32_t>> next_hops() const;
   // Interior nodes of the session paths, in first-traversal order.
   // A property of the family's session paths alone — independent of
   // whether routes are installed statically or found by discovery.
   std::vector<std::uint32_t> relay_indices() const;
 
-  // Overloads taking the already-computed previous view, so a builder
+  // Overloads taking the already-computed previous view, so a caller
   // needing all four derived views computes each once; kRandom's
   // rejection-sampled placement and per-destination BFS are the
   // expensive steps the no-arg forms would otherwise repeat.
@@ -209,7 +215,12 @@ class Scenario {
  public:
   // Instantiates `spec`. `seed` seeds the shared simulation RNG; fixed
   // so every run of a spec is reproducible (and so determinism tests can
-  // compare two runs).
+  // compare two runs). Static routes are one net::StaticRoutes object
+  // shared by every node and evaluated per lookup (kRandom's reads a
+  // BFS table built here once), so building costs O(N) for the
+  // closed-form families. Asserts node_count() < 0xffff: the 16-bit
+  // node addresses (proto::Ipv4Address::for_node) would put index
+  // 65 534 on the MAC broadcast address.
   static Scenario build(const ScenarioSpec& spec, std::uint64_t seed = 1);
 
   Scenario(Scenario&&) = default;

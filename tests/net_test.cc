@@ -3,6 +3,7 @@
 
 #include "app/udp_cbr.h"
 #include "app/udp_sink.h"
+#include "net/discovery.h"
 #include "net/node.h"
 #include "net/routing.h"
 #include "topo/scenario.h"
@@ -17,6 +18,27 @@ TEST(Routing, MacForIpMapping) {
   EXPECT_EQ(mac_for(proto::Ipv4Address::for_node(0)), proto::MacAddress::for_node(0));
   EXPECT_EQ(mac_for(proto::Ipv4Address::for_node(3)), proto::MacAddress::for_node(3));
   EXPECT_TRUE(mac_for(proto::Ipv4Address::broadcast()).is_broadcast());
+}
+
+TEST(Routing, NodeAddressesRoundTripOver16Bits) {
+  for (const std::uint32_t i : {0u, 254u, 255u, 256u, 9999u}) {
+    const auto ip = proto::Ipv4Address::for_node(i);
+    const auto mac = proto::MacAddress::for_node(i);
+    EXPECT_EQ(ip, proto::Ipv4Address::from_octets(
+                      10, 0, static_cast<std::uint8_t>((i + 1) >> 8),
+                      static_cast<std::uint8_t>((i + 1) & 0xff)))
+        << i;
+    EXPECT_EQ(ip.node_index(), i);
+    EXPECT_EQ(mac_for(ip), mac) << i;
+    EXPECT_EQ(ip_for(mac), ip) << i;
+  }
+  // Worlds of up to 255 nodes keep their 10.0.0.(i+1) addresses.
+  EXPECT_EQ(proto::Ipv4Address::for_node(254),
+            proto::Ipv4Address::from_octets(10, 0, 0, 255));
+  EXPECT_EQ(proto::Ipv4Address::for_node(255),
+            proto::Ipv4Address::from_octets(10, 0, 1, 0));
+  EXPECT_FALSE(proto::Ipv4Address::from_octets(10, 0, 0, 0).node_index());
+  EXPECT_FALSE(proto::Ipv4Address::from_octets(10, 1, 0, 1).node_index());
 }
 
 TEST(Routing, ExplicitRoutesAndDirectFallback) {
