@@ -10,10 +10,11 @@
 //   2. Maintenance scaling: the same 1000 PHYs churned through
 //      move_node's incremental patch path versus the from-scratch
 //      rebuild a naive medium would run per position change. The
-//      incremental path touches only the two 3×3 cell neighborhoods a
-//      move crosses, so its per-op wall cost should sit well under a
-//      rebuild's; the "lists" column pins that both paths end at the
-//      same delivery lists.
+//      incremental path recomputes only the mover's own list and patches
+//      one entry (the mover's) in each neighbouring list, so its per-op
+//      wall cost should sit orders of magnitude under a rebuild's; the
+//      "lists" column pins that both paths end at the same delivery
+//      lists.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -225,8 +226,9 @@ int main() {
       "and the \"lists\" column is identical for the incremental and "
       "rebuild-per-move paths — same positions, same lists.");
   bench::comment(
-      "Scaling: the incremental path recomputes only the two 3x3 cell "
-      "neighborhoods a move touches, so its wall ms/op should sit an "
-      "order of magnitude under the per-move rebuild at N = 1000.");
+      "Scaling: the incremental path recomputes only the mover's own "
+      "list plus one entry per neighbouring list, so its wall ms/op "
+      "should sit two orders of magnitude under the per-move rebuild at "
+      "N = 1000.");
   return 0;
 }

@@ -239,8 +239,7 @@ class CulledBackendBase : public PrecomputedBackend {
     }
     const auto s = static_cast<std::uint32_t>(register_attached(phy));
     grid_.insert(p, s);
-    std::vector<std::uint32_t> candidates;
-    compute_list(s, phys, config, candidates);
+    compute_list(s, phys, config, scratch_);
     // Reverse direction: every in-reach existing source gains the
     // newcomer. It holds the highest attach index, so push_back keeps
     // each list attach-ordered; the power filter is the same exact cull
@@ -281,29 +280,56 @@ class CulledBackendBase : public PrecomputedBackend {
     const auto s = static_cast<std::uint32_t>(index_.at(&phy));
     grid_.erase(old_position, s);
     grid_.insert(p, s);
-    // The lists a from-scratch rebuild could change are exactly those of
-    // sources whose 3×3 candidate set saw the old cell or sees the new
-    // one; cell adjacency is symmetric, so those sources are the grid
-    // neighborhoods of the two positions (the mover's own list included,
-    // via the new neighborhood). Recomputing each through the same
-    // compute_list path a rebuild uses makes the patch bit-identical to
-    // rebuilding.
-    std::vector<std::uint32_t> affected;
-    grid_.neighborhood(old_position,
-                       [&](std::uint32_t i) { affected.push_back(i); });
-    grid_.neighborhood(p, [&](std::uint32_t i) { affected.push_back(i); });
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    std::vector<std::uint32_t> candidates;
-    for (const std::uint32_t i : affected) {
-      lists_[i].clear();
-      compute_list(i, phys, config, candidates);
-    }
+    lists_[s].clear();
+    compute_list(s, phys, config, scratch_);
+    // Any other list can differ from a rebuild only in its entry for the
+    // mover. Cell adjacency is symmetric, so the sources whose 3×3
+    // candidate set holds the mover are exactly the new position's grid
+    // neighborhood. Each gets the entry a rebuild would compute: the
+    // same make_delivery from *its* transmit power (reach need not be
+    // symmetric) under the same cull test.
+    const double floor = cull_floor_dbm(config);
+    grid_.neighborhood(p, [&](std::uint32_t i) {
+      if (i == s) return;
+      auto& list = lists_[i];
+      const auto it = find_entry(list, phy);
+      const auto delivery = make_delivery(config, *phys[i], phy);
+      if (delivery.rx_power_dbm < floor) {
+        if (it != list.end()) list.erase(it);
+      } else if (it != list.end()) {
+        *it = delivery;
+      } else {
+        // Lists are receiver-attach-ordered; index_ places the mover.
+        list.insert(std::partition_point(list.begin(), list.end(),
+                                         [&](const Delivery& d) {
+                                           return index_.at(d.destination) < s;
+                                         }),
+                    delivery);
+      }
+    });
+    // Sources whose neighborhood held the old cell but not the new one
+    // lost the mover as a candidate (none unless it changed cell).
+    grid_.neighborhood_outside(old_position, p, [&](std::uint32_t i) {
+      auto& list = lists_[i];
+      const auto it = find_entry(list, phy);
+      if (it != list.end()) list.erase(it);
+    });
     return true;
   }
 
   SpatialGrid grid_;
+
+ private:
+  static std::vector<Delivery>::iterator find_entry(
+      std::vector<Delivery>& list, const Phy& phy) {
+    return std::find_if(list.begin(), list.end(), [&](const Delivery& d) {
+      return d.destination == &phy;
+    });
+  }
+
+  // Candidate buffer for the event-loop-thread patches (attach, move),
+  // reused so a patch allocates nothing once it has grown.
+  std::vector<std::uint32_t> scratch_;
 };
 
 // Reachability-culled delivery: receivers below the cull floor are
@@ -389,9 +415,8 @@ Medium::Medium(sim::Simulation& simulation, MediumConfig config,
     : sim_(simulation), config_(config), error_model_(error_model) {}
 
 void Medium::attach(Phy& phy) {
-  for (const auto* existing : phys_) {
-    HYDRA_ASSERT_MSG(existing != &phy, "phy attached twice");
-  }
+  // attached_ is true exactly while `phy` sits in phys_.
+  HYDRA_ASSERT_MSG(!phy.attached_, "phy attached twice");
   phys_.push_back(&phy);
   phy.attached_ = true;
   if (backend_ && !backend_dirty_ &&

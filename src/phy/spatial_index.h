@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -67,16 +68,37 @@ class SpatialGrid {
   // (clamped) cell containing `p`.
   template <typename Visit>
   void neighborhood(Position p, Visit&& visit) const {
+    for_each_neighbor_cell(p, [&](int x, int y) {
+      for (const std::uint32_t i : cells_[cell_index(x, y)]) visit(i);
+    });
+  }
+
+  // Calls `visit` with every point index in the 3×3 neighborhood of `p`
+  // that lies outside the 3×3 neighborhood of `q`: the points a move
+  // from `p` to `q` takes out of mutual candidacy. Empty when both
+  // positions share a cell.
+  template <typename Visit>
+  void neighborhood_outside(Position p, Position q, Visit&& visit) const {
+    const int qx = clamped_cell_x(q);
+    const int qy = clamped_cell_y(q);
+    for_each_neighbor_cell(p, [&](int x, int y) {
+      if (std::abs(x - qx) <= 1 && std::abs(y - qy) <= 1) return;
+      for (const std::uint32_t i : cells_[cell_index(x, y)]) visit(i);
+    });
+  }
+
+ private:
+  template <typename VisitCell>
+  void for_each_neighbor_cell(Position p, VisitCell&& visit_cell) const {
     const int cx = clamped_cell_x(p);
     const int cy = clamped_cell_y(p);
     for (int y = std::max(0, cy - 1); y <= std::min(ny_ - 1, cy + 1); ++y) {
       for (int x = std::max(0, cx - 1); x <= std::min(nx_ - 1, cx + 1); ++x) {
-        for (const std::uint32_t i : cells_[cell_index(x, y)]) visit(i);
+        visit_cell(x, y);
       }
     }
   }
 
- private:
   int cell_of(double offset_m) const;
   std::size_t cell_index(int x, int y) const {
     return static_cast<std::size_t>(y) * nx_ + x;

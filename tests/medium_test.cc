@@ -338,6 +338,17 @@ TEST(MediumDetach, DetachIsIdempotentAndReattachRestoresDelivery) {
   EXPECT_EQ(b.rx_starts(), 2u);
 }
 
+TEST(MediumDeathTest, AttachingAnAttachedPhyAborts) {
+  sim::Simulation s(1);
+  phy::Medium medium(s);
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
+  EXPECT_DEATH(medium.attach(a), "phy attached twice");
+  // A re-attach after a detach is legal; attaching again is not.
+  medium.detach(a);
+  medium.attach(a);
+  EXPECT_DEATH(medium.attach(a), "phy attached twice");
+}
+
 TEST(MediumDetach, DetachCancelsInFlightDeliveries) {
   // a's frame is mid-air at b (rx_start ran, rx_end still queued) when b
   // detaches: the queued rx_end must be cancelled — not delivered to a

@@ -5,11 +5,12 @@
 //
 // Two layers of differential testing:
 //
-//   1. List-level: a Medium driven through a randomized schedule of
-//      moves (in-box and far-out), detaches and re-attaches must, after
-//      EVERY step, hold delivery lists equal — destination, bit-exact
-//      receive power, delay — to a from-scratch rebuild over the same
-//      attached set, for all three backends.
+//   1. List-level: a Medium driven through a randomized schedule —
+//      moves (in-box and far-out), detaches and re-attaches on a small
+//      lattice; sub-metre steps and cross-world jumps on a wider one
+//      with mixed transmit powers — must, after EVERY step, hold
+//      delivery lists equal — destination, bit-exact receive power,
+//      delay — to a from-scratch rebuild over the same attached set.
 //   2. Scenario-level: flood traffic over waypoint / distance-step /
 //      churn mobility models must produce the same trace digest and
 //      byte-identical stats tables under full-mesh, culled and
@@ -19,6 +20,7 @@
 // alongside the shard slice.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,61 +64,138 @@ void expect_lists_match_rebuild(phy::Medium& medium, const std::string& ctx) {
   }
 }
 
+// A lattice of PHYs and the op schedule the list-level check drives
+// over it.
+struct ListWorld {
+  std::string name;
+  std::uint32_t cols = 0;
+  std::uint32_t rows = 0;
+  double spacing_m = 0.0;
+  // Every third PHY transmits at 2 dBm (reach ~21.5 m against ~36.5 m),
+  // so "i hears s" and "s hears i" differ: a patch must decide each
+  // reverse entry from that source's own power.
+  bool mixed_power = false;
+  // true: in-box and far-out moves, detaches and re-attaches.
+  // false: moves only, half sub-metre steps and half jumps anywhere in
+  // the box, so every move stays on the incremental path.
+  bool churn = false;
+  int ops = 0;
+  std::vector<phy::DeliveryPolicy> policies;
+};
+
+// True when some source reaches a receiver that cannot reach it back.
+bool has_one_way_link(phy::Medium& medium) {
+  const auto& backend = medium.backend();
+  const auto hears = [&](const phy::Phy& src, const phy::Phy* dst) {
+    const auto& list = backend.deliveries(src);
+    return std::any_of(list.begin(), list.end(), [&](const phy::Delivery& d) {
+      return d.destination == dst;
+    });
+  };
+  for (const phy::Phy* src : medium.attached()) {
+    for (const phy::Delivery& d : backend.deliveries(*src)) {
+      if (!hears(*d.destination, src)) return true;
+    }
+  }
+  return false;
+}
+
 TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
-    for (const std::uint64_t seed : {1, 2, 3}) {
-      sim::Simulation s(seed);
-      phy::MediumConfig config;
-      config.delivery = policy;
-      config.shard_threads = 2;
-      phy::Medium medium(s, config);
+  const std::vector<ListWorld> worlds = {
+      // 6×4 at 8 m: spans two reach-radius cells, so culled moves cross
+      // cell boundaries and the lists genuinely differ by cell.
+      {.name = "6x4",
+       .cols = 6,
+       .rows = 4,
+       .spacing_m = 8.0,
+       .churn = true,
+       .ops = 60,
+       .policies = {phy::DeliveryPolicy::kFullMesh,
+                    phy::DeliveryPolicy::kCulled,
+                    phy::DeliveryPolicy::kSharded}},
+      // 12×12 at 10 m: 4×4 reach-radius cells, asymmetric reach.
+      {.name = "12x12 mixed power",
+       .cols = 12,
+       .rows = 12,
+       .spacing_m = 10.0,
+       .mixed_power = true,
+       .ops = 134,  // per seed: ~400 moves per backend
+       .policies = {phy::DeliveryPolicy::kCulled,
+                    phy::DeliveryPolicy::kSharded}},
+  };
+  for (const auto& world : worlds) {
+    const std::uint32_t n = world.cols * world.rows;
+    const double width = world.spacing_m * (world.cols - 1);
+    const double height = world.spacing_m * (world.rows - 1);
+    for (const auto policy : world.policies) {
+      for (const std::uint64_t seed : {1, 2, 3}) {
+        sim::Simulation s(seed);
+        phy::MediumConfig config;
+        config.delivery = policy;
+        config.shard_threads = 2;
+        phy::Medium medium(s, config);
 
-      // 6×4 grid at 8 m: spans two reach-radius cells, so culled moves
-      // cross cell boundaries and the lists genuinely differ by cell.
-      std::vector<std::unique_ptr<phy::Phy>> phys;
-      for (std::uint32_t i = 0; i < 24; ++i) {
-        phys.push_back(std::make_unique<phy::Phy>(
-            s, medium,
-            phy::PhyConfig{.position = {8.0 * (i % 6), 8.0 * (i / 6)}}, i));
-      }
-      expect_lists_match_rebuild(medium, "initial build");
-
-      sim::Rng rng(seed * 977 + 13);
-      for (int op = 0; op < 60; ++op) {
-        const std::string ctx = std::string(phy::to_string(policy)) +
-                                " seed " + std::to_string(seed) + " op " +
-                                std::to_string(op);
-        phy::Phy& target =
-            *phys[static_cast<std::size_t>(rng.uniform() * 24) % 24];
-        const double r = rng.uniform();
-        if (r < 0.45) {
-          // In-box move (the incremental path for every backend).
-          medium.move_node(target,
-                           {rng.uniform() * 40.0, rng.uniform() * 24.0});
-        } else if (r < 0.6) {
-          // Far out of the bounding box: must fall back to a rebuild.
-          medium.move_node(target, {200.0 + rng.uniform() * 50.0, 0.0});
-        } else if (r < 0.8) {
-          medium.detach(target);  // no-op when already detached
-        } else {
-          if (!target.attached()) medium.attach(target);
+        std::vector<std::unique_ptr<phy::Phy>> phys;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          phy::PhyConfig pc{.position = {world.spacing_m * (i % world.cols),
+                                         world.spacing_m * (i / world.cols)}};
+          if (world.mixed_power && i % 3 == 0) pc.tx_power_dbm = 2.0;
+          phys.push_back(std::make_unique<phy::Phy>(s, medium, pc, i));
         }
-        expect_lists_match_rebuild(medium, ctx);
+        expect_lists_match_rebuild(medium, world.name + " initial build");
+        if (world.mixed_power) {
+          ASSERT_TRUE(has_one_way_link(medium)) << world.name;
+        }
+
+        sim::Rng rng(seed * 977 + 13);
+        for (int op = 0; op < world.ops; ++op) {
+          const std::string ctx = world.name + " " +
+                                  phy::to_string(policy) + " seed " +
+                                  std::to_string(seed) + " op " +
+                                  std::to_string(op);
+          phy::Phy& target =
+              *phys[static_cast<std::size_t>(rng.uniform() * n) % n];
+          const double r = rng.uniform();
+          if (!world.churn && r < 0.5) {
+            // Sub-metre step, clamped into the box.
+            const phy::Position at = target.config().position;
+            medium.move_node(
+                target,
+                {std::clamp(at.x_m + rng.uniform() - 0.5, 0.0, width),
+                 std::clamp(at.y_m + rng.uniform() - 0.5, 0.0, height)});
+          } else if (!world.churn || r < 0.45) {
+            // A jump anywhere in the box (the incremental path for every
+            // backend).
+            medium.move_node(target,
+                             {rng.uniform() * width, rng.uniform() * height});
+          } else if (r < 0.6) {
+            // Far out of the bounding box: must fall back to a rebuild.
+            medium.move_node(target, {200.0 + rng.uniform() * 50.0, 0.0});
+          } else if (r < 0.8) {
+            medium.detach(target);  // no-op when already detached
+          } else {
+            if (!target.attached()) medium.attach(target);
+          }
+          expect_lists_match_rebuild(medium, ctx);
+        }
+        EXPECT_GT(medium.moves(), 0u);
+        if (world.churn) {
+          // The schedule must have exercised both maintenance paths.
+          EXPECT_GT(medium.detaches(), 0u);
+          EXPECT_GT(medium.incremental_detaches(), 0u);
+        }
+        if (policy == phy::DeliveryPolicy::kFullMesh) {
+          EXPECT_EQ(medium.incremental_moves(), medium.moves())
+              << "full mesh has no geometry to fall back over";
+        } else if (world.churn) {
+          EXPECT_GT(medium.incremental_moves(), 0u);
+          EXPECT_LT(medium.incremental_moves(), medium.moves())
+              << "far-out moves should have forced rebuilds";
+        } else {
+          EXPECT_EQ(medium.incremental_moves(), medium.moves())
+              << world.name << ": every move stays in the box";
+        }
       }
-      // The schedule must have exercised both maintenance paths.
-      EXPECT_GT(medium.moves(), 0u);
-      EXPECT_GT(medium.detaches(), 0u);
-      if (policy == phy::DeliveryPolicy::kFullMesh) {
-        EXPECT_EQ(medium.incremental_moves(), medium.moves())
-            << "full mesh has no geometry to fall back over";
-      } else {
-        EXPECT_GT(medium.incremental_moves(), 0u);
-        EXPECT_LT(medium.incremental_moves(), medium.moves())
-            << "far-out moves should have forced rebuilds";
-      }
-      EXPECT_GT(medium.incremental_detaches(), 0u);
     }
   }
 }
