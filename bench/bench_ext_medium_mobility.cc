@@ -32,7 +32,7 @@ namespace {
 topo::ExperimentConfig flood_config(topo::MobilityKind kind) {
   topo::ExperimentConfig cfg;
   cfg.scenario = topo::ScenarioSpec::grid(25, 40);
-  // 10 m spacing, as in bench_ext_medium_shard: the reach radius
+  // 10 m spacing, as in bench_ext_scale_10k: the reach radius
   // (~36.5 m) covers a few lattice rings, so moves genuinely change
   // the delivery lists.
   cfg.scenario.spacing_m = 10.0;

@@ -1,10 +1,9 @@
 // Extension: allocation-free hot path at scale — flooded grids up to
-// N = 10000 nodes under the culled and sharded media, plus a
-// pooled-vs-heap ablation. Not a paper figure; it charts what the
-// recycling memory subsystem (util::pool, SmallFn callbacks, pooled
-// packets/PDUs/transmissions) buys: the paper's testbed stops at 6
-// nodes, and memory churn is what stands between an event simulator
-// and city-block topologies.
+// N = 10000 nodes under the culled medium. Not a paper figure; it
+// charts the run loop's heap traffic with the recycling memory path
+// (util::pool, SmallFn callbacks, pooled packets/PDUs/transmissions)
+// and how delivery throughput holds as N grows: the paper's testbed
+// stops at 6 nodes.
 //
 // Unlike the other scale benches this one drives topo::Scenario
 // directly instead of going through app::run_experiment, for two
@@ -16,18 +15,16 @@
 // short sim only ever ignites the first sim_time/17ms nodes; this bench
 // staggers modulo 100, keeping offered load proportional to N.
 //
-// Table 1 (ablation, run first so the pool's warm state is identical
-// on every rerun): one mid-size flood with pooling on vs off. The
-// run-loop allocation columns are deterministic in serial mode — the
-// exact same event sequence asks for the exact same storage — so they
-// are baseline-gated like any other metric; peak RSS and wall time are
-// host-dependent and excluded (the driver skips wall/rss columns).
+// Table 1 (memory path, run first so the pool's warm state is
+// identical on every rerun): one mid-size flood on the pooled path. The
+// run-loop allocation columns are deterministic — the exact same event
+// sequence asks for the exact same storage — so they are baseline-gated
+// like any other metric; peak RSS and wall time are host-dependent and
+// excluded (the driver skips wall/rss columns).
 //
-// Table 2 (scale): N = 1024 / 4096 / 10000 across {culled, sharded@4},
-// both on the serial event loop. Transmissions, deliveries, fan-out and
-// executed events are pinned by the determinism contract across every
-// backend (asserted here before the table is emitted, and gated by the
-// baseline); deliveries per wall-second ride along unguarded as the
+// Table 2 (scale): N = 1024 / 4096 / 10000 under the culled medium.
+// Transmissions, deliveries, fan-out and executed events are gated by
+// the baseline; deliveries per wall-second ride along unguarded as the
 // throughput-shape column.
 #include <chrono>
 #include <cstdio>
@@ -39,8 +36,6 @@
 #include "bench_common.h"
 #include "topo/scenario.h"
 #include "util/alloc_stats.h"
-#include "util/assert.h"
-#include "util/pool.h"
 
 using namespace hydra;
 
@@ -48,9 +43,7 @@ namespace {
 
 constexpr std::uint64_t kSeed = 1;
 
-topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
-                              topo::MediumPolicy medium,
-                              std::size_t shard_threads) {
+topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols) {
   auto spec = topo::ScenarioSpec::grid(rows, cols);
   // 10 m spacing: the reach radius (~36.5 m) covers a few rings of the
   // lattice, so culled fan-out stays ~constant as N grows.
@@ -58,8 +51,7 @@ topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
   // No sessions: flooding never routes. Static routes stay on; they are
   // computed per lookup, so the N = 10000 build stays O(N).
   spec.sessions.clear();
-  spec.medium.policy = medium;
-  spec.medium.shard_threads = shard_threads;
+  spec.medium.policy = topo::MediumPolicy::kCulled;
   return spec;
 }
 
@@ -76,8 +68,6 @@ struct Run {
   // Hot-path meters: deltas across the event loop only, build excluded.
   std::uint64_t heap_allocations = 0;
   std::uint64_t heap_bytes = 0;
-  std::uint64_t pool_requests = 0;
-  std::uint64_t pool_recycled = 0;
   std::uint64_t peak_rss_kb = 0;
   double build_wall = 0.0;
   double run_wall = 0.0;
@@ -106,80 +96,40 @@ Run run_flood(const topo::ScenarioSpec& spec, sim::Duration sim_time) {
   run.build_wall = wall_since(build_started);
 
   const auto alloc_before = util::alloc_snapshot();
-  const auto pool_before = util::BufferPool::stats();
   const auto run_started = std::chrono::steady_clock::now();
   scenario.sim().run_until(sim::TimePoint::at(sim_time));
   run.run_wall = wall_since(run_started);
   const auto alloc_after = util::alloc_snapshot();
-  const auto pool_after = util::BufferPool::stats();
 
   run.transmissions = scenario.medium().transmissions_started();
   run.deliveries = scenario.medium().deliveries_scheduled();
   run.events = scenario.sim().scheduler().executed_events();
   run.heap_allocations = alloc_after.allocations - alloc_before.allocations;
   run.heap_bytes = alloc_after.bytes - alloc_before.bytes;
-  run.pool_requests = pool_after.requests - pool_before.requests;
-  run.pool_recycled = pool_after.recycled - pool_before.recycled;
   run.peak_rss_kb = util::peak_rss_kb();
   return run;
 }
 
-void ablation_table() {
-  // 32×32 = 1024 nodes, culled medium, serial scheduler: one thread,
-  // one shard, so the run-loop allocation counters are exact.
-  const auto spec = flood_spec(32, 32, topo::MediumPolicy::kCulled, 0);
-  const auto sim_time = sim::Duration::seconds(2);
-
-  util::set_pooling_enabled(true);
-  const Run pooled = run_flood(spec, sim_time);
-  util::set_pooling_enabled(false);
-  const Run heap = run_flood(spec, sim_time);
-  util::set_pooling_enabled(true);
-
-  // Storage origin must be invisible to the simulation itself.
-  HYDRA_ASSERT_MSG(pooled.transmissions == heap.transmissions &&
-                       pooled.deliveries == heap.deliveries &&
-                       pooled.events == heap.events,
-                   "pooling changed the simulation itself");
+void memory_table() {
+  // 32×32 = 1024 nodes, culled medium, one thread: the run-loop
+  // allocation counters are exact.
+  const Run pooled = run_flood(flood_spec(32, 32), sim::Duration::seconds(2));
 
   stats::Table table({"memory path", "events", "run heap allocs",
-                      "allocs/event", "run heap MB", "pool req", "recycled",
-                      "recycle %", "peak rss MB", "run wall s"});
-  const auto add = [&table](const char* label, const Run& run) {
-    const double events = static_cast<double>(run.events ? run.events : 1);
-    table.add_row(
-        {label, std::to_string(run.events),
-         std::to_string(run.heap_allocations),
-         stats::Table::num(static_cast<double>(run.heap_allocations) / events,
-                           4),
-         stats::Table::num(static_cast<double>(run.heap_bytes) / 1e6, 1),
-         std::to_string(run.pool_requests), std::to_string(run.pool_recycled),
-         stats::Table::num(
-             run.pool_requests
-                 ? 100.0 * static_cast<double>(run.pool_recycled) /
-                       static_cast<double>(run.pool_requests)
-                 : 0.0,
-             1),
-         stats::Table::num(static_cast<double>(run.peak_rss_kb) / 1024.0, 1),
-         stats::Table::num(run.run_wall, 3)});
-  };
-  add("pooled", pooled);
-  add("heap", heap);
+                      "allocs/event", "run heap MB", "peak rss MB",
+                      "run wall s"});
+  const double events = static_cast<double>(pooled.events ? pooled.events : 1);
+  table.add_row(
+      {"pooled", std::to_string(pooled.events),
+       std::to_string(pooled.heap_allocations),
+       stats::Table::num(static_cast<double>(pooled.heap_allocations) / events,
+                         4),
+       stats::Table::num(static_cast<double>(pooled.heap_bytes) / 1e6, 1),
+       stats::Table::num(static_cast<double>(pooled.peak_rss_kb) / 1024.0, 1),
+       stats::Table::num(pooled.run_wall, 3)});
   bench::emit(table);
-
-  const double ratio =
-      static_cast<double>(heap.heap_allocations) /
-      static_cast<double>(pooled.heap_allocations ? pooled.heap_allocations
-                                                  : 1);
-  bench::comment("N = 1024 flood, culled medium, serial scheduler; meters "
-                 "wrap the event loop only. Pooling cuts operator-new "
-                 "traffic %.1fx (recycle rate %.1f%%); identical "
-                 "events/transmissions both ways.",
-                 ratio,
-                 pooled.pool_requests
-                     ? 100.0 * static_cast<double>(pooled.pool_recycled) /
-                           static_cast<double>(pooled.pool_requests)
-                     : 0.0);
+  bench::comment("N = 1024 flood, culled medium; meters wrap the event loop "
+                 "only.");
 }
 
 void scale_table() {
@@ -193,53 +143,26 @@ void scale_table() {
   const Size sizes[] = {{32, 32, sim::Duration::seconds(2)},
                         {64, 64, sim::Duration::seconds(1)},
                         {100, 100, sim::Duration::millis(500)}};
-  struct Config {
-    const char* label;
-    topo::MediumPolicy medium;
-    std::size_t shard_threads;
-  };
-  const Config configs[] = {
-      {"culled/serial", topo::MediumPolicy::kCulled, 0},
-      {"sharded4/serial", topo::MediumPolicy::kSharded, 4},
-  };
-
   stats::Table table({"config", "nodes", "tx frames", "deliveries",
                       "fan-out", "events", "Mdeliv/s run wall", "run wall s",
                       "build wall s"});
   for (const Size& size : sizes) {
     const std::size_t nodes = size.rows * size.cols;
-    std::vector<Run> runs;
-    for (const Config& c : configs) {
-      runs.push_back(run_flood(
-          flood_spec(size.rows, size.cols, c.medium, c.shard_threads),
-          size.sim_time));
-    }
-    // The determinism contract, asserted before publication: same
-    // traffic and same event sequence under culled and sharded delivery.
-    const Run& reference = runs.front();
-    for (const Run& run : runs) {
-      HYDRA_ASSERT_MSG(run.transmissions == reference.transmissions &&
-                           run.deliveries == reference.deliveries &&
-                           run.events == reference.events,
-                       "delivery backends diverged on a flooded grid");
-    }
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const Run& run = runs[i];
-      char label[64];
-      std::snprintf(label, sizeof label, "N=%zu/%s", nodes, configs[i].label);
-      table.add_row(
-          {label, std::to_string(nodes), std::to_string(run.transmissions),
-           std::to_string(run.deliveries),
-           stats::Table::num(static_cast<double>(run.deliveries) /
-                                 static_cast<double>(run.transmissions),
-                             1),
-           std::to_string(run.events),
-           stats::Table::num(static_cast<double>(run.deliveries) /
-                                 run.run_wall / 1e6,
-                             2),
-           stats::Table::num(run.run_wall, 3),
-           stats::Table::num(run.build_wall, 3)});
-    }
+    const Run run = run_flood(flood_spec(size.rows, size.cols), size.sim_time);
+    char label[64];
+    std::snprintf(label, sizeof label, "N=%zu/culled/serial", nodes);
+    table.add_row(
+        {label, std::to_string(nodes), std::to_string(run.transmissions),
+         std::to_string(run.deliveries),
+         stats::Table::num(static_cast<double>(run.deliveries) /
+                               static_cast<double>(run.transmissions),
+                           1),
+         std::to_string(run.events),
+         stats::Table::num(static_cast<double>(run.deliveries) /
+                               run.run_wall / 1e6,
+                           2),
+         stats::Table::num(run.run_wall, 3),
+         stats::Table::num(run.build_wall, 3)});
   }
   bench::emit(table);
   bench::comment("Mdeliv/s run wall is millions of scheduled deliveries per "
@@ -256,11 +179,9 @@ int main() {
       "Extension: allocation-free scale (N = 10k)",
       "pooled memory path on flooded grids, 1024 to 10000 nodes",
       "Every node floods 40 B every 250 ms on a 10 m lattice. Table 1 "
-      "ablates pooled vs heap storage (identical simulations, gated "
-      "run-loop allocation counts); table 2 scales N across "
-      "medium backends.");
-  bench::record_threads(4);  // the sharded rows use 4 workers
-  ablation_table();
+      "gates the pooled run loop's allocation counts; table 2 scales N "
+      "under the culled medium.");
+  memory_table();
   scale_table();
   return 0;
 }

@@ -11,7 +11,6 @@
 #include "net/node.h"
 #include "util/alloc_stats.h"
 #include "util/assert.h"
-#include "util/pool.h"
 
 namespace hydra::app {
 
@@ -28,7 +27,6 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   // Meter the whole experiment, scenario build included: the build is
   // where cold pools warm up, so excluding it would hide setup cost.
   const auto alloc_before = util::alloc_snapshot();
-  const auto pool_before = util::BufferPool::stats();
 
   auto scenario = topo::Scenario::build(config.scenario, config.seed);
   sim::Simulation& simulation = scenario.sim();
@@ -212,7 +210,6 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   result.sim_time = simulation.now().since_origin();
   result.phy_transmissions = scenario.medium().transmissions_started();
   result.phy_deliveries = scenario.medium().deliveries_scheduled();
-  result.phy_shards = scenario.medium().shards();
   result.phy_rebuilds = scenario.medium().rebuilds();
   result.phy_incremental_attaches = scenario.medium().incremental_attaches();
   result.phy_detaches = scenario.medium().detaches();
@@ -226,11 +223,8 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   }
 
   const auto alloc_after = util::alloc_snapshot();
-  const auto pool_after = util::BufferPool::stats();
   result.heap_allocations = alloc_after.allocations - alloc_before.allocations;
   result.heap_bytes_allocated = alloc_after.bytes - alloc_before.bytes;
-  result.pool_requests = pool_after.requests - pool_before.requests;
-  result.pool_recycled = pool_after.recycled - pool_before.recycled;
   result.peak_rss_kb = util::peak_rss_kb();
   return result;
 }

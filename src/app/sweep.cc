@@ -57,7 +57,7 @@ class Fingerprinter {
 // containers); elsewhere the fingerprints still work, they just lose
 // the compile-time reminder.
 #if defined(__GLIBCXX__) && defined(__x86_64__) && !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(topo::ScenarioSpec) == 368,
+static_assert(sizeof(topo::ScenarioSpec) == 360,
               "ScenarioSpec changed: update spec_fingerprint");
 static_assert(sizeof(topo::MobilitySpec) == 96,
               "MobilitySpec changed: update spec_fingerprint");
@@ -65,7 +65,7 @@ static_assert(sizeof(topo::NodeParams) == 128,
               "NodeParams changed: update spec_fingerprint");
 static_assert(sizeof(core::AggregationPolicy) == 48,
               "AggregationPolicy changed: update spec_fingerprint");
-static_assert(sizeof(topo::ExperimentConfig) == 576,
+static_assert(sizeof(topo::ExperimentConfig) == 568,
               "ExperimentConfig changed: update workload_fingerprint");
 static_assert(sizeof(transport::TcpConfig) == 96,
               "TcpConfig changed: update workload_fingerprint");
@@ -74,7 +74,7 @@ static_assert(sizeof(transport::TransportTuning) == 48,
 // The disk-cache serializer hand-enumerates every field of these four;
 // a field added without extending serialize/deserialize_result would
 // silently persist partial results.
-static_assert(sizeof(topo::ExperimentResult) == 256,
+static_assert(sizeof(topo::ExperimentResult) == 232,
               "ExperimentResult changed: update serialize_result");
 static_assert(sizeof(topo::FlowResult) == 32,
               "FlowResult changed: update serialize_result");
@@ -98,12 +98,9 @@ std::string spec_fingerprint(const topo::ScenarioSpec& spec) {
          static_cast<int>(spec.family), spec.nodes, spec.senders, spec.rows,
          spec.cols, spec.spacing_m, spec.range_m,
          static_cast<unsigned long long>(spec.placement_seed));
-  // shard_threads rides along even though the determinism contract
-  // makes it outcome-neutral: a fingerprint that hand-waves "this field
-  // can't matter" is how aliasing bugs start.
-  fp.add("w%d sr%d rd%d cm%.17g sh%zu ", spec.neighbor_whitelist,
+  fp.add("w%d sr%d rd%d cm%.17g ", spec.neighbor_whitelist,
          spec.static_routes, spec.route_discovery,
-         spec.medium.cull_margin_db, spec.medium.shard_threads);
+         spec.medium.cull_margin_db);
   // Mobility changes the outcome through node motion and churn; every
   // knob (including the explicit mobile list) feeds the key.
   const auto& mob = spec.mobility;
@@ -197,17 +194,15 @@ std::filesystem::path disk_path_for(const std::string& dir,
 std::string serialize_result(const topo::ExperimentResult& result) {
   std::ostringstream out;
   out << std::setprecision(17);
-  out << "hydra-sweep-result 3\n";
+  out << "hydra-sweep-result 4\n";
   out << "sim_time " << result.sim_time.ns() << "\n";
   out << "counters " << result.phy_transmissions << ' '
-      << result.phy_deliveries << ' ' << result.phy_shards << ' '
-      << result.phy_rebuilds << ' ' << result.phy_incremental_attaches << ' '
-      << result.phy_detaches << ' ' << result.phy_moves << ' '
-      << result.phy_incremental_detaches << ' '
+      << result.phy_deliveries << ' ' << result.phy_rebuilds << ' '
+      << result.phy_incremental_attaches << ' ' << result.phy_detaches << ' '
+      << result.phy_moves << ' ' << result.phy_incremental_detaches << ' '
       << result.phy_incremental_moves << ' ' << result.sched_executed_events
       << ' ' << result.heap_allocations << ' '
-      << result.heap_bytes_allocated << ' ' << result.pool_requests << ' '
-      << result.pool_recycled << ' ' << result.peak_rss_kb << ' '
+      << result.heap_bytes_allocated << ' ' << result.peak_rss_kb << ' '
       << result.tcp_retransmits << ' ' << result.tcp_timeouts << ' '
       << result.tcp_acks_sent << ' ' << result.tcp_acks_delayed << ' '
       << result.tcp_channel_losses << ' ' << result.tcp_congestion_losses
@@ -243,8 +238,8 @@ bool deserialize_result(const std::string& text,
   std::string tag;
   int version = 0;
   // Older versions carry a different counter set; they fail the parse
-  // and degrade to a cache miss (re-simulated, then re-stored as v3).
-  if (!(in >> tag >> version) || tag != "hydra-sweep-result" || version != 3) {
+  // and degrade to a cache miss (re-simulated, then re-stored as v4).
+  if (!(in >> tag >> version) || tag != "hydra-sweep-result" || version != 4) {
     return false;
   }
   topo::ExperimentResult r;
@@ -252,11 +247,10 @@ bool deserialize_result(const std::string& text,
   if (!(in >> tag >> ns) || tag != "sim_time") return false;
   r.sim_time = sim::Duration::nanos(ns);
   if (!(in >> tag >> r.phy_transmissions >> r.phy_deliveries >>
-        r.phy_shards >> r.phy_rebuilds >> r.phy_incremental_attaches >>
-        r.phy_detaches >> r.phy_moves >> r.phy_incremental_detaches >>
+        r.phy_rebuilds >> r.phy_incremental_attaches >> r.phy_detaches >>
+        r.phy_moves >> r.phy_incremental_detaches >>
         r.phy_incremental_moves >> r.sched_executed_events >>
-        r.heap_allocations >>
-        r.heap_bytes_allocated >> r.pool_requests >> r.pool_recycled >>
+        r.heap_allocations >> r.heap_bytes_allocated >>
         r.peak_rss_kb >> r.tcp_retransmits >> r.tcp_timeouts >>
         r.tcp_acks_sent >> r.tcp_acks_delayed >> r.tcp_channel_losses >>
         r.tcp_congestion_losses >> r.transport_injected_drops) ||

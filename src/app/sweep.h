@@ -3,8 +3,8 @@
 // policies, each point run through app::run_experiment. Every simulation
 // is self-contained (its own Simulation, Medium and RNG; no mutable
 // globals as long as sim::Log stays quiet), so points execute in
-// parallel across a thread pool and results come back in deterministic
-// grid order regardless of scheduling.
+// parallel across a thread pool, each wholly on one worker, and results
+// come back in deterministic grid order regardless of scheduling.
 //
 // A SweepCache memoizes results across sweep calls keyed on the axis
 // coordinates plus the seed, so figure-regeneration drivers that sweep

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <thread>
 #include <unordered_map>
 
 #include "phy/phy.h"
 #include "util/assert.h"
 #include "util/pool.h"
-#include "util/task_pool.h"
 
 namespace hydra::phy {
 
@@ -17,7 +15,6 @@ const char* to_string(DeliveryPolicy policy) {
   switch (policy) {
     case DeliveryPolicy::kFullMesh: return "full-mesh";
     case DeliveryPolicy::kCulled: return "culled";
-    case DeliveryPolicy::kSharded: return "sharded";
   }
   HYDRA_UNREACHABLE("bad delivery policy");
 }
@@ -51,14 +48,6 @@ double reach_radius_m(const MediumConfig& config, double tx_power_dbm) {
   // physical reason (the documented contract is "≥ 1 m" either way).
   return std::max(1.0,
                   std::pow(10.0, budget / (10.0 * config.path_loss_exponent)));
-}
-
-std::size_t resolve_shard_threads(const MediumConfig& config) {
-  if (config.shard_threads != 0) return config.shard_threads;
-  // Capped: the stripe computation saturates long before it can use a
-  // many-core host, and oversubscribing stripes shrinks each below the
-  // wake-up cost of its worker.
-  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 8);
 }
 
 namespace {
@@ -186,17 +175,18 @@ class FullMeshBackend final : public PrecomputedBackend {
   }
 };
 
-// Shared machinery of the culled backends: the reach-sized spatial grid
-// and the per-source candidate/rx-power/delay computation. kCulled runs
-// compute_list serially; kSharded fans the same computation out one
-// grid stripe per worker — identical per-pair arithmetic in identical
-// per-list order, which is what makes the two bit-identical.
-class CulledBackendBase : public PrecomputedBackend {
- protected:
-  // Rebuild prologue: reset + a grid whose cells span the widest reach
-  // among the attached transmitters, so every possible receiver sits in
-  // the 3×3 neighborhood of its source's cell.
-  void prepare(const std::vector<Phy*>& phys, const MediumConfig& config) {
+// Reachability-culled delivery: receivers below the cull floor are
+// skipped, and candidates come from the spatial index instead of an
+// O(N) scan per source.
+class CulledBackend final : public PrecomputedBackend {
+ public:
+  const char* name() const override { return "culled"; }
+
+  // Builds a grid whose cells span the widest reach among the attached
+  // transmitters, so every possible receiver sits in the 3×3
+  // neighborhood of its source's cell, then computes every list.
+  void rebuild(const std::vector<Phy*>& phys,
+               const MediumConfig& config) override {
     reset(phys);
     std::vector<Position> positions;
     positions.reserve(phys.size());
@@ -207,23 +197,8 @@ class CulledBackendBase : public PrecomputedBackend {
                        reach_radius_m(config, phy->config().tx_power_dbm));
     }
     grid_.build(positions, reach);
-  }
-
-  // Computes source s's delivery list: grid candidates, sorted to
-  // attach order (scheduling — and therefore RNG draw — order must
-  // match the full-mesh backend exactly), culled against the floor.
-  void compute_list(std::size_t s, const std::vector<Phy*>& phys,
-                    const MediumConfig& config,
-                    std::vector<std::uint32_t>& candidates) {
-    candidates.clear();
-    grid_.neighborhood(phys[s]->config().position,
-                       [&](std::uint32_t i) { candidates.push_back(i); });
-    std::sort(candidates.begin(), candidates.end());
-    const double floor = cull_floor_dbm(config);
-    for (const std::uint32_t i : candidates) {
-      if (i == s) continue;
-      const auto delivery = make_delivery(config, *phys[s], *phys[i]);
-      if (delivery.rx_power_dbm >= floor) lists_[s].push_back(delivery);
+    for (std::size_t s = 0; s < phys.size(); ++s) {
+      compute_list(s, phys, config);
     }
   }
 
@@ -239,7 +214,7 @@ class CulledBackendBase : public PrecomputedBackend {
     }
     const auto s = static_cast<std::uint32_t>(register_attached(phy));
     grid_.insert(p, s);
-    compute_list(s, phys, config, scratch_);
+    compute_list(s, phys, config);
     // Reverse direction: every in-reach existing source gains the
     // newcomer. It holds the highest attach index, so push_back keeps
     // each list attach-ordered; the power filter is the same exact cull
@@ -281,7 +256,7 @@ class CulledBackendBase : public PrecomputedBackend {
     grid_.erase(old_position, s);
     grid_.insert(p, s);
     lists_[s].clear();
-    compute_list(s, phys, config, scratch_);
+    compute_list(s, phys, config);
     // Any other list can differ from a rebuild only in its entry for the
     // mover. Cell adjacency is symmetric, so the sources whose 3×3
     // candidate set holds the mover are exactly the new position's grid
@@ -317,9 +292,24 @@ class CulledBackendBase : public PrecomputedBackend {
     return true;
   }
 
-  SpatialGrid grid_;
-
  private:
+  // Computes source s's delivery list: grid candidates, sorted to
+  // attach order (scheduling — and therefore RNG draw — order must
+  // match the full-mesh backend exactly), culled against the floor.
+  void compute_list(std::size_t s, const std::vector<Phy*>& phys,
+                    const MediumConfig& config) {
+    scratch_.clear();
+    grid_.neighborhood(phys[s]->config().position,
+                       [&](std::uint32_t i) { scratch_.push_back(i); });
+    std::sort(scratch_.begin(), scratch_.end());
+    const double floor = cull_floor_dbm(config);
+    for (const std::uint32_t i : scratch_) {
+      if (i == s) continue;
+      const auto delivery = make_delivery(config, *phys[s], *phys[i]);
+      if (delivery.rx_power_dbm >= floor) lists_[s].push_back(delivery);
+    }
+  }
+
   static std::vector<Delivery>::iterator find_entry(
       std::vector<Delivery>& list, const Phy& phy) {
     return std::find_if(list.begin(), list.end(), [&](const Delivery& d) {
@@ -327,73 +317,10 @@ class CulledBackendBase : public PrecomputedBackend {
     });
   }
 
-  // Candidate buffer for the event-loop-thread patches (attach, move),
-  // reused so a patch allocates nothing once it has grown.
+  SpatialGrid grid_;
+  // Candidate buffer for compute_list, reused so a patch allocates
+  // nothing once it has grown.
   std::vector<std::uint32_t> scratch_;
-};
-
-// Reachability-culled delivery: receivers below the cull floor are
-// skipped, and candidates come from the spatial index instead of an
-// O(N) scan per source.
-class CulledBackend final : public CulledBackendBase {
- public:
-  const char* name() const override { return "culled"; }
-
-  void rebuild(const std::vector<Phy*>& phys,
-               const MediumConfig& config) override {
-    prepare(phys, config);
-    std::vector<std::uint32_t> candidates;
-    for (std::size_t s = 0; s < phys.size(); ++s) {
-      compute_list(s, phys, config, candidates);
-    }
-  }
-};
-
-// The culled receiver sets, computed in parallel: grid cell columns are
-// cut into stripes (one per worker) and each worker computes the lists
-// of the sources located in its stripe. Workers write disjoint lists_
-// slots, so the only synchronization is the pool's batch barrier; the
-// canonical merge is free — lists_ is indexed by attach order and each
-// list is receiver-attach-ordered, exactly the sequence the serial
-// backend produces.
-class ShardedBackend final : public CulledBackendBase {
- public:
-  const char* name() const override { return "sharded"; }
-
-  std::size_t shards() const override { return plan_.stripes(); }
-
-  void rebuild(const std::vector<Phy*>& phys,
-               const MediumConfig& config) override {
-    prepare(phys, config);
-    const std::size_t threads = resolve_shard_threads(config);
-    if (!pool_ || pool_->concurrency() != threads) {
-      pool_ = std::make_unique<util::TaskPool>(
-          static_cast<unsigned>(threads));
-    }
-    plan_ = ShardPlan(grid_.cells_x(), threads);
-
-    // Sources grouped by the stripe owning their cell column; the plan
-    // partitions the columns exactly, so every source lands in exactly
-    // one group and no list is written twice.
-    std::vector<std::vector<std::uint32_t>> stripe_sources(plan_.stripes());
-    for (std::size_t s = 0; s < phys.size(); ++s) {
-      const int col = grid_.clamped_cell_x(phys[s]->config().position);
-      stripe_sources[plan_.stripe_of(col)].push_back(
-          static_cast<std::uint32_t>(s));
-    }
-    pool_->parallel_for(plan_.stripes(), [&](std::size_t stripe) {
-      std::vector<std::uint32_t> candidates;
-      for (const std::uint32_t s : stripe_sources[stripe]) {
-        compute_list(s, phys, config, candidates);
-      }
-    });
-  }
-
- private:
-  // Persistent across rebuilds — the thread spawn cost is paid once per
-  // backend, not per topology change.
-  std::unique_ptr<util::TaskPool> pool_;
-  ShardPlan plan_;
 };
 
 }  // namespace
@@ -404,8 +331,6 @@ std::unique_ptr<DeliveryBackend> make_delivery_backend(DeliveryPolicy policy) {
       return std::make_unique<FullMeshBackend>();
     case DeliveryPolicy::kCulled:
       return std::make_unique<CulledBackend>();
-    case DeliveryPolicy::kSharded:
-      return std::make_unique<ShardedBackend>();
   }
   HYDRA_UNREACHABLE("bad delivery policy");
 }
@@ -472,20 +397,9 @@ void Medium::on_phy_destroyed(Phy& phy) {
   backend_dirty_ = true;
 }
 
-void Medium::set_backend(std::unique_ptr<DeliveryBackend> backend) {
-  HYDRA_ASSERT_MSG(backend != nullptr, "null delivery backend");
-  backend_ = std::move(backend);
-  backend_dirty_ = true;
-}
-
 const DeliveryBackend& Medium::backend() {
   ensure_backend();
   return *backend_;
-}
-
-std::size_t Medium::shards() {
-  ensure_backend();
-  return backend_->shards();
 }
 
 void Medium::ensure_backend() {
@@ -514,8 +428,8 @@ sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
   // keeps running — but reaches nobody.
   if (!src.attached_) return timing.total;
   ensure_backend();
-  // Pooled: a Transmission and its control block recycle through the
-  // allocating thread's shard when the last delivery drops its ref.
+  // Pooled: a Transmission and its control block recycle together when
+  // the last delivery drops its ref.
   auto tx = util::make_pooled<Transmission>();
   tx->id = next_tx_id_++;
   tx->source = &src;

@@ -15,16 +15,8 @@
 //              behaviourally inert — they cannot assert CCA, collide, or
 //              decode — so culling them is bit-identical to full mesh
 //              while cutting event traffic to O(k) reachable neighbors.
-//   kSharded   the culled receiver set, computed in parallel: the
-//              spatial grid's cell columns are cut into stripes
-//              (ShardPlan) and a persistent util::TaskPool computes the
-//              per-source candidate/rx-power/delay lists one stripe per
-//              worker. The lists commit in canonical order — indexed by
-//              attach order, each sorted by receiver attach index — so
-//              the scheduler sees exactly the event sequence the serial
-//              kCulled backend would have produced. Bit-identical trace
-//              digests are the contract, pinned by the
-//              shard_determinism suite (`ctest -L shard`).
+//              Candidates come from a reach-sized spatial grid: each
+//              source scans its 3×3 cell neighborhood, not every PHY.
 //
 // Every backend precomputes its per-source delivery lists (receive power
 // and propagation delay per pair) once per topology, so the per-frame
@@ -40,7 +32,7 @@
 // mobility`). Detaching (or destroying) a PHY cancels its in-flight
 // rx_start/rx_end events through the scheduler's generation-stamped
 // cancel path, so no scheduled event ever touches a PHY the medium no
-// longer knows.
+// longer knows. Everything here runs on the simulation's one thread.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +48,7 @@ namespace hydra::phy {
 
 class Phy;
 
-enum class DeliveryPolicy { kFullMesh, kCulled, kSharded };
+enum class DeliveryPolicy { kFullMesh, kCulled };
 
 const char* to_string(DeliveryPolicy policy);
 
@@ -73,15 +65,11 @@ struct MediumConfig {
 
   // Which receivers a transmission is delivered to.
   DeliveryPolicy delivery = DeliveryPolicy::kFullMesh;
-  // kCulled/kSharded drop receivers more than this margin below the
-  // noise floor. The effective floor is additionally clamped to the CCA
+  // kCulled drops receivers more than this margin below the noise
+  // floor. The effective floor is additionally clamped to the CCA
   // threshold (see cull_floor_dbm), which is what guarantees culled
   // delivery stays bit-identical to full mesh.
   double cull_margin_db = 10.0;
-  // kSharded: worker count (== stripe count, further capped by the
-  // grid's column count). 0 resolves to the hardware concurrency,
-  // capped at 8 — see resolve_shard_threads.
-  std::size_t shard_threads = 0;
 };
 
 // Path loss over `distance` under `config`'s log-distance model; the
@@ -101,10 +89,6 @@ double cull_floor_dbm(const MediumConfig& config);
 // branches — a cull floor barely under the tx power must not yield a
 // sub-metre reach).
 double reach_radius_m(const MediumConfig& config, double tx_power_dbm);
-
-// The worker count the sharded backend runs with: the configured
-// shard_threads, or (when 0) the hardware concurrency capped at 8.
-std::size_t resolve_shard_threads(const MediumConfig& config);
 
 // One in-flight transmission, shared by every receiver's bookkeeping.
 struct Transmission {
@@ -126,9 +110,7 @@ struct Delivery {
 // Implementations precompute per-source delivery lists in rebuild();
 // the medium calls deliveries() once per transmission. Lists must be
 // ordered by attach index — scheduling order at equal timestamps decides
-// RNG draw order, so every backend has to agree on it. That canonical
-// order is the determinism contract every parallel backend must commit
-// its results through.
+// RNG draw order, so every backend has to agree on it.
 class DeliveryBackend {
  public:
   virtual ~DeliveryBackend() = default;
@@ -184,9 +166,6 @@ class DeliveryBackend {
 
   // The receivers a transmission from `src` fans out to.
   virtual const std::vector<Delivery>& deliveries(const Phy& src) const = 0;
-
-  // How many stripes rebuild() fans out across (1 for serial backends).
-  virtual std::size_t shards() const { return 1; }
 };
 
 // Creates the backend implementing `policy`.
@@ -230,9 +209,7 @@ class Medium {
   const ErrorModel& error_model() const { return error_model_; }
   sim::Simulation& simulation() { return sim_; }
 
-  // Replaces the delivery backend (tests, future sharded backends). The
-  // default is the backend for config().delivery.
-  void set_backend(std::unique_ptr<DeliveryBackend> backend);
+  // The backend for config().delivery, its lists current.
   const DeliveryBackend& backend();
 
   // Counter reads for result collection.
@@ -244,16 +221,13 @@ class Medium {
 
   // Delivery-list accounting: full rebuilds performed; attaches, detaches
   // and moves the backend absorbed incrementally instead of rebuilding;
-  // total detach()/move_node() calls on attached PHYs; and the stripe
-  // count the current backend fans rebuilds across (1 for the serial
-  // backends).
+  // and total detach()/move_node() calls on attached PHYs.
   std::uint64_t rebuilds() const { return rebuilds_; }
   std::uint64_t incremental_attaches() const { return incremental_attaches_; }
   std::uint64_t detaches() const { return detaches_; }
   std::uint64_t moves() const { return moves_; }
   std::uint64_t incremental_detaches() const { return incremental_detaches_; }
   std::uint64_t incremental_moves() const { return incremental_moves_; }
-  std::size_t shards();
 
   // The attached PHYs in attach order — the canonical index space the
   // delivery lists use (tests compare incremental lists against a
@@ -281,11 +255,7 @@ class Medium {
   // Transmission-path state: one global sequence shared by every node.
   std::uint64_t next_tx_id_ = 1;
   std::uint64_t deliveries_scheduled_ = 0;
-  // Topology bookkeeping mutates through attach/detach/move_node on the
-  // event loop's thread. The sharded backend's rebuild additionally
-  // writes disjoint per-source lists from pool workers — a partitioning
-  // discipline no mutex annotation can express; the TSan CI slice
-  // covers it.
+  // Topology bookkeeping, mutated through attach/detach/move_node.
   std::uint64_t rebuilds_ = 0;
   std::uint64_t incremental_attaches_ = 0;
   std::uint64_t detaches_ = 0;

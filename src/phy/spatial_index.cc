@@ -87,28 +87,4 @@ int SpatialGrid::cell_of(double offset_m) const {
   return static_cast<int>(std::floor(offset_m / cell_m_));
 }
 
-ShardPlan::ShardPlan(int cells_x, std::size_t max_stripes) {
-  HYDRA_ASSERT(cells_x >= 1);
-  const std::size_t stripes =
-      std::clamp<std::size_t>(max_stripes, 1, static_cast<std::size_t>(cells_x));
-  bounds_.clear();
-  bounds_.reserve(stripes + 1);
-  for (std::size_t s = 0; s <= stripes; ++s) {
-    bounds_.push_back(
-        static_cast<int>(s * static_cast<std::size_t>(cells_x) / stripes));
-  }
-}
-
-std::size_t ShardPlan::stripe_of(int cell_x) const {
-  const int x = std::clamp(cell_x, 0, bounds_.back() - 1);
-  // The first bound strictly above x ends the owning stripe.
-  const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), x);
-  return static_cast<std::size_t>(it - bounds_.begin()) - 1;
-}
-
-std::pair<int, int> ShardPlan::stripe_columns(std::size_t stripe) const {
-  HYDRA_ASSERT(stripe < stripes());
-  return {bounds_[stripe], bounds_[stripe + 1]};
-}
-
 }  // namespace hydra::phy

@@ -1,21 +1,15 @@
-// Geometry support for the delivery backends: node positions, a
-// uniform-grid spatial index, and the stripe partition the sharded
-// backend fans out over.
+// Geometry support for the culled delivery backend: node positions and
+// a uniform-grid spatial index.
 //
 // The grid stores point indices in cells at least one query radius
 // wide, so every point within that radius of a query position lives in
 // the 3×3 cell neighborhood — candidate sets are supersets of the
-// in-reach sets, never subsets (the property test pins this). A
-// ShardPlan cuts the grid's cell columns into contiguous stripes that
-// partition the cell set exactly: every column — and so every receiver
-// — belongs to exactly one stripe, the unit of parallelism for the
-// sharded delivery backend.
+// in-reach sets, never subsets (the property test pins this).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <utility>
 #include <vector>
 
 namespace hydra::phy {
@@ -57,13 +51,6 @@ class SpatialGrid {
   // O(total points); cell-local order is preserved.
   void erase_and_renumber(std::uint32_t index);
 
-  // Cell coordinates of `p`, clamped into the grid — out-of-box
-  // positions map to the nearest boundary cell, which keeps
-  // neighborhood() a superset query for any position within one cell
-  // width of the box.
-  int clamped_cell_x(Position p) const;
-  int clamped_cell_y(Position p) const;
-
   // Calls `visit` with every point index in the 3×3 neighborhood of the
   // (clamped) cell containing `p`.
   template <typename Visit>
@@ -88,6 +75,13 @@ class SpatialGrid {
   }
 
  private:
+  // Cell coordinates of `p`, clamped into the grid — out-of-box
+  // positions map to the nearest boundary cell, which keeps
+  // neighborhood() a superset query for any position within one cell
+  // width of the box.
+  int clamped_cell_x(Position p) const;
+  int clamped_cell_y(Position p) const;
+
   template <typename VisitCell>
   void for_each_neighbor_cell(Position p, VisitCell&& visit_cell) const {
     const int cx = clamped_cell_x(p);
@@ -110,28 +104,6 @@ class SpatialGrid {
   int nx_ = 1;
   int ny_ = 1;
   std::vector<std::vector<std::uint32_t>> cells_;
-};
-
-// Contiguous stripes of grid cell columns. Stripes partition the column
-// range [0, cells_x) exactly — no column (and so no receiver) is owned
-// by two stripes or by none — which is what lets the sharded backend
-// hand each stripe to a worker without synchronizing writes.
-class ShardPlan {
- public:
-  // The trivial plan: one stripe over one column.
-  ShardPlan() = default;
-  // Splits `cells_x` columns into min(max_stripes, cells_x) stripes of
-  // near-equal width (at least 1).
-  ShardPlan(int cells_x, std::size_t max_stripes);
-
-  std::size_t stripes() const { return bounds_.size() - 1; }
-  // The stripe owning `cell_x` (clamped into the column range).
-  std::size_t stripe_of(int cell_x) const;
-  // Column range [first, last) of `stripe`.
-  std::pair<int, int> stripe_columns(std::size_t stripe) const;
-
- private:
-  std::vector<int> bounds_ = {0, 1};
 };
 
 }  // namespace hydra::phy

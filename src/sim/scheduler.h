@@ -1,5 +1,7 @@
 // Discrete-event scheduler: a stable min-heap of (time, sequence) events
-// run one at a time on the calling thread.
+// run one at a time on the calling thread. A simulation lives wholly on
+// one thread — its scheduler, medium and nodes, and the BufferPool free
+// lists their packets and callbacks recycle through.
 #pragma once
 
 #include <cstdint>

@@ -91,13 +91,8 @@ struct ExperimentResult {
   std::uint64_t phy_transmissions = 0;
   std::uint64_t phy_deliveries = 0;
 
-  // Sharded-medium accounting: stripes the delivery backend fanned its
-  // list computation across (1 for the serial backends), full
-  // delivery-list rebuilds, and attaches absorbed incrementally without
-  // one (a built scenario attaches every node before the first
-  // transmission, so rebuilds is 1 and incremental attaches N−1 once
-  // the backend's fast path applies).
-  std::uint64_t phy_shards = 1;
+  // Delivery-list accounting: full delivery-list rebuilds, and attaches
+  // absorbed incrementally without one.
   std::uint64_t phy_rebuilds = 0;
   std::uint64_t phy_incremental_attaches = 0;
 
@@ -114,17 +109,13 @@ struct ExperimentResult {
   std::uint64_t sched_executed_events = 0;
 
   // Memory accounting over the run (scenario build + traffic), from the
-  // process-wide counters in util/alloc_stats.h and util/pool.h:
-  // operator-new calls and bytes, pool requests and how many of those
-  // were served by recycling a block, and the process peak RSS after
-  // the run. Deltas are exact for serially executed experiments;
-  // inside a parallel sweep they include concurrent runs and are only
-  // indicative. peak_rss_kb is a whole-process high-water mark, not a
-  // per-run delta.
+  // process-wide counters in util/alloc_stats.h: operator-new calls and
+  // bytes, and the process peak RSS after the run. Deltas are exact for
+  // serially executed experiments; inside a parallel sweep they include
+  // concurrent runs and are only indicative. peak_rss_kb is a
+  // whole-process high-water mark, not a per-run delta.
   std::uint64_t heap_allocations = 0;
   std::uint64_t heap_bytes_allocated = 0;
-  std::uint64_t pool_requests = 0;
-  std::uint64_t pool_recycled = 0;
   std::uint64_t peak_rss_kb = 0;
 
   // Transport accounting, summed over every TCP connection the workload

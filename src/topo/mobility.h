@@ -24,7 +24,7 @@
 // separate from the simulation RNG, and visits mobile nodes in fixed
 // order — so the motion schedule is a pure function of the spec, never of
 // the delivery backend. The mobility determinism suite pins that per-seed
-// trace digests stay bit-identical across full-mesh/culled/sharded under
+// trace digests stay bit-identical across full mesh and culled under
 // every model.
 #pragma once
 

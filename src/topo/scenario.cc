@@ -182,7 +182,6 @@ std::string to_string(MediumPolicy policy) {
     case MediumPolicy::kAuto: return "auto";
     case MediumPolicy::kFullMesh: return "full-mesh";
     case MediumPolicy::kCulled: return "culled";
-    case MediumPolicy::kSharded: return "sharded";
   }
   HYDRA_UNREACHABLE("bad medium policy");
 }
@@ -459,7 +458,6 @@ std::vector<std::uint32_t> ScenarioSpec::relay_indices(
 phy::MediumConfig ScenarioSpec::medium_config() const {
   phy::MediumConfig mc;
   mc.cull_margin_db = medium.cull_margin_db;
-  mc.shard_threads = medium.shard_threads;
   switch (medium.policy) {
     case MediumPolicy::kAuto:
       mc.delivery = node_count() >= kCullAutoThreshold
@@ -471,9 +469,6 @@ phy::MediumConfig ScenarioSpec::medium_config() const {
       break;
     case MediumPolicy::kCulled:
       mc.delivery = phy::DeliveryPolicy::kCulled;
-      break;
-    case MediumPolicy::kSharded:
-      mc.delivery = phy::DeliveryPolicy::kSharded;
       break;
   }
   return mc;

@@ -42,12 +42,8 @@ std::string to_string(Family family);
 // keeps exact-paper full mesh for small topologies and switches to
 // reachability culling (bit-identical, O(k) fan-out; see phy/medium.h)
 // at kCullAutoThreshold nodes — the point where O(N²) event traffic
-// starts to dominate grid/random scenarios. kSharded computes the same
-// culled delivery lists across a worker pool (bit-identical by the
-// pinned determinism contract) and stays opt-in: the worker count is a
-// host property, and kAuto keeps "same spec, same backend" true across
-// machines.
-enum class MediumPolicy { kAuto, kFullMesh, kCulled, kSharded };
+// starts to dominate grid/random scenarios.
+enum class MediumPolicy { kAuto, kFullMesh, kCulled };
 
 inline constexpr std::size_t kCullAutoThreshold = 32;
 
@@ -59,11 +55,6 @@ struct MediumTuning {
   MediumPolicy policy = MediumPolicy::kAuto;
   // Passed through to phy::MediumConfig::cull_margin_db.
   double cull_margin_db = 10.0;
-  // kSharded: worker/stripe count; 0 resolves to the host's hardware
-  // concurrency (capped at 8) at rebuild time — see
-  // phy::resolve_shard_threads. The spatial grid caps the stripe count
-  // further at its column count, so narrow worlds degrade gracefully.
-  std::size_t shard_threads = 0;
 };
 
 // Axis-aligned bounding box of a scenario's node placement.

@@ -1,7 +1,7 @@
 #include "util/pool.h"
 
-#include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 #include "util/assert.h"
 #include "util/mutex.h"
@@ -12,11 +12,11 @@ namespace {
 
 // Block layout: [BlockHeader][payload...]. The header survives while
 // the block sits on a free list (the list link reuses the payload
-// bytes), so deallocate can always route a pointer home and a stale or
-// double free trips the magic check instead of corrupting a list.
+// bytes), so a stale or double free trips the magic check instead of
+// corrupting a list.
 constexpr std::uint32_t kMagicLive = 0x48504f4cu;  // "HPOL": handed out
 constexpr std::uint32_t kMagicFree = 0x46524545u;  // "FREE": on a list
-constexpr std::uint32_t kMagicHeap = 0x48454150u;  // "HEAP": passthrough
+constexpr std::uint32_t kMagicHeap = 0x48454150u;  // "HEAP": oversize
 
 constexpr std::size_t kMinClassBytes = 64;
 constexpr std::size_t kNumClasses = 11;  // 64 B … 64 KiB, powers of two
@@ -27,10 +27,7 @@ constexpr std::size_t class_bytes(std::size_t cls) {
 }
 static_assert(class_bytes(kNumClasses - 1) == BufferPool::kMaxBlockBytes);
 
-class Shard;
-
-struct BlockHeader {
-  Shard* owner;              // nullptr for heap passthrough blocks
+struct alignas(BufferPool::kAlignment) BlockHeader {
   std::uint32_t size_class;  // index into the class table
   std::uint32_t magic;
 };
@@ -56,91 +53,45 @@ BlockHeader* header_of(FreeBlock* link) {
   return reinterpret_cast<BlockHeader*>(link) - 1;
 }
 
-// One thread's free lists + slab cursor. Only the owning thread touches
-// free_/cursor_/slabs_ (thread affinity is the synchronization — a
-// shard changes hands only through the registry lock, which orders the
-// old owner's release before the new owner's acquire). Counters are
-// relaxed atomics so stats() may aggregate while workers run.
-class alignas(64) Shard {
+// One thread's free lists and slab cursor. Only the thread holding the
+// set touches it; a set changes hands only through the registry lock
+// (parked by a finished thread, adopted by a new one), which orders the
+// old holder's writes before the new holder's reads.
+class FreeLists {
  public:
-  // Owner thread only.
   void* allocate(std::size_t cls) {
-    if (free_[cls] == nullptr) drain_remote();
     if (FreeBlock* link = free_[cls]) {
       free_[cls] = link->next;
       BlockHeader* h = header_of(link);
       HYDRA_ASSERT_MSG(h->magic == kMagicFree, "pool free-list corruption");
       h->magic = kMagicLive;
-      recycled_.fetch_add(1, std::memory_order_relaxed);
       return h + 1;
     }
     auto* h = static_cast<BlockHeader*>(carve(class_bytes(cls)));
-    h->owner = this;
     h->size_class = static_cast<std::uint32_t>(cls);
     h->magic = kMagicLive;
-    fresh_.fetch_add(1, std::memory_order_relaxed);
     return h + 1;
   }
 
-  // Owner thread only.
-  void free_local(BlockHeader* h) {
+  void recycle(BlockHeader* h) {
     h->magic = kMagicFree;
     FreeBlock* link = link_of(h);
     link->next = free_[h->size_class];
     free_[h->size_class] = link;
   }
 
-  // Any thread: lock-free MPSC push onto the owner's return stack.
-  // Push-only here, drained whole by the owner — no ABA window.
-  void free_remote(BlockHeader* h) {
-    h->magic = kMagicFree;
-    FreeBlock* link = link_of(h);
-    FreeBlock* head = remote_.load(std::memory_order_relaxed);
-    do {
-      link->next = head;
-    } while (!remote_.compare_exchange_weak(head, link,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed));
-  }
-
-  void count_request() { requests_.fetch_add(1, std::memory_order_relaxed); }
-  void count_heap() { heap_.fetch_add(1, std::memory_order_relaxed); }
-
-  void add_stats(PoolStats& out) const {
-    out.requests += requests_.load(std::memory_order_relaxed);
-    out.recycled += recycled_.load(std::memory_order_relaxed);
-    out.fresh += fresh_.load(std::memory_order_relaxed);
-    out.heap += heap_.load(std::memory_order_relaxed);
-    out.slab_bytes += slab_bytes_.load(std::memory_order_relaxed);
-  }
-
  private:
-  // Sort the remote stack's blocks back onto the local free lists.
-  void drain_remote() {
-    if (remote_.load(std::memory_order_relaxed) == nullptr) return;
-    FreeBlock* link = remote_.exchange(nullptr, std::memory_order_acquire);
-    while (link != nullptr) {
-      FreeBlock* next = link->next;
-      BlockHeader* h = header_of(link);
-      link->next = free_[h->size_class];
-      free_[h->size_class] = link;
-      link = next;
-    }
-  }
-
   void* carve(std::size_t bytes) {
     if (bytes > kSlabBytes / 4) {
       // Big classes get a dedicated slab; sharing the bump region with
       // them would strand most of a slab on every crossing.
       void* raw = ::operator new(bytes);
       slabs_.push_back(raw);
-      slab_bytes_.fetch_add(bytes, std::memory_order_relaxed);
       return raw;
     }
     if (slab_remaining_ < bytes) {
       void* raw = ::operator new(kSlabBytes);
       slabs_.push_back(raw);
-      slab_bytes_.fetch_add(kSlabBytes, std::memory_order_relaxed);
       cursor_ = static_cast<std::byte*>(raw);
       slab_remaining_ = kSlabBytes;
     }
@@ -153,26 +104,19 @@ class alignas(64) Shard {
   FreeBlock* free_[kNumClasses] = {};
   std::byte* cursor_ = nullptr;
   std::size_t slab_remaining_ = 0;
-  // Slab base pointers: slabs live for the process (blocks inside them
-  // may be in flight on any thread), and staying reachable from the
-  // registry keeps leak checkers quiet about the intentional cache.
+  // Slab base pointers. Slabs live for the process (their blocks may
+  // sit on any thread's lists), and staying reachable from the registry
+  // keeps leak checkers quiet about the intentional cache.
   std::vector<void*> slabs_;
-
-  std::atomic<FreeBlock*> remote_{nullptr};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> recycled_{0};
-  std::atomic<std::uint64_t> fresh_{0};
-  std::atomic<std::uint64_t> heap_{0};
-  std::atomic<std::uint64_t> slab_bytes_{0};
 };
 
-// Process-lifetime shard registry. Deliberately leaked: blocks hold
-// raw owner pointers, and a block may outlive the thread (even the
-// static destruction of the thread) that allocated it.
+// Process-lifetime registry of free-list sets. Deliberately leaked:
+// blocks on one set's lists may have been carved from another's slabs,
+// so no set is ever destroyed.
 struct Registry {
   Mutex mu;
-  std::vector<Shard*> shards GUARDED_BY(mu);  // every shard ever made
-  std::vector<Shard*> idle GUARDED_BY(mu);    // released by dead threads
+  std::vector<FreeLists*> all GUARDED_BY(mu);     // every set ever made
+  std::vector<FreeLists*> parked GUARDED_BY(mu);  // left by finished threads
 };
 
 Registry& registry() {
@@ -180,59 +124,54 @@ Registry& registry() {
   return *r;
 }
 
-std::atomic<bool> g_enabled{true};
-std::atomic<std::uint64_t> g_remote_returns{0};
+// The calling thread's set. Trivially destructible, so reads stay valid
+// after the thread's Lease has parked the set: a late pool call from a
+// thread_local destroyed after the Lease adopts a set again, which then
+// stays with the finished thread (still reachable from `all`).
+thread_local FreeLists* tl_lists = nullptr;
 
-Shard* acquire_shard() {
-  Registry& reg = registry();
-  MutexLock lock(reg.mu);
-  if (!reg.idle.empty()) {
-    Shard* s = reg.idle.back();
-    reg.idle.pop_back();
-    return s;
-  }
-  Shard* s = new Shard;  // leaked via the registry, never destroyed
-  reg.shards.push_back(s);
-  return s;
-}
-
-void release_shard(Shard* s) {
-  Registry& reg = registry();
-  MutexLock lock(reg.mu);
-  reg.idle.push_back(s);
-}
-
-// Thread-affine shard handle. The destructor parks the shard for the
-// next new thread and nulls the cached pointer, so a late free from a
-// static destructor safely takes the remote-return path.
-struct ShardLease {
-  Shard* shard = nullptr;
-  ~ShardLease() {
-    if (shard != nullptr) release_shard(shard);
-    shard = nullptr;
+// Parks the thread's set in the registry when the thread finishes.
+struct Lease {
+  Lease() = default;
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  ~Lease() {
+    if (tl_lists == nullptr) return;  // adoption threw
+    Registry& reg = registry();
+    MutexLock lock(reg.mu);
+    reg.parked.push_back(tl_lists);
+    tl_lists = nullptr;
   }
 };
 
-thread_local ShardLease tl_lease;
+// First pool call on a thread: take a parked set, or make one.
+FreeLists* adopt_lists() {
+  static thread_local Lease lease;  // its destructor parks the set
+  (void)lease;
+  Registry& reg = registry();
+  MutexLock lock(reg.mu);
+  if (!reg.parked.empty()) {
+    FreeLists* lists = reg.parked.back();
+    reg.parked.pop_back();
+    return lists;
+  }
+  auto* lists = new FreeLists;  // kept in the registry, never destroyed
+  reg.all.push_back(lists);
+  return lists;
+}
 
-Shard& local_shard() {
-  if (tl_lease.shard == nullptr) tl_lease.shard = acquire_shard();
-  return *tl_lease.shard;
+FreeLists& local_lists() {
+  if (tl_lists == nullptr) [[unlikely]] tl_lists = adopt_lists();
+  return *tl_lists;
 }
 
 }  // namespace
 
 void* BufferPool::allocate(std::size_t bytes) {
-  Shard& shard = local_shard();
-  shard.count_request();
   const std::size_t need = bytes + sizeof(BlockHeader);
-  if (need <= kMaxBlockBytes && g_enabled.load(std::memory_order_relaxed)) {
-    return shard.allocate(class_for(need));
-  }
-  shard.count_heap();
+  if (need <= kMaxBlockBytes) return local_lists().allocate(class_for(need));
   auto* h = static_cast<BlockHeader*>(::operator new(need));
-  h->owner = nullptr;
-  h->size_class = 0;
+  h->size_class = kNumClasses;
   h->magic = kMagicHeap;
   return h + 1;
 }
@@ -240,38 +179,13 @@ void* BufferPool::allocate(std::size_t bytes) {
 void BufferPool::deallocate(void* payload) noexcept {
   if (payload == nullptr) return;
   auto* h = static_cast<BlockHeader*>(payload) - 1;
-  if (h->owner == nullptr) {
-    HYDRA_ASSERT_MSG(h->magic == kMagicHeap,
-                     "BufferPool::deallocate on a foreign or freed pointer");
-    ::operator delete(h);
+  if (h->magic == kMagicLive) {
+    local_lists().recycle(h);
     return;
   }
-  HYDRA_ASSERT_MSG(h->magic == kMagicLive,
+  HYDRA_ASSERT_MSG(h->magic == kMagicHeap,
                    "BufferPool::deallocate double free or corruption");
-  if (h->owner == tl_lease.shard) {
-    h->owner->free_local(h);
-  } else {
-    g_remote_returns.fetch_add(1, std::memory_order_relaxed);
-    h->owner->free_remote(h);
-  }
-}
-
-void BufferPool::set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool BufferPool::enabled() noexcept {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-PoolStats BufferPool::stats() {
-  PoolStats out;
-  Registry& reg = registry();
-  MutexLock lock(reg.mu);
-  for (const Shard* s : reg.shards) s->add_stats(out);
-  out.remote_returns = g_remote_returns.load(std::memory_order_relaxed);
-  out.shards = reg.shards.size();
-  return out;
+  ::operator delete(h);
 }
 
 }  // namespace hydra::util

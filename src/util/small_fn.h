@@ -4,10 +4,11 @@
 // (libstdc++), and the medium's per-delivery rx callbacks capture 32.
 // SmallFn stores captures up to 48 bytes inline — enough for every
 // callback the simulator schedules today — and boxes larger ones
-// through the BufferPool, so steady-state event scheduling allocates
-// nothing from the system heap. Move-only (no copy), matching how the
-// scheduler actually handles callbacks: constructed once, moved through
-// the heap, invoked, destroyed.
+// through the BufferPool (the calling thread's free lists), so
+// steady-state event scheduling allocates nothing from the system heap.
+// Move-only (no copy), matching how the scheduler actually handles
+// callbacks: constructed once, moved through the heap, invoked,
+// destroyed.
 #pragma once
 
 #include <cstddef>

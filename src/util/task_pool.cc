@@ -12,9 +12,8 @@ namespace {
 // drain_batch). Both workers and the participating caller set it, so a
 // body that re-enters parallel_for *on the same pool* is caught before
 // it deadlocks waiting on workers that are all busy running the outer
-// batch. Distinct pools may nest (sweep workers drive the sharded
-// medium's own pool), so the guard compares identity, not mere
-// presence.
+// batch. Distinct pools may nest, so the guard compares identity, not
+// mere presence.
 thread_local const TaskPool* tl_current_pool = nullptr;
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Persistent worker pool for data-parallel fan-out: spawn the threads
-// once, then run indexed batches across them as often as needed. The
-// sharded delivery backend re-runs its stripe computation on every
-// topology rebuild, and the sweep driver runs one batch per grid — both
-// want the thread spawn cost paid once, not per batch.
+// once, then run indexed batches across them as often as needed.
+// app::sweep_experiments runs one batch per grid, each point a whole
+// simulation on one worker; simulations themselves never start threads.
 #pragma once
 
 #include <atomic>

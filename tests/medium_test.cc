@@ -1,15 +1,18 @@
 // The pluggable medium: reachability-culled delivery must be
 // bit-identical to full mesh (the acceptance bar for making it the
-// default on large scenarios), the spatial index must find every
-// in-reach receiver across cell boundaries, and the propagation-delay
-// fix (round to nearest, 1 m clamp) is pinned here.
+// default on large scenarios) on the paper topologies, every scenario
+// family and worlds several reach radii wide; the spatial index must
+// find every in-reach receiver across cell boundaries; and the
+// propagation-delay fix (round to nearest, 1 m clamp) is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "app/flood.h"
 #include "app/udp_cbr.h"
 #include "app/udp_sink.h"
 #include "phy/medium.h"
@@ -172,22 +175,6 @@ TEST(MediumDelivery, LateAttachRebuildsTheDeliveryLists) {
   EXPECT_EQ(b.rx_starts(), 2u);
 }
 
-TEST(MediumDelivery, ShardedSkipsOutOfReachReceiversLikeCulled) {
-  sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kSharded;
-  config.shard_threads = 4;
-  phy::Medium medium(s, config);
-  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-  phy::Phy b(s, medium, {.position = {30, 0}}, 1);   // inside ~36.5 m reach
-  phy::Phy c(s, medium, {.position = {40, 0}}, 2);   // outside
-  a.transmit(test_frame());
-  s.run();
-  EXPECT_EQ(b.rx_starts(), 1u);
-  EXPECT_EQ(c.rx_starts(), 0u);
-  EXPECT_EQ(medium.deliveries_scheduled(), 1u);
-}
-
 // ---------------------------------------------------------------------
 // Incremental attach: the touched node alone extends the lists
 // ---------------------------------------------------------------------
@@ -198,8 +185,7 @@ TEST(MediumIncrementalAttach, LateAttachSkipsTheFullRebuild) {
   // up front. After the late attach, both must deliver identically —
   // and the incremental medium must have rebuilt exactly once.
   for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
+       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled}) {
     phy::MediumConfig config;
     config.delivery = policy;
 
@@ -255,7 +241,7 @@ TEST(MediumIncrementalAttach, LateAttachSkipsTheFullRebuild) {
 
 TEST(MediumIncrementalAttach, OutOfBoundsAttachFallsBackToRebuild) {
   // A newcomer outside the built grid's bounding box cannot be patched
-  // in locally (its cell does not exist); the culled backends must
+  // in locally (its cell does not exist); the culled backend must
   // detect that and rebuild — and delivery must still be exact.
   sim::Simulation s(1);
   phy::MediumConfig config;
@@ -281,8 +267,7 @@ TEST(MediumIncrementalAttach, OutOfBoundsAttachFallsBackToRebuild) {
 
 TEST(MediumDetach, DetachRemovesBothDirectionsWithoutRebuilding) {
   for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
+       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled}) {
     phy::MediumConfig config;
     config.delivery = policy;
     sim::Simulation s(1);
@@ -406,8 +391,7 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
   // spans multiple cells and moving b from mid-span to the far end
   // changes who hears whom. In-box moves must patch incrementally.
   for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
+       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled}) {
     phy::MediumConfig config;
     config.delivery = policy;
     sim::Simulation s(1);
@@ -571,61 +555,6 @@ TEST(SpatialIndexProperty, NearBoxQueriesStaySupersets_FartherOutIsUnproven) {
 }
 
 // ---------------------------------------------------------------------
-// Shard-plan property: stripes partition the cell set exactly
-// ---------------------------------------------------------------------
-
-TEST(ShardPlanProperty, StripesPartitionColumnsExactly) {
-  for (const int cells_x : {1, 2, 3, 7, 11, 64}) {
-    for (const std::size_t stripes : {1u, 2u, 3u, 4u, 5u, 9u}) {
-      const phy::ShardPlan plan(cells_x, stripes);
-      EXPECT_EQ(plan.stripes(),
-                std::min<std::size_t>(stripes, cells_x));
-      // Ranges tile [0, cells_x) contiguously with no gaps or overlap,
-      // and stripe_of agrees with the ranges for every column.
-      int expected_first = 0;
-      for (std::size_t s = 0; s < plan.stripes(); ++s) {
-        const auto [first, last] = plan.stripe_columns(s);
-        EXPECT_EQ(first, expected_first);
-        EXPECT_LT(first, last) << "empty stripe";
-        for (int col = first; col < last; ++col) {
-          EXPECT_EQ(plan.stripe_of(col), s);
-        }
-        expected_first = last;
-      }
-      EXPECT_EQ(expected_first, cells_x);
-    }
-  }
-}
-
-TEST(ShardPlanProperty, EveryNodeLandsInExactlyOneStripe) {
-  // The backend's grouping: node -> clamped cell column -> stripe. Over
-  // random placements every node must land in exactly one stripe, so no
-  // worker computes (or misses) a source another worker owns.
-  sim::Rng rng(7);
-  std::vector<phy::Position> points;
-  for (int i = 0; i < 120; ++i) {
-    points.push_back({rng.uniform() * 300.0, rng.uniform() * 80.0});
-  }
-  phy::SpatialGrid grid;
-  grid.build(points, 36.5);
-  const phy::ShardPlan plan(grid.cells_x(), 4);
-  EXPECT_GE(plan.stripes(), 2u);
-
-  std::vector<std::size_t> owners(points.size(), SIZE_MAX);
-  std::vector<std::size_t> per_stripe(plan.stripes(), 0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto stripe = plan.stripe_of(grid.clamped_cell_x(points[i]));
-    ASSERT_LT(stripe, plan.stripes());
-    EXPECT_EQ(owners[i], SIZE_MAX) << "node assigned twice";
-    owners[i] = stripe;
-    ++per_stripe[stripe];
-  }
-  std::size_t total = 0;
-  for (const auto count : per_stripe) total += count;
-  EXPECT_EQ(total, points.size());
-}
-
-// ---------------------------------------------------------------------
 // Scenario-level policy resolution
 // ---------------------------------------------------------------------
 
@@ -664,25 +593,64 @@ TEST(MediumPolicyResolution, PaperWorldsFitInsideOneReachRadius) {
 // Trace-digest equivalence: culled == full mesh, bit for bit
 // ---------------------------------------------------------------------
 
-std::uint32_t digest_with_policy(topo::ScenarioSpec spec,
-                                 topo::MediumPolicy policy,
-                                 std::uint64_t seed) {
+// What a run under one policy must reproduce under the other.
+struct RunFingerprint {
+  std::uint32_t digest = 0;  // CRC-32 over the network-event trace
+  std::string stats;         // per-node MAC stats table
+  std::uint64_t transmissions = 0;
+  std::uint64_t deliveries = 0;  // receptions the backend scheduled
+};
+
+enum class Workload {
+  kCbr,   // UDP CBR over the spec's first session (exercises routing)
+  kFlood  // every node broadcasts (exercises pure fan-out)
+};
+
+RunFingerprint run_with_policy(topo::ScenarioSpec spec,
+                               topo::MediumPolicy policy, std::uint64_t seed,
+                               Workload workload = Workload::kCbr) {
   spec.medium.policy = policy;
   auto s = topo::Scenario::build(spec, seed);
   s.capture_traces();
-  const auto sender = spec.sessions.front().sender;
-  const auto receiver = spec.sessions.front().receiver;
-  app::UdpSinkApp sink(s.sim(), s.node(receiver), 9001);
-  app::UdpCbrConfig cbr_cfg;
-  cbr_cfg.destination = {proto::Ipv4Address::for_node(receiver), 9001};
-  cbr_cfg.packets_per_tick = 3;
-  cbr_cfg.stop = sim::TimePoint::at(sim::Duration::seconds(2));
-  app::UdpCbrApp cbr(s.sim(), s.node(sender), cbr_cfg);
-  cbr.start();
+
+  std::unique_ptr<app::UdpSinkApp> sink;
+  std::unique_ptr<app::UdpCbrApp> cbr;
+  std::vector<std::unique_ptr<app::FloodApp>> flooders;
+  if (workload == Workload::kCbr) {
+    const auto sender = spec.sessions.front().sender;
+    const auto receiver = spec.sessions.front().receiver;
+    sink = std::make_unique<app::UdpSinkApp>(s.sim(), s.node(receiver), 9001);
+    app::UdpCbrConfig cbr_cfg;
+    cbr_cfg.destination = {proto::Ipv4Address::for_node(receiver), 9001};
+    cbr_cfg.packets_per_tick = 3;
+    cbr_cfg.stop = sim::TimePoint::at(sim::Duration::seconds(2));
+    cbr = std::make_unique<app::UdpCbrApp>(s.sim(), s.node(sender), cbr_cfg);
+    cbr->start();
+  } else {
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      app::FloodConfig fc;
+      fc.interval = sim::Duration::millis(400);
+      fc.initial_offset = sim::Duration::millis(17) * (i + 1);
+      flooders.push_back(
+          std::make_unique<app::FloodApp>(s.sim(), s.node(i), fc));
+      flooders.back()->start();
+    }
+  }
   s.run_for(sim::Duration::seconds(3));
-  EXPECT_GT(sink.packets(), 0u) << spec.label();
+
+  if (sink) {
+    EXPECT_GT(sink->packets(), 0u) << spec.label();
+  }
   EXPECT_FALSE(s.trace().empty()) << spec.label();
-  return s.trace_digest();
+  return {s.trace_digest(), s.metrics_summary(),
+          s.medium().transmissions_started(),
+          s.medium().deliveries_scheduled()};
+}
+
+std::uint32_t digest_with_policy(const topo::ScenarioSpec& spec,
+                                 topo::MediumPolicy policy,
+                                 std::uint64_t seed) {
+  return run_with_policy(spec, policy, seed).digest;
 }
 
 TEST(MediumEquivalence, CulledMatchesFullMeshOnEveryPaperTopology) {
@@ -706,6 +674,104 @@ TEST(MediumEquivalence, CulledMatchesFullMeshOnDenseGridAndRing) {
               digest_with_policy(spec, topo::MediumPolicy::kCulled, 11))
         << spec.label();
   }
+}
+
+// Runs `spec` under both policies and asserts that the digest, the
+// per-node stats table and the transmission count agree. Returns both
+// fingerprints so callers can check that culling really dropped
+// receivers.
+struct PolicyPair {
+  RunFingerprint culled;
+  RunFingerprint full_mesh;
+};
+
+PolicyPair assert_culled_matches_full_mesh(const topo::ScenarioSpec& spec,
+                                           std::uint64_t seed,
+                                           Workload workload) {
+  const std::string where = spec.label() + " seed " + std::to_string(seed);
+  PolicyPair runs{
+      run_with_policy(spec, topo::MediumPolicy::kCulled, seed, workload),
+      run_with_policy(spec, topo::MediumPolicy::kFullMesh, seed, workload)};
+  EXPECT_EQ(runs.full_mesh.digest, runs.culled.digest) << where;
+  EXPECT_EQ(runs.full_mesh.stats, runs.culled.stats) << where;
+  EXPECT_EQ(runs.full_mesh.transmissions, runs.culled.transmissions) << where;
+  return runs;
+}
+
+// A world wider than one reach-radius grid cell: culling must drop
+// receivers there, or the wide cases below test nothing the dense ones
+// do not.
+void expect_culling_drops(const topo::ScenarioSpec& spec,
+                          const PolicyPair& runs) {
+  EXPECT_GT(spec.world_bounds().width_m(), spec.max_reach_m()) << spec.label();
+  EXPECT_LT(runs.culled.deliveries, runs.full_mesh.deliveries)
+      << spec.label();
+}
+
+// The family cases keep the ShardDeterminism suite name they were first
+// registered under, when a sharded backend ran beside these two. One
+// test per family, so ctest runs them in parallel.
+
+TEST(ShardDeterminism, PaperSpecs) {
+  for (const auto& spec :
+       {topo::ScenarioSpec::one_hop(), topo::ScenarioSpec::two_hop(),
+        topo::ScenarioSpec::three_hop(), topo::ScenarioSpec::fig6_star()}) {
+    for (const std::uint64_t seed : {3, 7}) {
+      assert_culled_matches_full_mesh(spec, seed, Workload::kCbr);
+    }
+  }
+}
+
+TEST(ShardDeterminism, ChainFamily) {
+  assert_culled_matches_full_mesh(topo::ScenarioSpec::chain(6), 5,
+                                  Workload::kCbr);
+}
+
+TEST(ShardDeterminism, StarFamily) {
+  assert_culled_matches_full_mesh(topo::ScenarioSpec::star(4), 5,
+                                  Workload::kCbr);
+}
+
+TEST(ShardDeterminism, GridFamily) {
+  assert_culled_matches_full_mesh(topo::ScenarioSpec::grid(3, 3), 5,
+                                  Workload::kCbr);
+}
+
+TEST(ShardDeterminism, RingFamily) {
+  assert_culled_matches_full_mesh(topo::ScenarioSpec::ring(7), 5,
+                                  Workload::kCbr);
+}
+
+TEST(ShardDeterminism, RandomFamilySeedSweep) {
+  for (const std::uint64_t placement : {1, 2}) {
+    for (const std::uint64_t seed : {5, 11}) {
+      assert_culled_matches_full_mesh(
+          topo::ScenarioSpec::random(10, placement), seed, Workload::kCbr);
+    }
+  }
+}
+
+// Wide worlds span several reach-radius cells of the spatial grid, so
+// culling drops receivers and the cell boundaries matter.
+
+TEST(ShardDeterminism, WideChainUsesMultipleStripes) {
+  auto spec = topo::ScenarioSpec::chain(16);
+  spec.spacing_m = 7.0;  // 105 m span, about three reach-radius cells
+  expect_culling_drops(
+      spec, assert_culled_matches_full_mesh(spec, 9, Workload::kFlood));
+}
+
+TEST(ShardDeterminism, WideGridUsesMultipleStripes) {
+  auto spec = topo::ScenarioSpec::grid(3, 10);
+  spec.spacing_m = 7.0;  // 63 m wide
+  expect_culling_drops(
+      spec, assert_culled_matches_full_mesh(spec, 9, Workload::kFlood));
+}
+
+TEST(ShardDeterminism, WideRandomPlacement) {
+  auto spec = topo::ScenarioSpec::random(20, 4);
+  spec.spacing_m = 10.0;  // ~50 m extent; links stay within range_m (3.5 m)
+  assert_culled_matches_full_mesh(spec, 9, Workload::kFlood);
 }
 
 // ---------------------------------------------------------------------

@@ -13,11 +13,10 @@
 //      delay — to a from-scratch rebuild over the same attached set.
 //   2. Scenario-level: flood traffic over waypoint / distance-step /
 //      churn mobility models must produce the same trace digest and
-//      byte-identical stats tables under full-mesh, culled and
-//      sharded@1/2/4, across a seed sweep.
+//      byte-identical stats tables under full mesh and culled, across
+//      a seed sweep.
 //
-// Registered under the `mobility` ctest label; CI runs it under TSan
-// alongside the shard slice.
+// Registered under the `mobility` ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,17 +110,15 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
        .churn = true,
        .ops = 60,
        .policies = {phy::DeliveryPolicy::kFullMesh,
-                    phy::DeliveryPolicy::kCulled,
-                    phy::DeliveryPolicy::kSharded}},
+                    phy::DeliveryPolicy::kCulled}},
       // 12×12 at 10 m: 4×4 reach-radius cells, asymmetric reach.
       {.name = "12x12 mixed power",
        .cols = 12,
        .rows = 12,
        .spacing_m = 10.0,
        .mixed_power = true,
-       .ops = 134,  // per seed: ~400 moves per backend
-       .policies = {phy::DeliveryPolicy::kCulled,
-                    phy::DeliveryPolicy::kSharded}},
+       .ops = 134,  // per seed: ~400 moves
+       .policies = {phy::DeliveryPolicy::kCulled}},
   };
   for (const auto& world : worlds) {
     const std::uint32_t n = world.cols * world.rows;
@@ -132,7 +129,6 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
         sim::Simulation s(seed);
         phy::MediumConfig config;
         config.delivery = policy;
-        config.shard_threads = 2;
         phy::Medium medium(s, config);
 
         std::vector<std::unique_ptr<phy::Phy>> phys;
@@ -215,9 +211,8 @@ struct RunFingerprint {
 };
 
 RunFingerprint run_mobile(topo::ScenarioSpec spec, topo::MediumPolicy policy,
-                          std::size_t threads, std::uint64_t seed) {
+                          std::uint64_t seed) {
   spec.medium.policy = policy;
-  spec.medium.shard_threads = threads;
   auto s = topo::Scenario::build(spec, seed);
   s.capture_traces();
 
@@ -243,16 +238,14 @@ RunFingerprint run_mobile(topo::ScenarioSpec spec, topo::MediumPolicy policy,
   return fp;
 }
 
-// Runs `spec` under every backend × thread count and asserts the
-// determinism-under-motion contract; returns the culled fingerprint for
-// extra model-specific assertions.
+// Runs `spec` under both backends and asserts the determinism-under-
+// motion contract; returns the culled fingerprint for extra
+// model-specific assertions.
 RunFingerprint assert_backends_agree_in_motion(const topo::ScenarioSpec& spec,
                                                std::uint64_t seed) {
-  const auto reference =
-      run_mobile(spec, topo::MediumPolicy::kCulled, 0, seed);
+  const auto reference = run_mobile(spec, topo::MediumPolicy::kCulled, seed);
 
-  const auto full_mesh =
-      run_mobile(spec, topo::MediumPolicy::kFullMesh, 0, seed);
+  const auto full_mesh = run_mobile(spec, topo::MediumPolicy::kFullMesh, seed);
   EXPECT_EQ(full_mesh.digest, reference.digest)
       << spec.label() << " seed " << seed << ": full-mesh digest diverged";
   EXPECT_EQ(full_mesh.stats, reference.stats)
@@ -261,23 +254,6 @@ RunFingerprint assert_backends_agree_in_motion(const topo::ScenarioSpec& spec,
   // The motion schedule itself must be backend-invariant.
   EXPECT_EQ(full_mesh.detaches, reference.detaches);
   EXPECT_EQ(full_mesh.moves, reference.moves);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    const auto sharded =
-        run_mobile(spec, topo::MediumPolicy::kSharded, threads, seed);
-    EXPECT_EQ(sharded.digest, reference.digest)
-        << spec.label() << " seed " << seed << ": sharded@" << threads
-        << " digest diverged";
-    EXPECT_EQ(sharded.stats, reference.stats)
-        << spec.label() << " seed " << seed << ": sharded@" << threads
-        << " stats diverged";
-    // Sharded shares the culled geometry, so its maintenance decisions
-    // must match too, not just its behaviour.
-    EXPECT_EQ(sharded.moves, reference.moves);
-    EXPECT_EQ(sharded.incremental_moves, reference.incremental_moves)
-        << spec.label() << " seed " << seed << ": sharded@" << threads;
-  }
   return reference;
 }
 
@@ -296,7 +272,7 @@ TEST(MobilityDeterminism, WaypointWalksAreBackendInvariant) {
         assert_backends_agree_in_motion(mobile_grid(topo::MobilityKind::kWaypoint), seed);
     EXPECT_GT(culled.moves, 0u);
     // Waypoint walks stay inside the world bounds, so the culled
-    // backends absorb every move without rebuilding.
+    // backend absorbs every move without rebuilding.
     EXPECT_EQ(culled.incremental_moves, culled.moves);
     EXPECT_EQ(culled.rebuilds, 1u);
   }
@@ -323,10 +299,9 @@ TEST(MobilityDeterminism, ChurnIsBackendInvariant) {
   }
 }
 
-TEST(MobilityDeterminism, WideWorldWaypointUsesMultipleStripes) {
-  // A world wider than one reach-radius cell, so the sharded runs in
-  // the sweep genuinely stripe their rebuilds while nodes move across
-  // cell boundaries.
+TEST(MobilityDeterminism, WideWorldWaypointCrossesCells) {
+  // A world wider than one reach-radius cell, so nodes move across cell
+  // boundaries and the culled patches add and drop list entries.
   auto spec = topo::ScenarioSpec::grid(3, 10);
   spec.spacing_m = 7.0;  // 63 m wide
   spec.mobility.kind = topo::MobilityKind::kWaypoint;

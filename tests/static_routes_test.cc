@@ -27,8 +27,7 @@ struct Backend {
 };
 
 const Backend kBackends[] = {{"full-mesh", MediumPolicy::kFullMesh},
-                             {"culled", MediumPolicy::kCulled},
-                             {"sharded", MediumPolicy::kSharded}};
+                             {"culled", MediumPolicy::kCulled}};
 
 std::vector<ScenarioSpec> route_specs() {
   return {ScenarioSpec::chain(2),     ScenarioSpec::chain(5),

@@ -191,7 +191,6 @@ topo::ExperimentResult full_result() {
   r.relay_indices = {1, 3, 5};
   r.phy_transmissions = 100;
   r.phy_deliveries = 101;
-  r.phy_shards = 102;
   r.phy_rebuilds = 103;
   r.phy_incremental_attaches = 104;
   r.phy_detaches = 105;
@@ -201,8 +200,6 @@ topo::ExperimentResult full_result() {
   r.sched_executed_events = 109;
   r.heap_allocations = 112;
   r.heap_bytes_allocated = 113;
-  r.pool_requests = 114;
-  r.pool_recycled = 115;
   r.peak_rss_kb = 116;
   return r;
 }
@@ -221,7 +218,6 @@ TEST(SweepCacheDisk, ResultRoundTripsThroughText) {
   expect_equal_results(original, restored);
   EXPECT_EQ(original.relay_indices, restored.relay_indices);
   EXPECT_EQ(original.sim_time.ns(), restored.sim_time.ns());
-  EXPECT_EQ(original.phy_shards, restored.phy_shards);
   EXPECT_EQ(original.phy_rebuilds, restored.phy_rebuilds);
   EXPECT_EQ(original.phy_incremental_attaches,
             restored.phy_incremental_attaches);
@@ -233,8 +229,6 @@ TEST(SweepCacheDisk, ResultRoundTripsThroughText) {
   EXPECT_EQ(original.sched_executed_events, restored.sched_executed_events);
   EXPECT_EQ(original.heap_allocations, restored.heap_allocations);
   EXPECT_EQ(original.heap_bytes_allocated, restored.heap_bytes_allocated);
-  EXPECT_EQ(original.pool_requests, restored.pool_requests);
-  EXPECT_EQ(original.pool_recycled, restored.pool_recycled);
   EXPECT_EQ(original.peak_rss_kb, restored.peak_rss_kb);
   const auto& n = original.node_stats[0];
   const auto& m = restored.node_stats[0];
@@ -246,11 +240,14 @@ TEST(SweepCacheDisk, ResultRoundTripsThroughText) {
 
   EXPECT_FALSE(deserialize_result("", &restored));
   EXPECT_FALSE(deserialize_result("hydra-sweep-result 2\n", &restored));
-  // A complete file under another version number is a miss, not a
-  // misread: v2 files carried two more scheduler counters.
-  auto v2 = serialize_result(original);
-  v2.replace(v2.find(" 3\n"), 3, " 2\n");
-  EXPECT_FALSE(deserialize_result(v2, &restored));
+  // A complete v3 file is a miss, not a misread: v3 carried three more
+  // counters (delivery shards after deliveries, pool requests and pool
+  // recycles after heap bytes).
+  auto v3 = serialize_result(original);
+  v3.replace(v3.find(" 4\n"), 3, " 3\n");
+  v3.replace(v3.find("counters 100 101 "), 17, "counters 100 101 102 ");
+  v3.replace(v3.find(" 113 "), 5, " 113 114 115 ");
+  EXPECT_FALSE(deserialize_result(v3, &restored));
 }
 
 TEST(SweepCacheDisk, PersistsAcrossCacheInstances) {

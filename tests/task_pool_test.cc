@@ -1,9 +1,9 @@
-// util::TaskPool: the persistent worker pool behind the sharded
-// delivery backend and the sweep driver. The contract under test:
-// every index of a batch runs exactly once, worker writes are visible
-// to the caller after parallel_for returns, the pool is reusable
-// across batches, and a concurrency-1 pool degenerates to an inline
-// serial loop. Runs under TSan in CI (label: shard).
+// util::TaskPool: the persistent worker pool behind the sweep driver.
+// The contract under test: every index of a batch runs exactly once,
+// worker writes are visible to the caller after parallel_for returns,
+// the pool is reusable across batches, and a concurrency-1 pool
+// degenerates to an inline serial loop. Runs under TSan in CI (label:
+// threads).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -103,8 +103,7 @@ TEST(TaskPool, NestedParallelForOnTheSamePoolDies) {
 
 TEST(TaskPool, NestingAcrossDistinctPoolsIsLegal) {
   // The guard is per-pool identity, not a blanket "no pool inside a
-  // pool": the sweep driver's pool runs simulations whose sharded medium
-  // owns a pool of its own, and that layering must keep working.
+  // pool": a batch body may drive a pool of its own.
   util::TaskPool outer(2);
   std::atomic<std::uint32_t> inner_runs{0};
   outer.parallel_for(4, [&](std::size_t) {

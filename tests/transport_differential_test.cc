@@ -4,7 +4,7 @@
 // paper spec — plus chain, star and grid worlds — runs the same file
 // workload twice, once over the refactored transport::TcpConnection and
 // once over the frozen pre-seam copy in tests/support/seed_tcp.h, under
-// each of {full mesh, culled, sharded@4}, and each pair must agree on
+// each of {full mesh, culled}, and each pair must agree on
 //
 //   - the trace digest (CRC-32 over the network-event trace),
 //   - the per-node MAC stats table, byte for byte,
@@ -17,7 +17,7 @@
 // processes the segments. A seam that scheduled one extra event (say,
 // an always-armed delack timer) or perturbed one windowing decision
 // diverges here on every affected combo. Registered under the
-// `transport` ctest label; ASan and TSan CI slices both run it.
+// `transport` ctest label.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -49,13 +49,11 @@ struct RunFingerprint {
 struct Backend {
   const char* label;
   topo::MediumPolicy policy;
-  std::size_t shard_threads;
 };
 
 constexpr Backend kBackends[] = {
-    {"full-mesh", topo::MediumPolicy::kFullMesh, 0},
-    {"culled", topo::MediumPolicy::kCulled, 0},
-    {"sharded@4", topo::MediumPolicy::kSharded, 4},
+    {"full-mesh", topo::MediumPolicy::kFullMesh},
+    {"culled", topo::MediumPolicy::kCulled},
 };
 
 // The two sides of the differential, as traits the harness templates
@@ -105,7 +103,6 @@ class Sender {
 template <typename Side>
 RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend) {
   spec.medium.policy = backend.policy;
-  spec.medium.shard_threads = backend.shard_threads;
   auto s = topo::Scenario::build(spec, /*seed=*/5);
   s.capture_traces();
 

@@ -33,7 +33,8 @@ Rules:
                     exempt (diagnostic timestamps never feed state).
   thread-id         std::this_thread::get_id(). Thread identity varies
                     run to run; anything keyed or ordered by it is
-                    nondeterministic under shard and sweep workers.
+                    nondeterministic under sweep workers, which run
+                    each simulation on whichever thread is free.
   ptr-order         Ordered containers keyed on pointers
                     (std::map<T*, ...>, std::set<T*>, std::less<T*>).
                     Pointer values depend on allocation order and
