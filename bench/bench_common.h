@@ -32,14 +32,6 @@ struct JsonReport {
   std::string id;
   std::string paper_result;
   std::string note;
-  // Worker threads the bench's parallel sections used (1 = serial);
-  // bench_driver.py folds it into the per-bench metadata so baseline
-  // diffs across machines stay interpretable.
-  unsigned threads = 1;
-  // Sweep-cache accounting as a pre-rendered JSON object ("" = the
-  // bench ran no disk-backed sweep); bench_driver.py aggregates these
-  // into BENCH_REPORT.json so a rerun shows how much it skipped.
-  std::string sweep_cache_json;
   std::vector<std::string> tables_json;
   std::vector<std::string> comments;
 };
@@ -72,10 +64,6 @@ inline void write_json_report() {
   append_json_string(doc, report.paper_result);
   doc += ", \"note\": ";
   append_json_string(doc, report.note);
-  doc += ", \"threads\": " + std::to_string(report.threads);
-  if (!report.sweep_cache_json.empty()) {
-    doc += ", \"sweep_cache\": " + report.sweep_cache_json;
-  }
   doc += ", \"tables\": [";
   for (std::size_t i = 0; i < report.tables_json.size(); ++i) {
     if (i > 0) doc += ", ";
@@ -102,31 +90,6 @@ inline void write_json_report() {
 inline void emit(const stats::Table& table) {
   table.print();
   detail::json_report().tables_json.push_back(table.to_json());
-}
-
-// Records a sweep cache's hit/miss accounting in the JSON report. Pass
-// the counters, not the cache, so this header stays independent of
-// app/sweep.h. memory_hits counts in-process serves, disk_hits serves
-// from the persistent directory (a rerun's "skipped unchanged figure"
-// count), misses points simulated from scratch.
-inline void record_sweep_cache(std::size_t size, std::uint64_t memory_hits,
-                               std::uint64_t disk_hits,
-                               std::uint64_t disk_stores,
-                               std::uint64_t misses) {
-  detail::json_report().sweep_cache_json =
-      "{\"size\": " + std::to_string(size) +
-      ", \"memory_hits\": " + std::to_string(memory_hits) +
-      ", \"disk_hits\": " + std::to_string(disk_hits) +
-      ", \"disk_stores\": " + std::to_string(disk_stores) +
-      ", \"misses\": " + std::to_string(misses) + "}";
-}
-
-// Records the worker-thread count a bench's parallel sections ran with
-// (the JSON report's "threads" field; defaults to 1 for the serial
-// benches). Wall-clock columns from a 4-thread run and a 1-thread run
-// are not comparable — this is the metadata that says which is which.
-inline void record_threads(unsigned threads) {
-  detail::json_report().threads = threads == 0 ? 1 : threads;
 }
 
 // Prints a line of free-form commentary (paper comparisons, expected

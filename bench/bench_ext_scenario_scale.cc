@@ -2,7 +2,9 @@
 // versus topology size for the chain, grid and star families. Not a
 // paper figure; it charts how far the unified scenario subsystem
 // stretches beyond the four paper topologies, and what a hop (or a
-// contender) costs.
+// contender) costs. The points run as one app::sweep_experiments grid,
+// each simulation on one pool worker; the wall column is that point's
+// own host time.
 #include <chrono>
 
 #include "app/sweep.h"
@@ -35,15 +37,8 @@ int main() {
   grid.base.traffic = topo::TrafficKind::kTcp;
   grid.base.tcp_file_bytes = 100'000;
 
-  // The first sweep populates the cache; the re-sweep below is the
-  // figure-regeneration path, served entirely from it. With
-  // HYDRA_SWEEP_CACHE_DIR set (the bench driver's default), results
-  // also persist across processes, so a rerun of this bench skips the
-  // cold sweep too.
-  app::SweepCache cache;
-  cache.attach_env_disk_dir();
   const auto started = std::chrono::steady_clock::now();
-  const auto outcomes = app::sweep_experiments(grid, 0, &cache);
+  const auto outcomes = app::sweep_experiments(grid);
   const double sweep_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)
@@ -66,21 +61,7 @@ int main() {
   bench::comment("\nSweep of %zu simulations took %.2f s wall "
               "(thread-parallel; each point is one simulation).",
               outcomes.size(), sweep_wall);
-
-  const auto restarted = std::chrono::steady_clock::now();
-  const auto resweep = app::sweep_experiments(grid, 0, &cache);
-  const double resweep_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    restarted)
-          .count();
-  std::size_t hits = 0;
-  for (const auto& o : resweep) hits += o.from_cache;
-  bench::comment("Re-sweep served %zu/%zu points from the SweepCache in "
-              "%.3f s (cold sweep: %.2f s).",
-              hits, resweep.size(), resweep_wall, sweep_wall);
   bench::comment("Expected shape: per-flow throughput decays with hop count; "
               "star worst-case decays with sender count.");
-  bench::record_sweep_cache(cache.size(), cache.hits(), cache.disk_hits(),
-                            cache.disk_stores(), cache.misses());
   return 0;
 }

@@ -38,8 +38,7 @@ int main() {
   // Ablation (transport axis of the sweep grid): the full congestion
   // scheme × ACK policy product on the 2-hop BA world at the top paper
   // rate, lossless vs 5% relay channel loss. Each column cell averages
-  // 3 seeded sweeps; the SweepCache (disk-backed under the bench
-  // driver) dedups reruns.
+  // 3 seeded sweeps, each point one simulation on a sweep worker.
   std::vector<transport::TransportTuning> tunings;
   for (const auto cc : {transport::CcScheme::kNewReno,
                         transport::CcScheme::kCerl}) {
@@ -52,8 +51,6 @@ int main() {
 
   constexpr std::size_t kAblationMode = 3;  // 2.6 Mbps
   constexpr int kRuns = 3;
-  app::SweepCache cache;
-  cache.attach_env_disk_dir();
   const auto sweep_grid = [&](const std::vector<topo::LossRule>& losses) {
     std::vector<double> mbps(tunings.size(), 0.0);
     for (int seed = 1; seed <= kRuns; ++seed) {
@@ -72,7 +69,7 @@ int main() {
       for (const auto& tuning : tunings) {
         grid.transports.push_back({"", tuning});
       }
-      const auto outcomes = app::sweep_experiments(grid, 0, &cache);
+      const auto outcomes = app::sweep_experiments(grid);
       for (std::size_t i = 0; i < outcomes.size(); ++i) {
         mbps[i] += outcomes[i].result.flows[0].throughput_mbps / kRuns;
       }
@@ -97,7 +94,5 @@ int main() {
   bench::comment("\nAblation shape: delayed/adaptive ACKs trim reverse-channel "
               "airtime; CERL columns absorb the injected loss with the "
               "smallest cost (no multiplicative backoff on channel drops).");
-  bench::record_sweep_cache(cache.size(), cache.hits(), cache.disk_hits(),
-                            cache.disk_stores(), cache.misses());
   return 0;
 }

@@ -255,6 +255,47 @@ TEST(ScenarioSpec, StarSendersShareTheRelayFairly) {
 // The sweep driver
 // ---------------------------------------------------------------------
 
+// Whole-result equality: every flow, the medium and scheduler counters,
+// and every MAC counter and airtime share of every node.
+void expect_equal_results(const ExperimentResult& a,
+                          const ExperimentResult& b) {
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t f = 0; f < a.flows.size(); ++f) {
+    EXPECT_EQ(a.flows[f].completed, b.flows[f].completed);
+    EXPECT_EQ(a.flows[f].bytes, b.flows[f].bytes);
+    EXPECT_EQ(a.flows[f].elapsed.ns(), b.flows[f].elapsed.ns());
+    EXPECT_EQ(a.flows[f].throughput_mbps, b.flows[f].throughput_mbps);
+  }
+  EXPECT_EQ(a.phy_transmissions, b.phy_transmissions);
+  EXPECT_EQ(a.phy_deliveries, b.phy_deliveries);
+  EXPECT_EQ(a.sched_executed_events, b.sched_executed_events);
+  ASSERT_EQ(a.node_stats.size(), b.node_stats.size());
+  for (std::size_t n = 0; n < a.node_stats.size(); ++n) {
+    const auto& x = a.node_stats[n];
+    const auto& y = b.node_stats[n];
+    for (const auto counter :
+         {&mac::MacStats::data_frames_tx,
+          &mac::MacStats::broadcast_subframes_tx,
+          &mac::MacStats::unicast_subframes_tx, &mac::MacStats::data_bytes_tx,
+          &mac::MacStats::mac_header_bytes_tx, &mac::MacStats::rts_tx,
+          &mac::MacStats::cts_tx, &mac::MacStats::ack_tx,
+          &mac::MacStats::retries, &mac::MacStats::retry_drops,
+          &mac::MacStats::queue_drops, &mac::MacStats::delivered_up,
+          &mac::MacStats::dropped_not_for_us, &mac::MacStats::crc_failures,
+          &mac::MacStats::aggregate_discards,
+          &mac::MacStats::duplicates_suppressed, &mac::MacStats::acks_rx,
+          &mac::MacStats::collisions}) {
+      EXPECT_EQ(x.*counter, y.*counter) << "node " << n;
+    }
+    for (const auto share :
+         {&mac::TimeAccounting::payload, &mac::TimeAccounting::mac_header,
+          &mac::TimeAccounting::phy_header, &mac::TimeAccounting::control,
+          &mac::TimeAccounting::ifs, &mac::TimeAccounting::backoff}) {
+      EXPECT_EQ((x.time.*share).ns(), (y.time.*share).ns()) << "node " << n;
+    }
+  }
+}
+
 TEST(Sweep, GridExpansionAndParallelResultsMatchSerial) {
   app::SweepGrid grid;
   grid.scenarios = {{"", ScenarioSpec::two_hop()},
@@ -276,13 +317,55 @@ TEST(Sweep, GridExpansionAndParallelResultsMatchSerial) {
   ASSERT_EQ(serial.size(), 4u);
   ASSERT_EQ(parallel.size(), 4u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i].result.flows.size(),
-              parallel[i].result.flows.size());
-    EXPECT_TRUE(serial[i].result.flows[0].completed);
+    EXPECT_EQ(parallel[i].point.scenario_label, points[i].scenario_label);
+    EXPECT_EQ(parallel[i].point.policy_label, points[i].policy_label);
+    ASSERT_FALSE(serial[i].result.flows.empty());
+    for (const auto& flow : serial[i].result.flows) {
+      EXPECT_TRUE(flow.completed);
+    }
     // Simulations are deterministic, so thread count cannot change
     // results — only wall-clock.
-    EXPECT_EQ(serial[i].result.flows[0].elapsed.ns(),
-              parallel[i].result.flows[0].elapsed.ns());
+    expect_equal_results(serial[i].result, parallel[i].result);
+  }
+}
+
+TEST(Sweep, ExpansionOverridesOnlyTheAxesItNames) {
+  // The scenario axis carries every spec knob no axis names: a
+  // rate-adaptation scheme and a pinned medium policy reach the point
+  // as written.
+  auto spec = ScenarioSpec::two_hop();
+  spec.node.rate_adaptation = mac::RateAdaptationScheme::kSnr;
+  spec.medium.policy = MediumPolicy::kCulled;
+  const transport::TransportTuning base_tuning{
+      .cc = transport::CcScheme::kCerl, .ack = transport::AckScheme::kDelayed};
+  const transport::TransportTuning adaptive{
+      .cc = transport::CcScheme::kNewReno,
+      .ack = transport::AckScheme::kAdaptive};
+
+  app::SweepGrid grid;
+  grid.scenarios = {{"", spec}};
+  grid.base.tcp.tuning = base_tuning;
+  grid.transports = {{"", std::nullopt}, {"", adaptive}, {"adpt", adaptive}};
+  const auto points = app::expand_sweep(grid);
+  ASSERT_EQ(points.size(), 3u);
+
+  // A nullopt entry keeps the base tuning and the "" label.
+  EXPECT_EQ(points[0].transport_label, "");
+  EXPECT_EQ(points[0].config.tcp.tuning.cc, base_tuning.cc);
+  EXPECT_EQ(points[0].config.tcp.tuning.ack, base_tuning.ack);
+  // A concrete entry overrides it; an empty label reads as the tuning.
+  EXPECT_EQ(points[1].transport_label, transport::to_string(adaptive));
+  EXPECT_EQ(points[2].transport_label, "adpt");
+  for (const std::size_t i : {1u, 2u}) {
+    EXPECT_EQ(points[i].config.tcp.tuning.cc, adaptive.cc);
+    EXPECT_EQ(points[i].config.tcp.tuning.ack, adaptive.ack);
+  }
+
+  for (const auto& point : points) {
+    EXPECT_EQ(point.scenario_label, "chain-3");
+    EXPECT_EQ(point.config.scenario.node.rate_adaptation,
+              mac::RateAdaptationScheme::kSnr);
+    EXPECT_EQ(point.config.scenario.medium.policy, MediumPolicy::kCulled);
   }
 }
 

@@ -8,10 +8,10 @@ by bench::comment into the report's "comments" array) — to
 BENCH_<id>.json in its working directory (see bench/bench_common.h);
 this driver gives every binary a private scratch directory so
 concurrent runs cannot collide, then folds the collected reports — plus
-run metadata (wall time, exit status, worker-thread count, host core
-count) — into a single document, ready for figure regeneration. The aggregate is self-describing: tables,
-paper comparisons and commentary all ride in the JSON, so nothing of
-the bench output lives only on stdout.
+run metadata (wall time, exit status, host core count) — into a single
+document, ready for figure regeneration. The aggregate is
+self-describing: tables, paper comparisons and commentary all ride in
+the JSON, so nothing of the bench output lives only on stdout.
 
 Usage:
     tools/bench_driver.py [--build-dir build] [--jobs N] [--output PATH]
@@ -35,12 +35,9 @@ just made (commit it and say so in the PR).
 
 import argparse
 import concurrent.futures
-import functools
-import hashlib
 import json
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -153,49 +150,13 @@ def discover(bench_dir: Path) -> list[Path]:
     return benches
 
 
-def source_tree_hash(repo_root: Path) -> str:
-    """Content fingerprint of the C++ sources under src/ and bench/ —
-    everything that can change a simulation's outcome. Keys the
-    persistent sweep-cache directory, so a code change starts from an
-    empty cache and stale results can never leak into a regenerated
-    figure. Only .cc/.h files count: hashing data files too would let
-    `bench_baseline` rewriting bench/baseline.json invalidate the cache
-    it just warmed."""
-    digest = hashlib.sha256()
-    for top in ("src", "bench"):
-        base = repo_root / top
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
-            if path.is_file() and path.suffix in (".cc", ".h"):
-                digest.update(str(path.relative_to(repo_root)).encode())
-                digest.update(b"\0")
-                digest.update(path.read_bytes())
-                digest.update(b"\0")
-    return digest.hexdigest()[:16]
-
-
-def prepare_sweep_cache_dir(build_dir: Path, repo_root: Path) -> Path:
-    """Creates <build>/bench/sweep_cache/<tree-hash> and prunes sibling
-    directories keyed on older trees (their results are dead weight)."""
-    cache_root = build_dir / "bench" / "sweep_cache"
-    cache_dir = cache_root / source_tree_hash(repo_root)
-    if cache_root.is_dir():
-        for old in cache_root.iterdir():
-            if old != cache_dir:
-                shutil.rmtree(old, ignore_errors=True)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    return cache_dir
-
-
-def run_one(binary: Path, env: dict[str, str]) -> dict:
+def run_one(binary: Path) -> dict:
     started = time.monotonic()
     with tempfile.TemporaryDirectory(prefix=f"{binary.name}.") as scratch:
         try:
             proc = subprocess.run(
                 [str(binary)],
                 cwd=scratch,
-                env=env,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 text=True,
@@ -216,11 +177,6 @@ def run_one(binary: Path, env: dict[str, str]) -> dict:
         "binary": binary.name,
         "exit_code": exit_code,
         "seconds": round(time.monotonic() - started, 3),
-        # Worker threads the bench's parallel sections used (recorded by
-        # bench::record_threads; 1 = serial). Wall columns are already
-        # excluded from baseline diffs, but a human comparing reports
-        # across machines needs to know which walls were parallel.
-        "threads": max((r.get("threads", 1) for r in reports), default=1),
         "reports": reports,
         # stdout is the rendered tables and commentary (both already in
         # the JSON report); keep a tail for diagnosing failures without
@@ -257,57 +213,24 @@ def main() -> int:
     benches = discover(bench_dir)
     output = args.output or bench_dir / "BENCH_REPORT.json"
 
-    # Sweep-capable benches persist their SweepCache here, keyed on the
-    # source tree, so rerunning the driver on unchanged code serves those
-    # points from disk instead of re-simulating. An explicit
-    # HYDRA_SWEEP_CACHE_DIR in the environment wins (set it to "" to
-    # disable persistence for a timing run).
-    env = dict(os.environ)
-    if "HYDRA_SWEEP_CACHE_DIR" not in env:
-        repo_root = Path(__file__).resolve().parent.parent
-        env["HYDRA_SWEEP_CACHE_DIR"] = str(
-            prepare_sweep_cache_dir(args.build_dir, repo_root))
-
     print(f"bench_driver: {len(benches)} benches, {args.jobs} in parallel")
     started = time.monotonic()
     with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-        results = list(pool.map(functools.partial(run_one, env=env), benches))
+        results = list(pool.map(run_one, benches))
     elapsed = time.monotonic() - started
 
     failed = [r["binary"] for r in results if r["exit_code"] != 0]
-    # Fold the per-bench sweep-cache counters (bench::record_sweep_cache)
-    # into one summary: how much of this run was served from the
-    # persistent cache versus simulated from scratch.
-    cache_totals = {"memory_hits": 0, "disk_hits": 0, "disk_stores": 0,
-                    "misses": 0}
-    cache_benches = 0
-    for r in results:
-        for rep in r["reports"]:
-            counters = rep.get("sweep_cache")
-            if counters:
-                cache_benches += 1
-                for key in cache_totals:
-                    cache_totals[key] += counters.get(key, 0)
     report = {
         "total_seconds": round(elapsed, 3),
         "bench_count": len(results),
-        # The host's core count: the denominator for interpreting the
-        # per-bench "threads" metadata (a 4-thread bench on a 1-core
-        # container cannot show a speedup).
+        # The host's core count, for reading the wall columns and the
+        # per-bench seconds: the benches ran --jobs at a time, and the
+        # sweep benches spread their points over every core.
         "host_cpus": os.cpu_count(),
         "failed": failed,
-        "sweep_cache": {
-            "dir": env.get("HYDRA_SWEEP_CACHE_DIR", ""),
-            "benches": cache_benches,
-            **cache_totals,
-        },
         "benches": results,
     }
     output.write_text(json.dumps(report, indent=1) + "\n")
-    if cache_benches:
-        print(f"bench_driver: sweep cache served {cache_totals['disk_hits']} "
-              f"point(s) from disk, simulated {cache_totals['misses']}, "
-              f"stored {cache_totals['disk_stores']}")
 
     for r in results:
         status = "ok" if r["exit_code"] == 0 else f"FAILED ({r['exit_code']})"
