@@ -5,8 +5,9 @@
 //   1. Workload shape: the 25×40 flooded grid run statically, under
 //      waypoint motion and under join/leave churn. The motion counters
 //      (moves, incremental moves, detaches, rebuilds) are deterministic
-//      and baseline-gated; trace-digest parity across backends is
-//      pinned by the mobility_determinism test suite.
+//      and baseline-gated; trace-digest parity with the full-mesh
+//      reference (an infinite cull margin) is pinned by the
+//      mobility_determinism test suite.
 //   2. Maintenance scaling: the same 1000 PHYs churned through
 //      move_node's incremental patch path versus the from-scratch
 //      rebuild a naive medium would run per position change. The
@@ -37,7 +38,6 @@ topo::ExperimentConfig flood_config(topo::MobilityKind kind) {
   // the delivery lists.
   cfg.scenario.spacing_m = 10.0;
   cfg.scenario.sessions.clear();
-  cfg.scenario.medium.policy = topo::MediumPolicy::kCulled;
   cfg.scenario.mobility.kind = kind;
   cfg.scenario.mobility.update_interval = sim::Duration::millis(250);
   cfg.scenario.mobility.stop_after = sim::Duration::seconds(2);
@@ -88,7 +88,7 @@ int main() {
   bench::emit(flood_table);
 
   // ---- Incremental moves vs per-move rebuilds ----------------------
-  // The same 1000 PHYs attached to a culled medium; random in-bounds
+  // The same 1000 PHYs attached to a medium; random in-bounds
   // moves go through move_node (the incremental path), and the
   // reference rebuilds the whole backend once per move — what a medium
   // without incremental maintenance would be forced to do.
@@ -154,9 +154,8 @@ int main() {
         static_cast<std::uint32_t>(i)));
     ref_phys.push_back(ref_storage.back().get());
   }
-  const auto rebuild_backend =
-      phy::make_delivery_backend(phy::DeliveryPolicy::kCulled);
-  rebuild_backend->rebuild(ref_phys, medium_config);  // warm-up
+  phy::DeliveryBackend rebuild_backend;
+  rebuild_backend.rebuild(ref_phys, medium_config);  // warm-up
   // Rebuilding per move is quadratic-ish work; time a slice of the
   // schedule and scale, so the bench stays fast.
   constexpr int kRebuildSample = 50;
@@ -164,7 +163,7 @@ int main() {
   for (int i = 0; i < kRebuildSample; ++i) {
     const auto& [target, destination] = schedule[i];
     ref_medium.move_node(*ref_phys[target], destination);
-    rebuild_backend->rebuild(ref_phys, medium_config);
+    rebuild_backend.rebuild(ref_phys, medium_config);
   }
   const double rebuild_sample_ms = wall_since(started) * 1e3;
   const double rebuild_ms_per_op = rebuild_sample_ms / kRebuildSample;
@@ -174,8 +173,8 @@ int main() {
     const auto& [target, destination] = schedule[i];
     ref_medium.move_node(*ref_phys[target], destination);
   }
-  rebuild_backend->rebuild(ref_phys, medium_config);
-  const std::uint64_t rebuild_lists = lists_total(*rebuild_backend, ref_phys);
+  rebuild_backend.rebuild(ref_phys, medium_config);
+  const std::uint64_t rebuild_lists = lists_total(rebuild_backend, ref_phys);
   HYDRA_ASSERT_MSG(rebuild_lists == incremental_lists,
                    "incremental maintenance diverged from rebuilding");
 

@@ -51,7 +51,6 @@ topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols) {
   // No sessions: flooding never routes. Static routes stay on; they are
   // computed per lookup, so the N = 10000 build stays O(N).
   spec.sessions.clear();
-  spec.medium.policy = topo::MediumPolicy::kCulled;
   return spec;
 }
 

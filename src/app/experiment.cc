@@ -33,9 +33,9 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   const std::size_t node_count = scenario.size();
 
   // Install injected channel losses. Counter-based (no RNG): the drop
-  // pattern is a pure function of the traffic, so runs stay bit-identical
-  // across medium backends and scheduler policies. Rules on the same node
-  // chain; each keeps its own match counter.
+  // pattern is a pure function of the traffic, so reruns stay
+  // bit-identical. Rules on the same node chain; each keeps its own
+  // match counter.
   for (const auto& rule : config.losses) {
     if (rule.period == 0 || rule.node_index >= node_count) continue;
     auto& stack = scenario.node(rule.node_index).stack();

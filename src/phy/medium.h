@@ -4,39 +4,37 @@
 // 7.7 mW transmit power and 2.5 m node spacing give 25 dB SNR over
 // a 1 MHz channel.
 //
-// Delivery is pluggable. A transmission fans out to the receivers a
-// DeliveryBackend selects:
+// One delivery path. A transmission fans out to the attached PHYs whose
+// receive power clears the cull floor (noise floor − cull_margin_db,
+// never above the CCA threshold). Receivers below the CCA threshold are
+// behaviourally inert — they cannot assert CCA, collide, or decode — so
+// skipping them is bit-identical to delivering to every PHY, while event
+// traffic drops to the O(k) reachable neighbors. Candidates come from a
+// reach-sized spatial grid: each source scans its 3×3 cell neighborhood,
+// not every PHY. Every paper topology fits inside one reach radius, so
+// there every PHY hears every transmission. An infinite cull_margin_db
+// puts the floor at −∞ and the whole world in one grid cell: that
+// full-mesh configuration is the reference the parity tests compare
+// against.
 //
-//   kFullMesh  every other attached PHY — exact paper parity; O(N) events
-//              per frame regardless of geometry.
-//   kCulled    only PHYs whose receive power clears the cull floor
-//              (noise floor − cull_margin_db, never above the CCA
-//              threshold). Receivers below the CCA threshold are
-//              behaviourally inert — they cannot assert CCA, collide, or
-//              decode — so culling them is bit-identical to full mesh
-//              while cutting event traffic to O(k) reachable neighbors.
-//              Candidates come from a reach-sized spatial grid: each
-//              source scans its 3×3 cell neighborhood, not every PHY.
-//
-// Every backend precomputes its per-source delivery lists (receive power
-// and propagation delay per pair) once per topology, so the per-frame
-// hot path does no log10 at all, and a whole transmission's fan-out
-// commits through one Scheduler::schedule_batch. Positions are no longer
-// frozen at build time: attach(), detach() and move_node() patch the
-// lists incrementally for the touched node alone whenever the backend
-// can prove the update local (inside the grid's bounding box, reach
-// within one cell); otherwise they fall back to a full rebuild. The
-// determinism contract extends to motion — after any incremental patch
-// the lists are bit-identical to a from-scratch rebuild at the current
-// positions, pinned by the mobility determinism suite (`ctest -L
-// mobility`). Detaching (or destroying) a PHY cancels its in-flight
-// rx_start/rx_end events through the scheduler's generation-stamped
-// cancel path, so no scheduled event ever touches a PHY the medium no
-// longer knows. Everything here runs on the simulation's one thread.
+// The DeliveryBackend precomputes the per-source delivery lists (receive
+// power and propagation delay per pair) once per topology, so the
+// per-frame hot path does no log10 at all, and a whole transmission's
+// fan-out commits through one Scheduler::schedule_batch. Positions are
+// not frozen at build time: attach(), detach() and move_node() patch the
+// lists incrementally for the touched node alone whenever the update is
+// provably local (inside the grid's bounding box, reach within one
+// cell); otherwise they fall back to a full rebuild. The determinism
+// contract extends to motion — after any incremental patch the lists are
+// bit-identical to a from-scratch rebuild at the current positions,
+// pinned by the mobility determinism suite (`ctest -L mobility`).
+// Detaching (or destroying) a PHY cancels its in-flight rx_start/rx_end
+// events through the scheduler's generation-stamped cancel path, so no
+// scheduled event ever touches a PHY the medium no longer knows.
+// Everything here runs on the simulation's one thread.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "phy/error_model.h"
@@ -47,10 +45,6 @@
 namespace hydra::phy {
 
 class Phy;
-
-enum class DeliveryPolicy { kFullMesh, kCulled };
-
-const char* to_string(DeliveryPolicy policy);
 
 struct MediumConfig {
   double path_loss_at_1m_db = 73.0;
@@ -63,12 +57,11 @@ struct MediumConfig {
   double cca_threshold_dbm = -95.0;
   double propagation_speed_mps = 3.0e8;
 
-  // Which receivers a transmission is delivered to.
-  DeliveryPolicy delivery = DeliveryPolicy::kFullMesh;
-  // kCulled drops receivers more than this margin below the noise
-  // floor. The effective floor is additionally clamped to the CCA
-  // threshold (see cull_floor_dbm), which is what guarantees culled
-  // delivery stays bit-identical to full mesh.
+  // Receivers more than this margin below the noise floor are skipped.
+  // The effective floor is additionally clamped to the CCA threshold
+  // (see cull_floor_dbm), which is what keeps culled delivery
+  // bit-identical to delivering everywhere. +∞ delivers to every
+  // attached PHY.
   double cull_margin_db = 10.0;
 };
 
@@ -80,7 +73,7 @@ double path_loss_db(const MediumConfig& config, double distance);
 // and clamped to the same 1 m floor as the path-loss model.
 sim::Duration propagation_delay(const MediumConfig& config, double distance);
 
-// The receive-power floor below which kCulled skips delivery: noise
+// The receive-power floor below which the medium skips delivery: noise
 // floor − cull margin, but never above the CCA threshold.
 double cull_floor_dbm(const MediumConfig& config);
 
@@ -106,70 +99,64 @@ struct Delivery {
   sim::Duration propagation;
 };
 
-// The seam between the medium and its receiver-selection strategy.
-// Implementations precompute per-source delivery lists in rebuild();
-// the medium calls deliveries() once per transmission. Lists must be
-// ordered by attach index — scheduling order at equal timestamps decides
-// RNG draw order, so every backend has to agree on it.
+// The per-source delivery lists and the spatial grid their candidates
+// come from. Lists are ordered by receiver attach index — scheduling
+// order at equal timestamps decides RNG draw order. The methods that
+// take `phys` expect the medium's attach-order vector, in which phys[i]
+// holds attach index i (Phy::attach_index). Medium keeps one; tests and
+// benches build standalone ones as from-scratch references.
 class DeliveryBackend {
  public:
-  virtual ~DeliveryBackend() = default;
+  // Recomputes every list from `phys` at their current positions (called
+  // lazily after a membership or position change that could not be
+  // absorbed incrementally).
+  void rebuild(const std::vector<Phy*>& phys, const MediumConfig& config);
 
-  virtual const char* name() const = 0;
+  // Extends the lists for `phy`, just attached as phys.back(), without
+  // touching any other pair. Returns false, changing nothing, when the
+  // update is not provably local: `phy` lies outside the grid's bounding
+  // box or its reach exceeds one cell. The caller then rebuilds. Only
+  // meaningful after a rebuild().
+  bool attach_incremental(Phy& phy, const std::vector<Phy*>& phys,
+                          const MediumConfig& config);
 
-  // Recomputes the delivery lists from the attached PHY set at their
-  // current positions (called lazily after a membership or position
-  // change the backend could not absorb incrementally).
-  virtual void rebuild(const std::vector<Phy*>& phys,
-                       const MediumConfig& config) = 0;
-
-  // Extends the existing lists for `phy`, just attached as phys.back(),
-  // without touching any other pair. Returns false when the backend
-  // cannot prove the update local (then the caller falls back to a full
-  // rebuild). Only meaningful after a rebuild().
-  virtual bool attach_incremental(Phy& phy, const std::vector<Phy*>& phys,
-                                  const MediumConfig& config) {
-    (void)phy;
-    (void)phys;
-    (void)config;
-    return false;
-  }
-
-  // Removes `phy` — already erased from `phys` — from both delivery
-  // directions: its own list goes away and it is stripped from every
-  // remaining list, without recomputing any surviving pair. Same
-  // contract as attach_incremental: false means "rebuild instead".
-  virtual bool detach_incremental(Phy& phy, const std::vector<Phy*>& phys,
-                                  const MediumConfig& config) {
-    (void)phy;
-    (void)phys;
-    (void)config;
-    return false;
-  }
+  // Removes `phy`, which held attach index `index` and has already left
+  // the attach-order vector, from both delivery directions: its own list
+  // goes away and it is stripped from every remaining list, without
+  // recomputing any surviving pair. Always local: fewer nodes never need
+  // a larger reach, and relative attach order is untouched.
+  void detach_incremental(const Phy& phy, std::uint32_t index);
 
   // Repositions `phy` (its config already holds the new position;
   // `old_position` is where the lists last saw it) and patches both
   // directions — the node's own list and its entry in every list that
   // can observe the move — so the result is bit-identical to a rebuild
-  // at the new positions. False means "rebuild instead"; backends must
-  // refuse moves they cannot prove local (e.g. outside the grid's
-  // bounding box, where the 3×3 superset guarantee no longer holds).
-  virtual bool move_incremental(Phy& phy, Position old_position,
-                                const std::vector<Phy*>& phys,
-                                const MediumConfig& config) {
-    (void)phy;
-    (void)old_position;
-    (void)phys;
-    (void)config;
-    return false;
-  }
+  // at the new positions. Same refusal contract as attach_incremental:
+  // outside the bounding box the 3×3 superset guarantee no longer holds.
+  bool move_incremental(Phy& phy, Position old_position,
+                        const std::vector<Phy*>& phys,
+                        const MediumConfig& config);
 
-  // The receivers a transmission from `src` fans out to.
-  virtual const std::vector<Delivery>& deliveries(const Phy& src) const = 0;
+  // The receivers a transmission from the attached PHY `src` fans out to.
+  const std::vector<Delivery>& deliveries(const Phy& src) const;
+
+ private:
+  // Computes source s's list: grid candidates, sorted to attach order,
+  // culled against `floor`, stored at its exact size. Requires every
+  // candidate i < s to hold its current entry for s (or none, if
+  // culled): an equal-power pair is read from there, not recomputed.
+  void compute_list(std::uint32_t s, const std::vector<Phy*>& phys,
+                    const MediumConfig& config, double floor);
+
+  std::vector<std::vector<Delivery>> lists_;
+  SpatialGrid grid_;
+  // Reused by every rebuild and patch, so they allocate nothing once
+  // grown: the grid's input, compute_list's candidates, and the list it
+  // builds before copying it out at its exact size.
+  std::vector<Position> positions_;
+  std::vector<std::uint32_t> candidates_;
+  std::vector<Delivery> list_;
 };
-
-// Creates the backend implementing `policy`.
-std::unique_ptr<DeliveryBackend> make_delivery_backend(DeliveryPolicy policy);
 
 class Medium {
  public:
@@ -186,20 +173,20 @@ class Medium {
 
   // Unregisters `phy`: cancels its pending rx_start/rx_end events,
   // aborts its in-progress receptions, and removes it from both
-  // delivery-list directions — incrementally when the backend can prove
-  // the update local, via a deferred full rebuild otherwise. Idempotent;
-  // returns false when `phy` was not attached. A detached PHY may keep
-  // transmitting (the MAC's timing machinery keeps running) but reaches
-  // nobody until re-attach()ed.
+  // delivery-list directions — in place, unless the lists already await
+  // a rebuild. Idempotent; returns false when `phy` was not attached. A
+  // detached PHY may keep transmitting (the MAC's timing machinery keeps
+  // running) but reaches nobody until re-attach()ed.
   bool detach(Phy& phy);
 
-  // Repositions `phy` and patches the delivery lists under the same
-  // incremental-or-rebuild contract as detach(). Works on detached PHYs
-  // too (the position just updates for a later re-attach).
+  // Repositions `phy` and patches the delivery lists in place when the
+  // move is provably local, via a deferred full rebuild otherwise. Works
+  // on detached PHYs too (the position just updates for a later
+  // re-attach).
   void move_node(Phy& phy, Position position);
 
-  // Begins delivering `frame` from `src` to every receiver the delivery
-  // backend selects. Returns the frame's on-air duration.
+  // Begins delivering `frame` from `src` to every receiver on its
+  // delivery list. Returns the frame's on-air duration.
   sim::Duration start_transmission(Phy& src, PhyFrame frame);
 
   double rx_power_dbm(const Phy& src, const Phy& dst) const;
@@ -209,7 +196,7 @@ class Medium {
   const ErrorModel& error_model() const { return error_model_; }
   sim::Simulation& simulation() { return sim_; }
 
-  // The backend for config().delivery, its lists current.
+  // The delivery lists, current.
   const DeliveryBackend& backend();
 
   // Counter reads for result collection.
@@ -220,7 +207,7 @@ class Medium {
   std::uint64_t deliveries_scheduled() const { return deliveries_scheduled_; }
 
   // Delivery-list accounting: full rebuilds performed; attaches, detaches
-  // and moves the backend absorbed incrementally instead of rebuilding;
+  // and moves absorbed incrementally instead of rebuilding;
   // and total detach()/move_node() calls on attached PHYs.
   std::uint64_t rebuilds() const { return rebuilds_; }
   std::uint64_t incremental_attaches() const { return incremental_attaches_; }
@@ -238,19 +225,25 @@ class Medium {
   friend class Phy;
 
   void ensure_backend();
+  // Erases `phy` from phys_ and renumbers the PHYs behind it, so every
+  // attach index keeps matching its position. Returns the index `phy`
+  // held.
+  std::uint32_t unlink(Phy& phy);
   // Cancels every still-queued rx event scheduled for `phy`.
   void cancel_pending_rx(Phy& phy);
   // Destructor-path detach: unregister and cancel, but skip the
   // incremental patch (teardown destroys nodes one by one — patching N
   // lists per destruction is O(N²) work nobody will read) and skip the
-  // CCA callback (the owning node is mid-destruction).
+  // CCA callback (the owning node is mid-destruction). Unlinking still
+  // renumbers the PHYs attached after this one, so tearing down
+  // newest-first, as Scenario does, keeps each call O(1).
   void on_phy_destroyed(Phy& phy);
 
   sim::Simulation& sim_;
   MediumConfig config_;
   ErrorModel error_model_;
   std::vector<Phy*> phys_;
-  std::unique_ptr<DeliveryBackend> backend_;
+  DeliveryBackend backend_;
   bool backend_dirty_ = true;
   // Transmission-path state: one global sequence shared by every node.
   std::uint64_t next_tx_id_ = 1;

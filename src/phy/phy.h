@@ -62,19 +62,23 @@ class Phy {
   // changes go through Medium::move_node (the medium owns the delivery
   // lists the position feeds).
   bool attached() const { return attached_; }
+  // This PHY's position in Medium::attached() — the index the delivery
+  // lists use. Meaningful only while attached().
+  std::uint32_t attach_index() const { return attach_index_; }
 
   // Diagnostics.
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t collisions_seen() const { return collisions_; }
-  // Deliveries the medium started at this PHY (audible or not); a culled
-  // medium never delivers to out-of-reach receivers, so this stays 0
-  // there — the cull-correctness tests pin that.
+  // Deliveries the medium started at this PHY (audible or not). The
+  // medium never delivers to a receiver below the cull floor, so this
+  // stays 0 on an out-of-reach PHY — the cull-correctness tests pin that.
   std::uint64_t rx_starts() const { return rx_starts_; }
 
  private:
-  // The medium manages attachment state, the position (via move_node)
-  // and the pending-delivery handles it needs to cancel on detach.
+  // The medium manages attachment state and index, the position (via
+  // move_node) and the pending-delivery handles it needs to cancel on
+  // detach.
   friend class Medium;
 
   struct Incoming {
@@ -100,6 +104,7 @@ class Phy {
   bool transmitting_ = false;
   bool last_cca_busy_ = false;
   bool attached_ = false;
+  std::uint32_t attach_index_ = 0;
   // In-progress receptions, ordered by arrival. A handful at most, so a
   // flat vector beats a node-per-entry map on the per-delivery path:
   // push_back/erase reuse the same capacity for the whole run.

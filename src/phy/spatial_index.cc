@@ -37,6 +37,10 @@ void SpatialGrid::build(const std::vector<Position>& points,
     ny_ = cell_of(max_.y_m - min_.y_m) + 1;
   }
   cells_.assign(static_cast<std::size_t>(nx_) * ny_, {});
+  // Sized for the mean occupancy, so an evenly spread world fills its
+  // cells without regrowing them (and a one-cell world exactly).
+  const std::size_t mean = (points.size() + cells_.size() - 1) / cells_.size();
+  for (auto& cell : cells_) cell.reserve(mean);
   for (std::size_t i = 0; i < points.size(); ++i) {
     insert(points[i], static_cast<std::uint32_t>(i));
   }

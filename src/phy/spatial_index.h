@@ -1,4 +1,4 @@
-// Geometry support for the culled delivery backend: node positions and
+// Geometry support for the medium's delivery lists: node positions and
 // a uniform-grid spatial index.
 //
 // The grid stores point indices in cells at least one query radius

@@ -27,11 +27,11 @@ enum class TrafficKind {
 // Deterministic per-link channel-loss injection: on node `node_index`,
 // drop every `period`-th matching packet (after skipping `offset`
 // matches) headed for `next_hop_index`. Counter-based — no RNG — so a
-// loss pattern is a pure function of the traffic, reproducible across
-// medium backends and scheduler policies. `next_hop_index < 0` matches
-// any next hop; `tcp_data_only` restricts matching to TCP segments
-// carrying payload (pure ACKs and control traffic pass), which keeps the
-// reverse ACK channel clean for loss-differentiation experiments.
+// loss pattern is a pure function of the traffic, reproducible run to
+// run. `next_hop_index < 0` matches any next hop; `tcp_data_only`
+// restricts matching to TCP segments carrying payload (pure ACKs and
+// control traffic pass), which keeps the reverse ACK channel clean for
+// loss-differentiation experiments.
 struct LossRule {
   std::uint32_t node_index = 0;
   std::int32_t next_hop_index = -1;
@@ -86,8 +86,9 @@ struct ExperimentResult {
 
   // Medium accounting: frames put on the air and receiver deliveries the
   // medium scheduled for them. deliveries ÷ transmissions is the
-  // per-frame fan-out — N−1 under full mesh, the in-reach neighbor count
-  // under culled delivery (what bench_ext_medium_scale charts).
+  // per-frame fan-out: the in-reach neighbor count, N−1 when the whole
+  // world fits inside one reach radius (what bench_ext_medium_scale
+  // charts).
   std::uint64_t phy_transmissions = 0;
   std::uint64_t phy_deliveries = 0;
 
@@ -97,9 +98,9 @@ struct ExperimentResult {
   std::uint64_t phy_incremental_attaches = 0;
 
   // Mobility accounting: detach()/move_node() calls the medium saw on
-  // attached PHYs, and how many of each its backend absorbed
-  // incrementally instead of falling back to a rebuild. All zero for
-  // static scenarios (MobilityKind::kNone).
+  // attached PHYs, and how many of each it absorbed incrementally
+  // instead of falling back to a rebuild. All zero for static scenarios
+  // (MobilityKind::kNone).
   std::uint64_t phy_detaches = 0;
   std::uint64_t phy_moves = 0;
   std::uint64_t phy_incremental_detaches = 0;

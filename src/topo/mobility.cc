@@ -87,7 +87,7 @@ void MobilityDriver::step_waypoint() {
 void MobilityDriver::step_distance() {
   // Out for steps_out ticks, back for steps_out ticks, repeat. The
   // excursion walks past the world's +x edge on purpose: positions
-  // outside the built bounding box must route through the backend's
+  // outside the built bounding box must route through the medium's
   // rebuild fallback, and this model is what the tests and benches use
   // to hit that path deterministically.
   const double direction = phase_ < spec_.steps_out ? 1.0 : -1.0;

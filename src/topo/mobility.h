@@ -9,7 +9,7 @@
 //                  speed_mps toward a waypoint drawn uniformly inside the
 //                  scenario's world bounds, drawing the next waypoint on
 //                  arrival. Stays inside the built bounding box, so the
-//                  culled backends absorb every move incrementally.
+//                  medium absorbs every move incrementally.
 //   kDistanceStep  deterministic ping-pong: every mobile node teleports
 //                  step_m in +x per tick, steps_out ticks out then back.
 //                  The excursion deliberately leaves the world bounds,
@@ -23,9 +23,9 @@
 // Determinism: the driver owns its RNG stream (MobilitySpec::seed),
 // separate from the simulation RNG, and visits mobile nodes in fixed
 // order — so the motion schedule is a pure function of the spec, never of
-// the delivery backend. The mobility determinism suite pins that per-seed
-// trace digests stay bit-identical across full mesh and culled under
-// every model.
+// the cull margin. The mobility determinism suite pins that per-seed
+// trace digests stay bit-identical between the default cull margin and
+// the full-mesh reference (an infinite one) under every model.
 #pragma once
 
 #include <cstdint>

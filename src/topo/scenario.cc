@@ -177,15 +177,6 @@ std::string to_string(Family family) {
   HYDRA_UNREACHABLE("bad scenario family");
 }
 
-std::string to_string(MediumPolicy policy) {
-  switch (policy) {
-    case MediumPolicy::kAuto: return "auto";
-    case MediumPolicy::kFullMesh: return "full-mesh";
-    case MediumPolicy::kCulled: return "culled";
-  }
-  HYDRA_UNREACHABLE("bad medium policy");
-}
-
 double WorldBounds::diagonal_m() const {
   return std::sqrt(width_m() * width_m() + height_m() * height_m());
 }
@@ -458,19 +449,6 @@ std::vector<std::uint32_t> ScenarioSpec::relay_indices(
 phy::MediumConfig ScenarioSpec::medium_config() const {
   phy::MediumConfig mc;
   mc.cull_margin_db = medium.cull_margin_db;
-  switch (medium.policy) {
-    case MediumPolicy::kAuto:
-      mc.delivery = node_count() >= kCullAutoThreshold
-                        ? phy::DeliveryPolicy::kCulled
-                        : phy::DeliveryPolicy::kFullMesh;
-      break;
-    case MediumPolicy::kFullMesh:
-      mc.delivery = phy::DeliveryPolicy::kFullMesh;
-      break;
-    case MediumPolicy::kCulled:
-      mc.delivery = phy::DeliveryPolicy::kCulled;
-      break;
-  }
   return mc;
 }
 
@@ -521,6 +499,15 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t seed)
       sim_(std::make_unique<sim::Simulation>(seed)),
       medium_(std::make_unique<phy::Medium>(*sim_, spec.medium_config())),
       trace_(std::make_shared<std::vector<std::string>>()) {}
+
+Scenario::~Scenario() {
+  // The members' own order (mobility, discovery, then nodes), but with
+  // the nodes retired newest-first: each PHY then leaves from the end of
+  // the medium's attach order, and no survivor needs renumbering.
+  mobility_.reset();
+  discovery_.clear();
+  while (!nodes_.empty()) nodes_.pop_back();
+}
 
 Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
   // Node index i is link address i+1 (proto::MacAddress::for_node), so

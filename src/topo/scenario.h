@@ -38,21 +38,11 @@ enum class Family { kChain, kStar, kGrid, kRing, kRandom };
 
 std::string to_string(Family family);
 
-// How the scenario's medium selects receivers per transmission. kAuto
-// keeps exact-paper full mesh for small topologies and switches to
-// reachability culling (bit-identical, O(k) fan-out; see phy/medium.h)
-// at kCullAutoThreshold nodes — the point where O(N²) event traffic
-// starts to dominate grid/random scenarios.
-enum class MediumPolicy { kAuto, kFullMesh, kCulled };
-
-inline constexpr std::size_t kCullAutoThreshold = 32;
-
-std::string to_string(MediumPolicy policy);
-
 // The scenario-level medium knobs; ScenarioSpec::medium_config resolves
-// them (plus the topology's size) into a phy::MediumConfig.
+// them into a phy::MediumConfig. Every scenario gets the same
+// reachability-culled medium (bit-identical to delivering everywhere,
+// O(k) fan-out; see phy/medium.h).
 struct MediumTuning {
-  MediumPolicy policy = MediumPolicy::kAuto;
   // Passed through to phy::MediumConfig::cull_margin_db.
   double cull_margin_db = 10.0;
 };
@@ -115,7 +105,7 @@ struct ScenarioSpec {
 
   NodeParams node;
 
-  // Medium delivery policy and cull tuning (see MediumTuning).
+  // Medium cull tuning (see MediumTuning).
   MediumTuning medium;
 
   // Motion/churn while traffic runs (see topo/mobility.h); kNone keeps
@@ -187,8 +177,7 @@ struct ScenarioSpec {
   std::vector<std::uint32_t> relay_indices(
       const std::vector<std::vector<std::uint32_t>>& next_hops) const;
 
-  // The medium configuration this spec resolves to: kAuto picks culled
-  // delivery at kCullAutoThreshold nodes and full mesh below it.
+  // The medium configuration this spec resolves to.
   phy::MediumConfig medium_config() const;
   // Bounding box of the node placement (positions_override included).
   WorldBounds world_bounds() const;
@@ -215,6 +204,7 @@ class Scenario {
   static Scenario build(const ScenarioSpec& spec, std::uint64_t seed = 1);
 
   Scenario(Scenario&&) = default;
+  ~Scenario();
 
   const ScenarioSpec& spec() const { return spec_; }
   sim::Simulation& sim() { return *sim_; }

@@ -1,12 +1,14 @@
-// The pluggable medium: reachability-culled delivery must be
-// bit-identical to full mesh (the acceptance bar for making it the
-// default on large scenarios) on the paper topologies, every scenario
-// family and worlds several reach radii wide; the spatial index must
-// find every in-reach receiver across cell boundaries; and the
+// The medium: reachability-culled delivery must be bit-identical to the
+// full-mesh reference — the same medium with an infinite cull margin,
+// which delivers to every attached PHY — on the paper topologies, every
+// scenario family and worlds several reach radii wide; the spatial index
+// must find every in-reach receiver across cell boundaries; and the
 // propagation-delay fix (round to nearest, 1 m clamp) is pinned here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -24,6 +26,14 @@
 
 namespace hydra {
 namespace {
+
+// The full-mesh reference the parity tests compare against: an infinite
+// cull margin puts the cull floor at −∞ and the whole world in one grid
+// cell, so every attached PHY hears every transmission
+// (MediumMath.InfiniteMarginIsTheFullMeshReference pins that).
+constexpr double kFullMeshMargin = std::numeric_limits<double>::infinity();
+// The margin every scenario runs with unless its spec says otherwise.
+constexpr double kDefaultMargin = phy::MediumConfig{}.cull_margin_db;
 
 // ---------------------------------------------------------------------
 // Propagation-delay and reach math
@@ -91,8 +101,36 @@ TEST(MediumMath, CullFloorNeverRisesAboveCcaThreshold) {
                    config.noise_floor_dbm - 10.0);
 }
 
+TEST(MediumMath, InfiniteMarginIsTheFullMeshReference) {
+  // The parity tests take an infinite cull margin as "deliver to every
+  // attached PHY". That holds only while the floor is −∞ (no receiver
+  // culled), the reach is +∞ and the grid is one cell that hands back
+  // every point in attach order — pin all three, or those tests could
+  // quietly stop comparing against full mesh.
+  phy::MediumConfig config;
+  config.cull_margin_db = kFullMeshMargin;
+  EXPECT_EQ(phy::cull_floor_dbm(config),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(phy::reach_radius_m(config, 8.86),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(phy::reach_radius_m(config, -60.0),
+            std::numeric_limits<double>::infinity());
+
+  const std::vector<phy::Position> points = {
+      {4000, 0}, {0, 0}, {-250, 3000}, {30, -12}, {0, 0}};
+  phy::SpatialGrid grid;
+  grid.build(points, phy::reach_radius_m(config, 8.86));
+  EXPECT_EQ(grid.cells_x(), 1);
+  EXPECT_EQ(grid.cells_y(), 1);
+  for (const auto& p : points) {
+    std::vector<std::uint32_t> visited;
+    grid.neighborhood(p, [&](std::uint32_t i) { visited.push_back(i); });
+    EXPECT_EQ(visited, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  }
+}
+
 // ---------------------------------------------------------------------
-// Delivery backends at the PHY level
+// Delivery at the PHY level
 // ---------------------------------------------------------------------
 
 phy::PhyFrame test_frame() {
@@ -103,15 +141,9 @@ phy::PhyFrame test_frame() {
   return f;
 }
 
-TEST(MediumDelivery, DefaultPolicyIsFullMesh) {
-  EXPECT_EQ(phy::MediumConfig{}.delivery, phy::DeliveryPolicy::kFullMesh);
-}
-
 TEST(MediumDelivery, CulledSkipsOutOfReachReceivers) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {30, 0}}, 1);   // inside ~36.5 m reach
   phy::Phy c(s, medium, {.position = {40, 0}}, 2);   // outside
@@ -124,7 +156,9 @@ TEST(MediumDelivery, CulledSkipsOutOfReachReceivers) {
 
 TEST(MediumDelivery, FullMeshDeliversEverywhereRegardlessOfReach) {
   sim::Simulation s(1);
-  phy::Medium medium(s);  // default kFullMesh
+  phy::MediumConfig config;
+  config.cull_margin_db = kFullMeshMargin;
+  phy::Medium medium(s, config);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {30, 0}}, 1);
   phy::Phy c(s, medium, {.position = {4000, 0}}, 2);  // tens of dB under noise
@@ -139,9 +173,7 @@ TEST(MediumDelivery, SpatialIndexFindsReceiversAcrossCellBoundaries) {
   // Cells are one reach radius (~36.5 m) wide; 0 / 35 / 70 m puts the
   // outer pair in different cells with the middle node in reach of both.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy left(s, medium, {.position = {0, 0}}, 0);
   phy::Phy mid(s, medium, {.position = {35, 0}}, 1);
   phy::Phy right(s, medium, {.position = {70, 0}}, 2);
@@ -159,9 +191,7 @@ TEST(MediumDelivery, SpatialIndexFindsReceiversAcrossCellBoundaries) {
 
 TEST(MediumDelivery, LateAttachRebuildsTheDeliveryLists) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -180,14 +210,14 @@ TEST(MediumDelivery, LateAttachRebuildsTheDeliveryLists) {
 // ---------------------------------------------------------------------
 
 TEST(MediumIncrementalAttach, LateAttachSkipsTheFullRebuild) {
-  // Two scenarios for each policy: one attaches the third node after
-  // the lists were built (the incremental path), one attaches everyone
-  // up front. After the late attach, both must deliver identically —
-  // and the incremental medium must have rebuilt exactly once.
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled}) {
+  // Two scenarios for each cull margin: one attaches the third node
+  // after the lists were built (the incremental path), one attaches
+  // everyone up front. After the late attach, both must deliver
+  // identically — and the incremental medium must have rebuilt exactly
+  // once.
+  for (const double margin : {kFullMeshMargin, kDefaultMargin}) {
     phy::MediumConfig config;
-    config.delivery = policy;
+    config.cull_margin_db = margin;
 
     sim::Simulation s1(1);
     phy::Medium incremental(s1, config);
@@ -195,7 +225,7 @@ TEST(MediumIncrementalAttach, LateAttachSkipsTheFullRebuild) {
     phy::Phy b1(s1, incremental, {.position = {10, 0}}, 1);
     a1.transmit(test_frame());
     s1.run();
-    EXPECT_EQ(incremental.rebuilds(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(incremental.rebuilds(), 1u) << "margin " << margin;
     phy::Phy late(s1, incremental, {.position = {5, 0}}, 2);
     const auto inc_pre_deliveries = incremental.deliveries_scheduled();
     const auto a1_pre = a1.rx_starts();
@@ -220,33 +250,31 @@ TEST(MediumIncrementalAttach, LateAttachSkipsTheFullRebuild) {
     s2.run();
 
     // The attach was absorbed without a second rebuild...
-    EXPECT_EQ(incremental.rebuilds(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(incremental.rebuilds(), 1u) << "margin " << margin;
     EXPECT_EQ(incremental.incremental_attaches(), 1u)
-        << phy::to_string(policy);
+        << "margin " << margin;
     // ...and the post-attach transmissions deliver exactly like a
     // from-scratch build, in both directions (the scratch scenario's
     // pre-attach phase differs — the third node already exists — so the
     // comparison is over the second phase alone).
     EXPECT_EQ(late.rx_starts(), c2.rx_starts() - c2_pre)
-        << phy::to_string(policy);
+        << "margin " << margin;
     EXPECT_EQ(a1.rx_starts() - a1_pre, a2.rx_starts() - a2_pre)
-        << phy::to_string(policy);
+        << "margin " << margin;
     EXPECT_EQ(b1.rx_starts() - b1_pre, b2.rx_starts() - b2_pre)
-        << phy::to_string(policy);
+        << "margin " << margin;
     EXPECT_EQ(incremental.deliveries_scheduled() - inc_pre_deliveries,
               scratch.deliveries_scheduled() - scr_pre_deliveries)
-        << phy::to_string(policy);
+        << "margin " << margin;
   }
 }
 
 TEST(MediumIncrementalAttach, OutOfBoundsAttachFallsBackToRebuild) {
   // A newcomer outside the built grid's bounding box cannot be patched
-  // in locally (its cell does not exist); the culled backend must
-  // detect that and rebuild — and delivery must still be exact.
+  // in locally (its cell does not exist); the medium must detect that
+  // and rebuild — and delivery must still be exact.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -266,10 +294,9 @@ TEST(MediumIncrementalAttach, OutOfBoundsAttachFallsBackToRebuild) {
 // ---------------------------------------------------------------------
 
 TEST(MediumDetach, DetachRemovesBothDirectionsWithoutRebuilding) {
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled}) {
+  for (const double margin : {kFullMeshMargin, kDefaultMargin}) {
     phy::MediumConfig config;
-    config.delivery = policy;
+    config.cull_margin_db = margin;
     sim::Simulation s(1);
     phy::Medium medium(s, config);
     phy::Phy a(s, medium, {.position = {0, 0}}, 0);
@@ -277,7 +304,7 @@ TEST(MediumDetach, DetachRemovesBothDirectionsWithoutRebuilding) {
     phy::Phy c(s, medium, {.position = {20, 0}}, 2);
     a.transmit(test_frame());
     s.run();
-    EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(medium.rebuilds(), 1u) << "margin " << margin;
     EXPECT_EQ(b.rx_starts(), 1u);
 
     EXPECT_TRUE(medium.detach(b));
@@ -286,27 +313,25 @@ TEST(MediumDetach, DetachRemovesBothDirectionsWithoutRebuilding) {
     // Inbound direction: b no longer hears a.
     a.transmit(test_frame());
     s.run();
-    EXPECT_EQ(b.rx_starts(), 1u) << phy::to_string(policy);
-    EXPECT_EQ(c.rx_starts(), 2u) << phy::to_string(policy);
+    EXPECT_EQ(b.rx_starts(), 1u) << "margin " << margin;
+    EXPECT_EQ(c.rx_starts(), 2u) << "margin " << margin;
     // Outbound direction: a detached b transmits into the void.
     const auto scheduled = medium.deliveries_scheduled();
     b.transmit(test_frame());
     s.run();
     EXPECT_EQ(medium.deliveries_scheduled(), scheduled)
-        << phy::to_string(policy);
+        << "margin " << margin;
     EXPECT_EQ(a.rx_starts(), 0u);
     // The patch was absorbed without a second rebuild.
-    EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(medium.rebuilds(), 1u) << "margin " << margin;
     EXPECT_EQ(medium.detaches(), 1u);
-    EXPECT_EQ(medium.incremental_detaches(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(medium.incremental_detaches(), 1u) << "margin " << margin;
   }
 }
 
 TEST(MediumDetach, DetachIsIdempotentAndReattachRestoresDelivery) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -340,9 +365,7 @@ TEST(MediumDetach, DetachCancelsInFlightDeliveries) {
   // PHY the medium no longer knows — and the half-open reception must be
   // aborted so CCA clears.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -363,9 +386,7 @@ TEST(MediumDetach, DestroyingAPhyMidFlightLeavesNoDanglingEvents) {
   // suite runs sanitized). Destroy a mid-flight receiver AND a
   // mid-flight transmitter, then drain the queue.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   auto b = std::make_unique<phy::Phy>(
       s, medium, phy::PhyConfig{.position = {10, 0}}, 1);
@@ -390,10 +411,9 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
   // 0/30/60 m spread: cells are one ~36.5 m reach wide, so the world
   // spans multiple cells and moving b from mid-span to the far end
   // changes who hears whom. In-box moves must patch incrementally.
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled}) {
+  for (const double margin : {kFullMeshMargin, kDefaultMargin}) {
     phy::MediumConfig config;
-    config.delivery = policy;
+    config.cull_margin_db = margin;
     sim::Simulation s(1);
     phy::Medium medium(s, config);
     phy::Phy a(s, medium, {.position = {0, 0}}, 0);
@@ -401,7 +421,7 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
     phy::Phy c(s, medium, {.position = {60, 0}}, 2);
     a.transmit(test_frame());
     s.run();
-    EXPECT_EQ(b.rx_starts(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(b.rx_starts(), 1u) << "margin " << margin;
     EXPECT_EQ(medium.rebuilds(), 1u);
 
     medium.move_node(b, {58, 0});  // in-box, out of a's ~36.5 m reach
@@ -409,7 +429,7 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
     a.transmit(test_frame());
     b.transmit(test_frame());
     s.run();
-    if (policy == phy::DeliveryPolicy::kFullMesh) {
+    if (std::isinf(margin)) {
       // Full mesh still delivers everywhere; the patched entries carry
       // the new (inert) receive powers.
       EXPECT_EQ(b.rx_starts(), 2u);
@@ -418,11 +438,11 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
       EXPECT_EQ(b.rx_starts(), 1u) << "58 m from a: culled";
       // c heard nothing before the move (60 m from a) and hears the
       // moved b from 2 m now.
-      EXPECT_EQ(c.rx_starts(), 1u) << phy::to_string(policy);
+      EXPECT_EQ(c.rx_starts(), 1u) << "margin " << margin;
     }
-    EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(medium.rebuilds(), 1u) << "margin " << margin;
     EXPECT_EQ(medium.moves(), 1u);
-    EXPECT_EQ(medium.incremental_moves(), 1u) << phy::to_string(policy);
+    EXPECT_EQ(medium.incremental_moves(), 1u) << "margin " << margin;
   }
 }
 
@@ -432,9 +452,7 @@ TEST(MediumMove, FarOutOfBoxMoveForcesRebuild) {
   // inserted — so a move leaving the box must fall back to a rebuild
   // (which re-derives the box) instead of patching.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {30, 0}}, 1);
   a.transmit(test_frame());
@@ -458,9 +476,7 @@ TEST(MediumMove, FarOutOfBoxMoveForcesRebuild) {
 
 TEST(MediumMove, MoveOfDetachedPhyTakesEffectOnReattach) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -555,28 +571,8 @@ TEST(SpatialIndexProperty, NearBoxQueriesStaySupersets_FartherOutIsUnproven) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario-level policy resolution
+// Scenario-level medium configuration
 // ---------------------------------------------------------------------
-
-TEST(MediumPolicyResolution, AutoCullsLargeScenariosOnly) {
-  // Paper topologies stay on the exact-parity full mesh.
-  EXPECT_EQ(topo::ScenarioSpec::two_hop().medium_config().delivery,
-            phy::DeliveryPolicy::kFullMesh);
-  EXPECT_EQ(topo::ScenarioSpec::fig6_star().medium_config().delivery,
-            phy::DeliveryPolicy::kFullMesh);
-  // At the threshold (64 >= 32) auto switches to culling.
-  EXPECT_EQ(topo::ScenarioSpec::grid(8, 8).medium_config().delivery,
-            phy::DeliveryPolicy::kCulled);
-  // Explicit settings win in both directions.
-  auto forced_full = topo::ScenarioSpec::grid(8, 8);
-  forced_full.medium.policy = topo::MediumPolicy::kFullMesh;
-  EXPECT_EQ(forced_full.medium_config().delivery,
-            phy::DeliveryPolicy::kFullMesh);
-  auto forced_cull = topo::ScenarioSpec::two_hop();
-  forced_cull.medium.policy = topo::MediumPolicy::kCulled;
-  EXPECT_EQ(forced_cull.medium_config().delivery,
-            phy::DeliveryPolicy::kCulled);
-}
 
 TEST(MediumPolicyResolution, PaperWorldsFitInsideOneReachRadius) {
   // Every paper topology spans less than the reach radius, so culled
@@ -593,12 +589,12 @@ TEST(MediumPolicyResolution, PaperWorldsFitInsideOneReachRadius) {
 // Trace-digest equivalence: culled == full mesh, bit for bit
 // ---------------------------------------------------------------------
 
-// What a run under one policy must reproduce under the other.
+// What a run at one cull margin must reproduce at the other.
 struct RunFingerprint {
   std::uint32_t digest = 0;  // CRC-32 over the network-event trace
   std::string stats;         // per-node MAC stats table
   std::uint64_t transmissions = 0;
-  std::uint64_t deliveries = 0;  // receptions the backend scheduled
+  std::uint64_t deliveries = 0;  // receptions the medium scheduled
 };
 
 enum class Workload {
@@ -606,10 +602,10 @@ enum class Workload {
   kFlood  // every node broadcasts (exercises pure fan-out)
 };
 
-RunFingerprint run_with_policy(topo::ScenarioSpec spec,
-                               topo::MediumPolicy policy, std::uint64_t seed,
+RunFingerprint run_with_margin(topo::ScenarioSpec spec, double cull_margin_db,
+                               std::uint64_t seed,
                                Workload workload = Workload::kCbr) {
-  spec.medium.policy = policy;
+  spec.medium.cull_margin_db = cull_margin_db;
   auto s = topo::Scenario::build(spec, seed);
   s.capture_traces();
 
@@ -647,10 +643,9 @@ RunFingerprint run_with_policy(topo::ScenarioSpec spec,
           s.medium().deliveries_scheduled()};
 }
 
-std::uint32_t digest_with_policy(const topo::ScenarioSpec& spec,
-                                 topo::MediumPolicy policy,
-                                 std::uint64_t seed) {
-  return run_with_policy(spec, policy, seed).digest;
+std::uint32_t digest_with_margin(const topo::ScenarioSpec& spec,
+                                 double cull_margin_db, std::uint64_t seed) {
+  return run_with_margin(spec, cull_margin_db, seed).digest;
 }
 
 TEST(MediumEquivalence, CulledMatchesFullMeshOnEveryPaperTopology) {
@@ -658,40 +653,40 @@ TEST(MediumEquivalence, CulledMatchesFullMeshOnEveryPaperTopology) {
       topo::ScenarioSpec::one_hop(), topo::ScenarioSpec::two_hop(),
       topo::ScenarioSpec::three_hop(), topo::ScenarioSpec::fig6_star()};
   for (const auto& spec : specs) {
-    EXPECT_EQ(digest_with_policy(spec, topo::MediumPolicy::kFullMesh, 7),
-              digest_with_policy(spec, topo::MediumPolicy::kCulled, 7))
+    EXPECT_EQ(digest_with_margin(spec, kFullMeshMargin, 7),
+              digest_with_margin(spec, kDefaultMargin, 7))
         << spec.label();
   }
 }
 
 TEST(MediumEquivalence, CulledMatchesFullMeshOnDenseGridAndRing) {
   // Grid and ring at the paper's 2.5 m spacing: everyone in reach, so
-  // the culled backend must reproduce the full mesh exactly even though
+  // the culled medium must reproduce the full mesh exactly even though
   // it routes every query through the spatial index.
   for (const auto& spec :
        {topo::ScenarioSpec::grid(3, 3), topo::ScenarioSpec::ring(6)}) {
-    EXPECT_EQ(digest_with_policy(spec, topo::MediumPolicy::kFullMesh, 11),
-              digest_with_policy(spec, topo::MediumPolicy::kCulled, 11))
+    EXPECT_EQ(digest_with_margin(spec, kFullMeshMargin, 11),
+              digest_with_margin(spec, kDefaultMargin, 11))
         << spec.label();
   }
 }
 
-// Runs `spec` under both policies and asserts that the digest, the
+// Runs `spec` at both margins and asserts that the digest, the
 // per-node stats table and the transmission count agree. Returns both
 // fingerprints so callers can check that culling really dropped
 // receivers.
-struct PolicyPair {
+struct MarginPair {
   RunFingerprint culled;
   RunFingerprint full_mesh;
 };
 
-PolicyPair assert_culled_matches_full_mesh(const topo::ScenarioSpec& spec,
+MarginPair assert_culled_matches_full_mesh(const topo::ScenarioSpec& spec,
                                            std::uint64_t seed,
                                            Workload workload) {
   const std::string where = spec.label() + " seed " + std::to_string(seed);
-  PolicyPair runs{
-      run_with_policy(spec, topo::MediumPolicy::kCulled, seed, workload),
-      run_with_policy(spec, topo::MediumPolicy::kFullMesh, seed, workload)};
+  MarginPair runs{
+      run_with_margin(spec, kDefaultMargin, seed, workload),
+      run_with_margin(spec, kFullMeshMargin, seed, workload)};
   EXPECT_EQ(runs.full_mesh.digest, runs.culled.digest) << where;
   EXPECT_EQ(runs.full_mesh.stats, runs.culled.stats) << where;
   EXPECT_EQ(runs.full_mesh.transmissions, runs.culled.transmissions) << where;
@@ -702,15 +697,15 @@ PolicyPair assert_culled_matches_full_mesh(const topo::ScenarioSpec& spec,
 // receivers there, or the wide cases below test nothing the dense ones
 // do not.
 void expect_culling_drops(const topo::ScenarioSpec& spec,
-                          const PolicyPair& runs) {
+                          const MarginPair& runs) {
   EXPECT_GT(spec.world_bounds().width_m(), spec.max_reach_m()) << spec.label();
   EXPECT_LT(runs.culled.deliveries, runs.full_mesh.deliveries)
       << spec.label();
 }
 
 // The family cases keep the ShardDeterminism suite name they were first
-// registered under, when a sharded backend ran beside these two. One
-// test per family, so ctest runs them in parallel.
+// registered under, when a sharded delivery path ran beside these two.
+// One test per family, so ctest runs them in parallel.
 
 TEST(ShardDeterminism, PaperSpecs) {
   for (const auto& spec :
@@ -782,13 +777,13 @@ topo::ScenarioSpec sparse_with_outlier();
 
 TEST(MediumEquivalence, CulledMatchesFullMeshWhenCullingActuallyDrops) {
   // The dense cases above never cull anyone; this topology has an
-  // out-of-reach outlier whose deliveries the culled backend really
-  // removes — the digests must still match, because every removed
-  // delivery was behaviourally inert.
+  // out-of-reach outlier whose deliveries culling really removes — the
+  // digests must still match, because every removed delivery was
+  // behaviourally inert.
   const auto spec = sparse_with_outlier();
   EXPECT_GT(spec.world_bounds().diagonal_m(), spec.max_reach_m());
-  EXPECT_EQ(digest_with_policy(spec, topo::MediumPolicy::kFullMesh, 5),
-            digest_with_policy(spec, topo::MediumPolicy::kCulled, 5));
+  EXPECT_EQ(digest_with_margin(spec, kFullMeshMargin, 5),
+            digest_with_margin(spec, kDefaultMargin, 5));
 }
 
 topo::ScenarioSpec sparse_with_outlier() {
@@ -802,7 +797,6 @@ topo::ScenarioSpec sparse_with_outlier() {
 
 TEST(MediumCull, OutOfReachNodeRecordsZeroRxStarts) {
   auto spec = sparse_with_outlier();
-  spec.medium.policy = topo::MediumPolicy::kCulled;
   auto s = topo::Scenario::build(spec, 3);
   app::UdpSinkApp sink(s.sim(), s.node(2), 9001);
   app::UdpCbrConfig cbr_cfg;
@@ -820,7 +814,7 @@ TEST(MediumCull, FullMeshStillBothersTheOutlier) {
   // The contrast case: under full mesh the same outlier is scheduled
   // for every transmission (the waste culling removes).
   auto spec = sparse_with_outlier();
-  spec.medium.policy = topo::MediumPolicy::kFullMesh;
+  spec.medium.cull_margin_db = kFullMeshMargin;
   auto s = topo::Scenario::build(spec, 3);
   app::UdpSinkApp sink(s.sim(), s.node(2), 9001);
   app::UdpCbrConfig cbr_cfg;

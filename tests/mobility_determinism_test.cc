@@ -1,7 +1,7 @@
 // The mobility determinism suite: the medium's incremental detach/move
 // maintenance must be indistinguishable from rebuilding, and trace
-// digests must stay bit-identical across every backend while nodes
-// move, teleport and churn.
+// digests must stay bit-identical to the full-mesh reference (an
+// infinite cull margin) while nodes move, teleport and churn.
 //
 // Two layers of differential testing:
 //
@@ -10,17 +10,19 @@
 //      lattice; sub-metre steps and cross-world jumps on a wider one
 //      with mixed transmit powers — must, after EVERY step, hold
 //      delivery lists equal — destination, bit-exact receive power,
-//      delay — to a from-scratch rebuild over the same attached set.
+//      delay — to a from-scratch rebuild over the same attached set,
+//      and to a geometry-free list built from every attached pair.
 //   2. Scenario-level: flood traffic over waypoint / distance-step /
 //      churn mobility models must produce the same trace digest and
-//      byte-identical stats tables under full mesh and culled, across
-//      a seed sweep.
+//      byte-identical stats tables at the default cull margin and at
+//      an infinite one, across a seed sweep.
 //
 // Registered under the `mobility` ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,30 +38,63 @@
 namespace hydra {
 namespace {
 
+// The full-mesh reference: an infinite cull margin delivers to every
+// attached PHY (pinned by MediumMath.InfiniteMarginIsTheFullMeshReference).
+constexpr double kFullMeshMargin = std::numeric_limits<double>::infinity();
+constexpr double kDefaultMargin = phy::MediumConfig{}.cull_margin_db;
+
 // ---------------------------------------------------------------------
 // List-level: incremental patches == from-scratch rebuild, every step
 // ---------------------------------------------------------------------
 
+void expect_same_list(const std::vector<phy::Delivery>& got,
+                      const std::vector<phy::Delivery>& want,
+                      const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx << ": list length diverged";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].destination, want[i].destination)
+        << ctx << " entry " << i;
+    // Bit-exact, not approximately: the patched entry must have come
+    // through the same arithmetic as a rebuild's.
+    EXPECT_EQ(got[i].rx_power_dbm, want[i].rx_power_dbm)
+        << ctx << " entry " << i;
+    EXPECT_EQ(got[i].propagation.ns(), want[i].propagation.ns())
+        << ctx << " entry " << i;
+  }
+}
+
+// The list the medium's definition gives `src`, with no spatial index:
+// every other attached PHY in attach order whose receive power clears
+// the cull floor.
+std::vector<phy::Delivery> brute_force_list(
+    const phy::Phy& src, const std::vector<phy::Phy*>& attached,
+    const phy::MediumConfig& config) {
+  std::vector<phy::Delivery> list;
+  for (phy::Phy* dst : attached) {
+    if (dst == &src) continue;
+    const double d =
+        phy::distance_m(src.config().position, dst->config().position);
+    const double power =
+        src.config().tx_power_dbm - phy::path_loss_db(config, d);
+    if (power >= phy::cull_floor_dbm(config)) {
+      list.push_back({dst, power, phy::propagation_delay(config, d)});
+    }
+  }
+  return list;
+}
+
 void expect_lists_match_rebuild(phy::Medium& medium, const std::string& ctx) {
   const auto& attached = medium.attached();
   const auto& live = medium.backend();
-  const auto reference = phy::make_delivery_backend(medium.config().delivery);
-  reference->rebuild(attached, medium.config());
+  phy::DeliveryBackend reference;
+  reference.rebuild(attached, medium.config());
   for (const phy::Phy* src : attached) {
-    const auto& got = live.deliveries(*src);
-    const auto& want = reference->deliveries(*src);
-    ASSERT_EQ(got.size(), want.size())
-        << ctx << ": source " << src->id() << " list length diverged";
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].destination, want[i].destination)
-          << ctx << ": source " << src->id() << " entry " << i;
-      // Bit-exact, not approximately: the patched entry must have come
-      // through the same arithmetic as a rebuild's.
-      EXPECT_EQ(got[i].rx_power_dbm, want[i].rx_power_dbm)
-          << ctx << ": source " << src->id() << " entry " << i;
-      EXPECT_EQ(got[i].propagation.ns(), want[i].propagation.ns())
-          << ctx << ": source " << src->id() << " entry " << i;
-    }
+    const std::string where = ctx + ": source " + std::to_string(src->id());
+    expect_same_list(live.deliveries(*src), reference.deliveries(*src),
+                     where + " vs rebuild");
+    expect_same_list(live.deliveries(*src),
+                     brute_force_list(*src, attached, medium.config()),
+                     where + " vs brute force");
   }
 }
 
@@ -79,7 +114,7 @@ struct ListWorld {
   // the box, so every move stays on the incremental path.
   bool churn = false;
   int ops = 0;
-  std::vector<phy::DeliveryPolicy> policies;
+  std::vector<double> cull_margins_db;
 };
 
 // True when some source reaches a receiver that cannot reach it back.
@@ -109,8 +144,7 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
        .spacing_m = 8.0,
        .churn = true,
        .ops = 60,
-       .policies = {phy::DeliveryPolicy::kFullMesh,
-                    phy::DeliveryPolicy::kCulled}},
+       .cull_margins_db = {kDefaultMargin, kFullMeshMargin}},
       // 12×12 at 10 m: 4×4 reach-radius cells, asymmetric reach.
       {.name = "12x12 mixed power",
        .cols = 12,
@@ -118,17 +152,17 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
        .spacing_m = 10.0,
        .mixed_power = true,
        .ops = 134,  // per seed: ~400 moves
-       .policies = {phy::DeliveryPolicy::kCulled}},
+       .cull_margins_db = {kDefaultMargin}},
   };
   for (const auto& world : worlds) {
     const std::uint32_t n = world.cols * world.rows;
     const double width = world.spacing_m * (world.cols - 1);
     const double height = world.spacing_m * (world.rows - 1);
-    for (const auto policy : world.policies) {
+    for (const double margin : world.cull_margins_db) {
       for (const std::uint64_t seed : {1, 2, 3}) {
         sim::Simulation s(seed);
         phy::MediumConfig config;
-        config.delivery = policy;
+        config.cull_margin_db = margin;
         phy::Medium medium(s, config);
 
         std::vector<std::unique_ptr<phy::Phy>> phys;
@@ -145,8 +179,8 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
 
         sim::Rng rng(seed * 977 + 13);
         for (int op = 0; op < world.ops; ++op) {
-          const std::string ctx = world.name + " " +
-                                  phy::to_string(policy) + " seed " +
+          const std::string ctx = world.name + " margin " +
+                                  std::to_string(margin) + " seed " +
                                   std::to_string(seed) + " op " +
                                   std::to_string(op);
           phy::Phy& target =
@@ -160,8 +194,8 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
                 {std::clamp(at.x_m + rng.uniform() - 0.5, 0.0, width),
                  std::clamp(at.y_m + rng.uniform() - 0.5, 0.0, height)});
           } else if (!world.churn || r < 0.45) {
-            // A jump anywhere in the box (the incremental path for every
-            // backend).
+            // A jump anywhere in the box (the incremental path at every
+            // margin).
             medium.move_node(target,
                              {rng.uniform() * width, rng.uniform() * height});
           } else if (r < 0.6) {
@@ -180,10 +214,7 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
           EXPECT_GT(medium.detaches(), 0u);
           EXPECT_GT(medium.incremental_detaches(), 0u);
         }
-        if (policy == phy::DeliveryPolicy::kFullMesh) {
-          EXPECT_EQ(medium.incremental_moves(), medium.moves())
-              << "full mesh has no geometry to fall back over";
-        } else if (world.churn) {
+        if (world.churn) {
           EXPECT_GT(medium.incremental_moves(), 0u);
           EXPECT_LT(medium.incremental_moves(), medium.moves())
               << "far-out moves should have forced rebuilds";
@@ -197,7 +228,7 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
 }
 
 // ---------------------------------------------------------------------
-// Scenario-level: digests bit-identical across backends under motion
+// Scenario-level: digests bit-identical to full mesh under motion
 // ---------------------------------------------------------------------
 
 struct RunFingerprint {
@@ -210,9 +241,9 @@ struct RunFingerprint {
   std::uint64_t rebuilds = 0;
 };
 
-RunFingerprint run_mobile(topo::ScenarioSpec spec, topo::MediumPolicy policy,
+RunFingerprint run_mobile(topo::ScenarioSpec spec, double cull_margin_db,
                           std::uint64_t seed) {
-  spec.medium.policy = policy;
+  spec.medium.cull_margin_db = cull_margin_db;
   auto s = topo::Scenario::build(spec, seed);
   s.capture_traces();
 
@@ -238,20 +269,20 @@ RunFingerprint run_mobile(topo::ScenarioSpec spec, topo::MediumPolicy policy,
   return fp;
 }
 
-// Runs `spec` under both backends and asserts the determinism-under-
-// motion contract; returns the culled fingerprint for extra
-// model-specific assertions.
-RunFingerprint assert_backends_agree_in_motion(const topo::ScenarioSpec& spec,
-                                               std::uint64_t seed) {
-  const auto reference = run_mobile(spec, topo::MediumPolicy::kCulled, seed);
+// Runs `spec` at the default cull margin and at the full-mesh one and
+// asserts the determinism-under-motion contract; returns the culled
+// fingerprint for extra model-specific assertions.
+RunFingerprint assert_full_mesh_agrees_in_motion(const topo::ScenarioSpec& spec,
+                                                 std::uint64_t seed) {
+  const auto reference = run_mobile(spec, kDefaultMargin, seed);
 
-  const auto full_mesh = run_mobile(spec, topo::MediumPolicy::kFullMesh, seed);
+  const auto full_mesh = run_mobile(spec, kFullMeshMargin, seed);
   EXPECT_EQ(full_mesh.digest, reference.digest)
       << spec.label() << " seed " << seed << ": full-mesh digest diverged";
   EXPECT_EQ(full_mesh.stats, reference.stats)
       << spec.label() << " seed " << seed << ": full-mesh stats diverged";
   EXPECT_EQ(full_mesh.transmissions, reference.transmissions);
-  // The motion schedule itself must be backend-invariant.
+  // The motion schedule itself must not depend on the margin.
   EXPECT_EQ(full_mesh.detaches, reference.detaches);
   EXPECT_EQ(full_mesh.moves, reference.moves);
   return reference;
@@ -268,11 +299,11 @@ topo::ScenarioSpec mobile_grid(topo::MobilityKind kind) {
 
 TEST(MobilityDeterminism, WaypointWalksAreBackendInvariant) {
   for (const std::uint64_t seed : {3, 7}) {
-    const auto culled =
-        assert_backends_agree_in_motion(mobile_grid(topo::MobilityKind::kWaypoint), seed);
+    const auto culled = assert_full_mesh_agrees_in_motion(
+        mobile_grid(topo::MobilityKind::kWaypoint), seed);
     EXPECT_GT(culled.moves, 0u);
-    // Waypoint walks stay inside the world bounds, so the culled
-    // backend absorbs every move without rebuilding.
+    // Waypoint walks stay inside the world bounds, so the medium
+    // absorbs every move without rebuilding.
     EXPECT_EQ(culled.incremental_moves, culled.moves);
     EXPECT_EQ(culled.rebuilds, 1u);
   }
@@ -283,7 +314,7 @@ TEST(MobilityDeterminism, DistanceStepsForceRebuildsIdentically) {
   spec.mobility.step_m = 4.0;
   spec.mobility.steps_out = 3;
   for (const std::uint64_t seed : {3, 7}) {
-    const auto culled = assert_backends_agree_in_motion(spec, seed);
+    const auto culled = assert_full_mesh_agrees_in_motion(spec, seed);
     EXPECT_GT(culled.moves, 0u);
     // The excursion leaves the bounding box, so some ticks rebuild.
     EXPECT_GT(culled.rebuilds, 1u);
@@ -294,7 +325,7 @@ TEST(MobilityDeterminism, ChurnIsBackendInvariant) {
   auto spec = mobile_grid(topo::MobilityKind::kChurn);
   spec.mobility.down_time = sim::Duration::millis(300);
   for (const std::uint64_t seed : {3, 7}) {
-    const auto culled = assert_backends_agree_in_motion(spec, seed);
+    const auto culled = assert_full_mesh_agrees_in_motion(spec, seed);
     EXPECT_GT(culled.detaches, 0u);
   }
 }
@@ -307,7 +338,7 @@ TEST(MobilityDeterminism, WideWorldWaypointCrossesCells) {
   spec.mobility.kind = topo::MobilityKind::kWaypoint;
   spec.mobility.speed_mps = 20.0;  // cell-crossing steps per tick
   spec.mobility.stop_after = sim::Duration::seconds(2);
-  const auto culled = assert_backends_agree_in_motion(spec, 9);
+  const auto culled = assert_full_mesh_agrees_in_motion(spec, 9);
   EXPECT_GT(culled.moves, 0u);
   EXPECT_EQ(culled.incremental_moves, culled.moves);
 }

@@ -331,11 +331,11 @@ TEST(Sweep, GridExpansionAndParallelResultsMatchSerial) {
 
 TEST(Sweep, ExpansionOverridesOnlyTheAxesItNames) {
   // The scenario axis carries every spec knob no axis names: a
-  // rate-adaptation scheme and a pinned medium policy reach the point
+  // rate-adaptation scheme and a non-default cull margin reach the point
   // as written.
   auto spec = ScenarioSpec::two_hop();
   spec.node.rate_adaptation = mac::RateAdaptationScheme::kSnr;
-  spec.medium.policy = MediumPolicy::kCulled;
+  spec.medium.cull_margin_db = 20.0;
   const transport::TransportTuning base_tuning{
       .cc = transport::CcScheme::kCerl, .ack = transport::AckScheme::kDelayed};
   const transport::TransportTuning adaptive{
@@ -365,7 +365,7 @@ TEST(Sweep, ExpansionOverridesOnlyTheAxesItNames) {
     EXPECT_EQ(point.scenario_label, "chain-3");
     EXPECT_EQ(point.config.scenario.node.rate_adaptation,
               mac::RateAdaptationScheme::kSnr);
-    EXPECT_EQ(point.config.scenario.medium.policy, MediumPolicy::kCulled);
+    EXPECT_EQ(point.config.scenario.medium.cull_margin_db, 20.0);
   }
 }
 

@@ -1,6 +1,6 @@
 // Static routes computed on demand: every node's RoutingTable answers
 // from one net::StaticRoutes object shared by the whole scenario. These tests
-// pin it to the spec's next-hop matrix for every family and backend,
+// pin it to the spec's next-hop matrix for every family,
 // keep learned routes on top of it, keep worlds above 255 nodes
 // routable, and keep Scenario::build O(N).
 #include <gtest/gtest.h>
@@ -21,14 +21,6 @@ namespace {
 
 proto::Ipv4Address ip(std::uint32_t i) { return proto::Ipv4Address::for_node(i); }
 
-struct Backend {
-  const char* label;
-  MediumPolicy policy;
-};
-
-const Backend kBackends[] = {{"full-mesh", MediumPolicy::kFullMesh},
-                             {"culled", MediumPolicy::kCulled}};
-
 std::vector<ScenarioSpec> route_specs() {
   return {ScenarioSpec::chain(2),     ScenarioSpec::chain(5),
           ScenarioSpec::chain(300),   ScenarioSpec::star(1),
@@ -40,24 +32,22 @@ std::vector<ScenarioSpec> route_specs() {
 }
 
 TEST(StaticRoutes, TablesMatchTheSpecMatrixOnEveryBackend) {
-  for (const auto& backend : kBackends) {
-    for (auto spec : route_specs()) {
-      spec.medium.policy = backend.policy;
-      const std::string where = spec.label() + " on " + backend.label;
-      const auto hops = spec.next_hops();
-      auto scenario = Scenario::build(spec, 1);
-      const auto n = static_cast<std::uint32_t>(scenario.size());
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto& routes = scenario.node(i).routes();
-        EXPECT_EQ(routes.size(), 0u) << where;  // nothing stored per node
-        for (std::uint32_t j = 0; j < n; ++j) {
-          ASSERT_EQ(routes.next_hop(ip(j)), ip(hops[i][j]))
-              << where << ": " << i << " -> " << j;
-          // The set the per-pair install used to write: every pair whose
-          // next hop is not the destination itself.
-          ASSERT_EQ(routes.has_route(ip(j)), i != j && hops[i][j] != j)
-              << where << ": " << i << " -> " << j;
-        }
+  // Routes never read the medium, so one medium covers every case.
+  for (const auto& spec : route_specs()) {
+    const std::string where = spec.label();
+    const auto hops = spec.next_hops();
+    auto scenario = Scenario::build(spec, 1);
+    const auto n = static_cast<std::uint32_t>(scenario.size());
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto& routes = scenario.node(i).routes();
+      EXPECT_EQ(routes.size(), 0u) << where;  // nothing stored per node
+      for (std::uint32_t j = 0; j < n; ++j) {
+        ASSERT_EQ(routes.next_hop(ip(j)), ip(hops[i][j]))
+            << where << ": " << i << " -> " << j;
+        // The set the per-pair install used to write: every pair whose
+        // next hop is not the destination itself.
+        ASSERT_EQ(routes.has_route(ip(j)), i != j && hops[i][j] != j)
+            << where << ": " << i << " -> " << j;
       }
     }
   }

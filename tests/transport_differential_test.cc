@@ -3,8 +3,8 @@
 // invisible under the default tuning (NewReno + immediate ACK). Every
 // paper spec — plus chain, star and grid worlds — runs the same file
 // workload twice, once over the refactored transport::TcpConnection and
-// once over the frozen pre-seam copy in tests/support/seed_tcp.h, under
-// each of {full mesh, culled}, and each pair must agree on
+// once over the frozen pre-seam copy in tests/support/seed_tcp.h, and
+// each pair must agree on
 //
 //   - the trace digest (CRC-32 over the network-event trace),
 //   - the per-node MAC stats table, byte for byte,
@@ -44,16 +44,6 @@ struct RunFingerprint {
   std::uint64_t executed_events = 0;
   std::uint64_t delivered_bytes = 0;
   bool all_complete = false;
-};
-
-struct Backend {
-  const char* label;
-  topo::MediumPolicy policy;
-};
-
-constexpr Backend kBackends[] = {
-    {"full-mesh", topo::MediumPolicy::kFullMesh},
-    {"culled", topo::MediumPolicy::kCulled},
 };
 
 // The two sides of the differential, as traits the harness templates
@@ -101,8 +91,7 @@ class Sender {
 };
 
 template <typename Side>
-RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend) {
-  spec.medium.policy = backend.policy;
+RunFingerprint run_transfers(const topo::ScenarioSpec& spec) {
   auto s = topo::Scenario::build(spec, /*seed=*/5);
   s.capture_traces();
 
@@ -159,21 +148,19 @@ RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend) {
 }
 
 void assert_seam_invisible(const topo::ScenarioSpec& spec) {
-  for (const auto& backend : kBackends) {
-    const auto pluggable = run_transfers<PluggableSide>(spec, backend);
-    const auto seed = run_transfers<SeedSide>(spec, backend);
-    const std::string where = std::string(spec.label()) + " / " + backend.label;
-    EXPECT_TRUE(seed.all_complete) << where << ": seed run incomplete";
-    EXPECT_EQ(pluggable.digest, seed.digest)
-        << where << ": pluggable vs seed trace digest diverged";
-    EXPECT_EQ(pluggable.stats, seed.stats)
-        << where << ": pluggable vs seed MAC stats diverged";
-    EXPECT_EQ(pluggable.transmissions, seed.transmissions) << where;
-    EXPECT_EQ(pluggable.deliveries, seed.deliveries) << where;
-    EXPECT_EQ(pluggable.executed_events, seed.executed_events)
-        << where << ": event counts diverged (a seam scheduled events)";
-    EXPECT_EQ(pluggable.delivered_bytes, seed.delivered_bytes) << where;
-  }
+  const auto pluggable = run_transfers<PluggableSide>(spec);
+  const auto seed = run_transfers<SeedSide>(spec);
+  const std::string where = spec.label();
+  EXPECT_TRUE(seed.all_complete) << where << ": seed run incomplete";
+  EXPECT_EQ(pluggable.digest, seed.digest)
+      << where << ": pluggable vs seed trace digest diverged";
+  EXPECT_EQ(pluggable.stats, seed.stats)
+      << where << ": pluggable vs seed MAC stats diverged";
+  EXPECT_EQ(pluggable.transmissions, seed.transmissions) << where;
+  EXPECT_EQ(pluggable.deliveries, seed.deliveries) << where;
+  EXPECT_EQ(pluggable.executed_events, seed.executed_events)
+      << where << ": event counts diverged (a seam scheduled events)";
+  EXPECT_EQ(pluggable.delivered_bytes, seed.delivered_bytes) << where;
 }
 
 TEST(TransportDifferential, OneHop) {

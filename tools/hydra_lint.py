@@ -2,8 +2,8 @@
 """hydra-lint — the determinism linter.
 
 The simulator's contract is that a (scenario, seed) pair produces
-bit-identical traces and stats regardless of thread count, delivery
-backend or host. That contract dies quietly: one hash-order walk or
+bit-identical traces and stats regardless of thread count, cull
+margin or host. That contract dies quietly: one hash-order walk or
 wall-clock read in the schedule/trace/stats path and digests diverge
 only on some standard library or some machine. This linter bans the
 constructs that historically cause it, in src/ only (tests/, bench/
