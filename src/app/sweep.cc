@@ -1,10 +1,8 @@
 #include "app/sweep.h"
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
 
-#include "util/task_pool.h"
+#include "util/parallel_for.h"
 
 namespace hydra::app {
 
@@ -42,17 +40,10 @@ std::vector<SweepOutcome> sweep_experiments(const SweepGrid& grid,
                                             unsigned threads) {
   auto points = expand_sweep(grid);
   std::vector<SweepOutcome> outcomes(points.size());
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min<unsigned>(threads, points.size() ? points.size() : 1u);
-
-  // One point per pool task, stolen dynamically; each outcome slot is
-  // written by exactly one worker, so the pool's batch barrier is the
-  // only synchronization needed. A pool of concurrency 1 runs the batch
-  // inline on this thread.
-  util::TaskPool pool(threads);
-  pool.parallel_for(points.size(), [&](std::size_t i) {
+  // One point per index, claimed dynamically; each outcome slot is
+  // written by exactly one thread, and parallel_for's join publishes it
+  // to this one.
+  util::parallel_for(points.size(), threads, [&](std::size_t i) {
     // Host wall time for the scaling benches; never feeds simulation
     // state or the result fields the baselines gate.
     // hydra-lint: allow(wall-clock) — wall_seconds is bench reporting, not simulation state

@@ -1,10 +1,10 @@
 // Parameter-sweep driver: the cartesian product of scenario specs,
 // aggregation policies and transport schemes, each point run through
 // app::run_experiment. Every simulation is self-contained (its own
-// Simulation, Medium and RNG; no mutable globals as long as sim::Log
-// stays quiet), so points execute in parallel across a thread pool,
-// each wholly on one worker, and results come back in deterministic
-// grid order regardless of scheduling.
+// Simulation, Medium and RNG; no mutable globals), so points execute in
+// parallel through util::parallel_for, each wholly on one thread, and
+// results come back in deterministic grid order regardless of
+// scheduling.
 #pragma once
 
 #include <optional>
@@ -37,8 +37,8 @@ struct SweepOutcome {
 // The sweep axes. `base` supplies the workload (traffic kind, file
 // sizes, seed, time cap); each point overwrites base.scenario with the
 // axis spec, then the spec's aggregation policy with the policy axis.
-// Every other spec knob (rate adaptation, medium policy, ...) reaches
-// the point as the scenario axis wrote it.
+// Every other spec knob (rate adaptation, medium.cull_margin_db, ...)
+// reaches the point as the scenario axis wrote it.
 struct SweepGrid {
   std::vector<std::pair<std::string, topo::ScenarioSpec>> scenarios;
   std::vector<std::pair<std::string, core::AggregationPolicy>> policies = {

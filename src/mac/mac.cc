@@ -2,14 +2,9 @@
 
 #include <algorithm>
 
-#include "sim/log.h"
 #include "util/assert.h"
 
 namespace hydra::mac {
-
-namespace {
-constexpr const char* kLog = "mac";
-}
 
 Mac::Mac(sim::Simulation& simulation, phy::Phy& phy, MacConfig config)
     : sim_(simulation),
@@ -166,11 +161,9 @@ sim::Duration Mac::ack_duration() const {
 
 void Mac::begin_sequence() {
   if (rate_adapter_) {
-    // Adopt the adapter's current choice for this sequence.
+    // Both portions adopt the adapter's current choice for this sequence.
     config_.unicast_mode = rate_adapter_->current_mode();
-    if (config_.adapt_broadcast_rate) {
-      config_.broadcast_mode = config_.unicast_mode;
-    }
+    config_.broadcast_mode = config_.unicast_mode;
     aggregator_.set_modes(config_.broadcast_mode, config_.unicast_mode);
   }
   proto::AggregateFrame frame;
@@ -301,9 +294,6 @@ void Mac::on_tx_complete() {
 
 void Mac::response_timeout() {
   HYDRA_ASSERT(phase_ == Phase::kWaitCts || phase_ == Phase::kWaitAck);
-  HYDRA_LOG_DEBUG(kLog, "node %u: %s timeout (retry %u)",
-                  config_.address.value(),
-                  phase_ == Phase::kWaitCts ? "CTS" : "ACK", retries_);
   sequence_failed();
 }
 

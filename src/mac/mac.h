@@ -50,11 +50,9 @@ struct MacConfig {
   bool use_rts_cts = true;
   std::size_t queue_limit = 64;
   // Link rate adaptation (paper §4.1.2; disabled in the paper's
-  // experiments). When active, the unicast portion's mode follows the
-  // adapter; `adapt_broadcast_rate` makes the broadcast portion follow
-  // too (the paper's §7 "rate-adaptive frame aggregation" future work).
+  // experiments). When active, both portions' modes follow the adapter
+  // (the paper's §7 "rate-adaptive frame aggregation" future work).
   RateAdaptationScheme rate_adaptation = RateAdaptationScheme::kNone;
-  bool adapt_broadcast_rate = true;
   // Link whitelist: when non-empty, frames from transmitters outside the
   // set are not delivered or responded to. This is how forced topologies
   // are built on testbeds where every node is in radio range (the paper

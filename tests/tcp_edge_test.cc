@@ -303,6 +303,37 @@ TEST(TcpEdge, FinArrivingWhileDelackPendingAcksImmediately) {
   EXPECT_FALSE(server.conn.delack_pending());
 }
 
+TEST(TcpEdge, AdaptiveDelackStretchesPastASlowArrivalGap) {
+  // ack-adpt's deadline is clamp(gap_multiplier × gap_ewma, delay,
+  // max_delay) = clamp(2 × gap, 100 ms, 200 ms). Before any gap is
+  // measured it is the 100 ms floor, the same as ack-del; once segments
+  // arrive 150 ms apart it stretches to the 200 ms ceiling, where ack-del
+  // would fire at 100 ms.
+  TcpConfig cfg;
+  cfg.tuning.ack = AckScheme::kAdaptive;
+  DelAckServer server(cfg);
+  const auto& policy =
+      dynamic_cast<const AdaptiveAckPolicy&>(server.conn.ack_policy());
+
+  server.conn.segment_arrived(*server.seg(0));
+  server.sim.run_for(sim::Duration::millis(150));
+  EXPECT_EQ(server.conn.stats().delack_fires, 1u);  // the floor, at 100 ms
+  EXPECT_EQ(server.conn.stats().acks_sent, 1u);
+
+  server.conn.segment_arrived(*server.seg(1));  // 150 ms after segment 0
+  EXPECT_EQ(policy.gap_estimate(), sim::Duration::millis(150));
+  ASSERT_TRUE(server.conn.delack_pending());
+
+  server.sim.run_for(sim::Duration::millis(150));
+  EXPECT_TRUE(server.conn.delack_pending());  // a fixed 100 ms has fired
+  EXPECT_EQ(server.conn.stats().delack_fires, 1u);
+
+  server.sim.run_for(sim::Duration::millis(60));  // past the 200 ms deadline
+  EXPECT_FALSE(server.conn.delack_pending());
+  EXPECT_EQ(server.conn.stats().delack_fires, 2u);
+  EXPECT_EQ(server.conn.stats().acks_sent, 2u);
+}
+
 TEST(TcpEdge, DelackTimerCancelledOnConnectionDestruction) {
   // A connection destroyed with a delack pending must take the timer
   // with it; were the firing to outlive the connection, the callback

@@ -221,7 +221,7 @@ def self_test() -> int:
             failures.append("violation count")
 
         # The same tree, repaired, must come back clean.
-        (src / "util" / "bad.h").write_text('#include "util/task_pool.h"\n')
+        (src / "util" / "bad.h").write_text('#include "util/parallel_for.h"\n')
         (src / "sim" / "CMakeLists.txt").write_text(
             "add_library(hydra_sim INTERFACE)\n"
             "target_link_libraries(hydra_sim INTERFACE hydra::util)\n"

@@ -29,8 +29,7 @@ Rules:
   wall-clock        std::chrono::{system,steady,high_resolution}_clock,
                     gettimeofday, clock_gettime, time(nullptr).
                     Simulation time is sim::TimePoint; host time in the
-                    core makes results machine-dependent. sim/log.* is
-                    exempt (diagnostic timestamps never feed state).
+                    core makes results machine-dependent.
   thread-id         std::this_thread::get_id(). Thread identity varies
                     run to run; anything keyed or ordered by it is
                     nondeterministic under sweep workers, which run
@@ -46,6 +45,12 @@ Rules:
                     acquire/release; a raw std::mutex is invisible to
                     the analysis. util/mutex.h is exempt — it is the
                     annotated wrapper.
+  raw-thread        std::thread / std::jthread (not followed by `::`, so
+                    std::thread::id and hardware_concurrency() pass) and
+                    std::async calls. A simulation runs on one thread;
+                    the only threads in src/ are the sweep's, started
+                    by util::parallel_for. util/parallel_for.h is
+                    exempt — it is that fork-join.
   float-order       Reductions whose operand association the standard
                     leaves unspecified, applied to floating point.
                     std::reduce / std::transform_reduce may reassociate
@@ -86,10 +91,11 @@ RULES = {
     "unordered-member": "named unordered container declaration",
     "unordered-iter": "iteration over an unordered container",
     "raw-rand": "non-seeded randomness outside sim::Rng",
-    "wall-clock": "host clock read outside sim::log",
+    "wall-clock": "host clock read in the core",
     "thread-id": "std::this_thread::get_id()",
     "ptr-order": "ordered container keyed on pointer values",
     "raw-mutex": "raw std::mutex outside util/mutex.h",
+    "raw-thread": "thread started outside util/parallel_for.h",
     "float-order": "order-sensitive floating-point reduction",
 }
 
@@ -97,8 +103,8 @@ RULES = {
 # files are the sanctioned owners of the banned construct.
 EXEMPT = {
     "raw-rand": {"sim/rng.h", "sim/rng.cc"},
-    "wall-clock": {"sim/log.h", "sim/log.cc"},
     "raw-mutex": {"util/mutex.h"},
+    "raw-thread": {"util/parallel_for.h"},
 }
 
 UNORDERED_DECL_RE = re.compile(
@@ -121,6 +127,9 @@ RAW_MUTEX_RE = re.compile(
     r"|shared_mutex|shared_timed_mutex|condition_variable"
     r"|condition_variable_any|lock_guard|unique_lock|scoped_lock"
     r"|shared_lock)\b"
+)
+RAW_THREAD_RE = re.compile(
+    r"\bstd::j?thread\b(?!\s*::)|\bstd::async\s*\("
 )
 REDUCE_RE = re.compile(r"\bstd::(?:reduce|transform_reduce)\s*\(")
 ACCUMULATE_RE = re.compile(r"\bstd::accumulate\s*\(")
@@ -222,6 +231,9 @@ def lint_file(
         if RAW_MUTEX_RE.search(code):
             flag(lineno, "raw-mutex",
                  "use util::Mutex so -Wthread-safety can see the lock")
+        if RAW_THREAD_RE.search(code):
+            flag(lineno, "raw-thread",
+                 "start threads through util::parallel_for")
         if REDUCE_RE.search(code):
             flag(lineno, "float-order",
                  "std::reduce may reassociate operands — use an ordered "
