@@ -33,7 +33,8 @@ EventId Scheduler::schedule_at(TimePoint at, Callback cb) {
   HYDRA_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   HYDRA_ASSERT(cb != nullptr);
   const std::uint32_t slot = acquire_slot();
-  heap_.push_back(Entry{at, next_seq_++, slot, std::move(cb)});
+  slots_[slot].cb = std::move(cb);
+  heap_.push_back(Entry{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   // generation >= 1 always, so a packed id is never 0 (the invalid id).
   return EventId(pack_id(slots_[slot].generation, slot));
@@ -54,8 +55,9 @@ void Scheduler::schedule_batch(std::vector<BatchEvent>& events,
     HYDRA_ASSERT_MSG(event.at >= now_, "cannot schedule into the past");
     HYDRA_ASSERT(event.cb != nullptr);
     const std::uint32_t slot = acquire_slot();
+    slots_[slot].cb = std::move(event.cb);
     if (ids) ids->push_back(EventId(pack_id(slots_[slot].generation, slot)));
-    heap_.push_back(Entry{event.at, next_seq_++, slot, std::move(event.cb)});
+    heap_.push_back(Entry{event.at, next_seq_++, slot});
   }
   // Restore the heap invariant: k sift-ups cost O(k log n) and one
   // make_heap pass costs O(n), so a batch that is small next to the
@@ -79,7 +81,7 @@ bool Scheduler::cancel(EventId id) {
   // report failure.
   if (!pending(id)) return false;
   // Lazy deletion: clear the pending flag; the heap entry is dropped
-  // (and the slot vacated) when it surfaces.
+  // (and the slot vacated, destroying the callback) when it surfaces.
   slots_[static_cast<std::uint32_t>(id.id_)].pending = false;
   --pending_count_;
   return true;
@@ -96,6 +98,9 @@ bool Scheduler::pending(EventId id) const {
 
 void Scheduler::vacate(std::uint32_t slot) {
   auto& s = slots_[slot];
+  // Destroys a cancelled event's callback; a run event's was already
+  // moved out.
+  s.cb = nullptr;
   s.pending = false;
   // Bumping the generation invalidates every id handed out for this
   // occupancy. Wrap-around after 2^32 reuses of one slot is accepted:
@@ -118,16 +123,19 @@ std::optional<TimePoint> Scheduler::peek_next_time() {
 
 void Scheduler::pop_and_run() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
+  const Entry entry = heap_.back();
   heap_.pop_back();
   const bool live = slots_[entry.slot].pending;
+  // Moved out before the call: running it may schedule events, which
+  // can grow slots_ and reuse this slot.
+  Callback cb = std::move(slots_[entry.slot].cb);
   vacate(entry.slot);
   if (!live) return;  // cancelled; already discounted from pending_count_
   --pending_count_;
   HYDRA_ASSERT(entry.at >= now_);
   now_ = entry.at;
   ++executed_;
-  entry.cb();
+  cb();
 }
 
 std::size_t Scheduler::run() {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.h"
@@ -35,7 +36,8 @@ class Scheduler {
   // Move-only with inline capture storage (boxed through the
   // BufferPool past 48 bytes), so scheduling an event allocates nothing
   // from the system heap in steady state. Accepts any void() callable,
-  // like std::function, but is moved — never copied — through the heap.
+  // like std::function, but is never copied: it moves into its event's
+  // slot once and out once to run.
   using Callback = util::SmallFn;
 
   Scheduler() = default;
@@ -91,23 +93,27 @@ class Scheduler {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
+  // A heap key. The callback waits in slots_[slot], so sifting moves
+  // 24 plain bytes rather than a type-erased callable.
   struct Entry {
     TimePoint at;
     std::uint64_t seq;   // tie-breaker: FIFO among same-time events
     std::uint32_t slot;  // index into slots_
-    Callback cb;
   };
+  static_assert(std::is_trivially_copyable_v<Entry>);
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
-  // One live-event slot. `generation` stamps the EventId handed out for
-  // the slot's current occupant; vacating the slot bumps it, so cancel()
-  // can tell "still pending" from "already ran / already cancelled /
-  // slot reused" with two array loads instead of hash-set lookups.
+  // One queued event's slot: it holds the callback until the event
+  // surfaces. `generation` stamps the EventId handed out for the slot's
+  // current occupant; vacating the slot bumps it, so cancel() can tell
+  // "still pending" from "already ran / already cancelled / slot reused"
+  // with two array loads instead of hash-set lookups.
   struct Slot {
+    Callback cb;
     std::uint32_t generation = 1;
     bool pending = false;
   };

@@ -7,8 +7,8 @@
 // through the BufferPool (the calling thread's free lists), so
 // steady-state event scheduling allocates nothing from the system heap.
 // Move-only (no copy), matching how the scheduler actually handles
-// callbacks: constructed once, moved through the heap, invoked,
-// destroyed.
+// callbacks: constructed once, moved into its event's slot, moved out
+// once, invoked, destroyed.
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,18 @@
 // Edge cases of the discrete-event scheduler: cancellation semantics,
 // FIFO ordering at one instant, run_until clock handling, pending-event
-// accounting under cancellations, peek_next_time, and schedule_batch
-// (the medium's delivery fan-out path) against N schedule_at calls.
+// accounting under cancellations, peek_next_time, schedule_batch (the
+// medium's delivery fan-out path) against N schedule_at calls, and the
+// ownership of callbacks parked in the scheduler's slots.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <numeric>
 #include <vector>
 
 #include "sim/scheduler.h"
+#include "util/small_fn.h"
 
 namespace hydra::sim {
 namespace {
@@ -221,6 +227,69 @@ TEST(SchedulerEdge, BatchClearsEventsAndAppendsIds) {
   sched.schedule_batch(batch, &ids);
   EXPECT_EQ(ids.size(), 3u);
   EXPECT_EQ(sched.run(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Callback ownership. A queued event's callback waits in its slot, and
+// the slot vector grows while callbacks run, so a running callback must
+// not live in it. Under ASan, an inline callback run in place reads its
+// captures from freed storage once it has grown the scheduler; a boxed
+// callback's captures never move, so its test covers the boxed path.
+// ---------------------------------------------------------------------
+
+constexpr int kGrowth = 4096;
+
+// Runs one callback that captures `values`, schedules kGrowth events
+// (growing the heap and the slot vector under itself) and only then
+// reads its captures; returns their sum. `kInline` states whether the
+// captures fit SmallFn's inline buffer.
+template <bool kInline, std::size_t N>
+std::uint64_t sum_after_growth(const std::array<std::uint64_t, N>& values) {
+  Scheduler sched;
+  std::uint64_t sum = 0;
+  auto grow = [&sched, &sum, values] {
+    for (int i = 0; i < kGrowth; ++i) {
+      sched.schedule_in(Duration::millis(1), [] {});
+    }
+    sum = std::accumulate(values.begin(), values.end(), std::uint64_t{0});
+  };
+  static_assert((sizeof(grow) <= util::SmallFn::kInlineBytes) == kInline);
+  sched.schedule_in(Duration::millis(1), std::move(grow));
+  EXPECT_EQ(sched.run(), kGrowth + 1u);
+  return sum;
+}
+
+TEST(SchedulerEdge, InlineCallbackThatGrowsTheSchedulerKeepsItsCaptures) {
+  EXPECT_EQ(sum_after_growth<true>(std::array<std::uint64_t, 3>{1, 2, 3}),
+            6u);
+}
+
+TEST(SchedulerEdge, BoxedCallbackThatGrowsTheSchedulerKeepsItsCaptures) {
+  std::array<std::uint64_t, 16> values{};  // 128 bytes
+  std::iota(values.begin(), values.end(), std::uint64_t{1});
+  EXPECT_EQ(sum_after_growth<false>(values), 136u);
+}
+
+TEST(SchedulerEdge, EveryCallbackIsDestroyedExactlyOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    Scheduler sched;
+    sched.schedule_in(Duration::millis(1), [token] { ++*token; });
+    const auto cancelled =
+        sched.schedule_in(Duration::millis(2), [token] { ++*token; });
+    sched.schedule_in(Duration::millis(10), [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 4);
+    EXPECT_TRUE(sched.cancel(cancelled));
+
+    EXPECT_EQ(sched.run_until(TimePoint::at(Duration::millis(5))), 1u);
+    EXPECT_EQ(*token, 1);
+    // The run event's captures die after its call, the cancelled
+    // event's when its tombstone surfaces; the later event keeps its.
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  // Destroying the scheduler destroys the still-pending callback.
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 1);
 }
 
 }  // namespace
