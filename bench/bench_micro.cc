@@ -3,6 +3,9 @@
 // lookup, and a full small experiment as an end-to-end figure of merit.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "app/experiment.h"
 #include "core/aggregator.h"
 #include "proto/frames.h"
@@ -63,6 +66,76 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SchedulerCancelChurn)->Arg(1000)->Arg(10000);
+
+// A transmission's delivery fan-out: batches of k events committed into
+// a heap of n standing events (queued far ahead, so they never run) and
+// run. Args mirror paper_tcp (5.6-event batches into a handful of
+// events) and flood_10k (85-event batches beside 10k app timers).
+void BM_SchedulerFanout(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  sim::Scheduler sched;
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sched.schedule_at(sim::TimePoint::at(sim::Duration::seconds(
+                          1'000'000 + static_cast<std::int64_t>(i))),
+                      [&sum] { ++sum; });
+  }
+  std::vector<sim::Scheduler::BatchEvent> batch;
+  for (auto _ : state) {
+    // rx_start/rx_end pairs, as the medium commits them: propagation
+    // delays in delivery-list order, the ends one airtime later.
+    const auto now = sched.now();
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto prop = sim::Duration::nanos(
+          static_cast<std::int64_t>((i / 2 * 7919) % 997));
+      const auto airtime = sim::Duration::micros(i % 2 == 0 ? 0 : 300);
+      batch.push_back({now + prop + airtime, [&sum, i] { sum += i; }});
+    }
+    sched.schedule_batch(batch);
+    sched.run_until(now + sim::Duration::micros(301));
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_SchedulerFanout)->Args({6, 8})->Args({85, 10000});
+
+// sim::Timer::arm's pattern behind paper_tcp's tombstones: after every
+// short event, a few timers are cancelled and re-armed far ahead, so
+// each event cancels that many queued timers.
+void BM_SchedulerRearm(benchmark::State& state) {
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kEvents = 1000;
+  std::vector<sim::EventId> ids(timers);
+  for (auto _ : state) {
+    sim::Scheduler sched;
+    std::fill(ids.begin(), ids.end(), sim::EventId{});
+    std::uint64_t fired = 0;
+    std::size_t left = kEvents;
+    struct Tick {
+      sim::Scheduler* sched;
+      std::vector<sim::EventId>* ids;
+      std::size_t* left;
+      std::uint64_t* fired;
+      void operator()() const {
+        for (auto& id : *ids) {
+          sched->cancel(id);
+          id = sched->schedule_in(sim::Duration::millis(200),
+                                  [f = fired] { ++*f; });
+        }
+        if (--*left > 0) sched->schedule_in(sim::Duration::micros(10), *this);
+      }
+    };
+    sched.schedule_in(sim::Duration::micros(10),
+                      Tick{&sched, &ids, &left, &fired});
+    benchmark::DoNotOptimize(sched.run());
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_SchedulerRearm)->Arg(4);
 
 void BM_Crc32(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)));

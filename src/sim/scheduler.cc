@@ -34,6 +34,7 @@ EventId Scheduler::schedule_at(TimePoint at, Callback cb) {
   HYDRA_ASSERT(cb != nullptr);
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
+  slots_[slot].next.slot = kEndOfRun;  // a run of one
   heap_.push_back(Entry{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   // generation >= 1 always, so a packed id is never 0 (the invalid id).
@@ -49,7 +50,6 @@ void Scheduler::schedule_batch(std::vector<BatchEvent>& events,
                                std::vector<EventId>* ids) {
   if (events.empty()) return;
   const std::size_t existing = heap_.size();
-  heap_.reserve(existing + events.size());
   if (ids) ids->reserve(ids->size() + events.size());
   for (auto& event : events) {
     HYDRA_ASSERT_MSG(event.at >= now_, "cannot schedule into the past");
@@ -59,20 +59,18 @@ void Scheduler::schedule_batch(std::vector<BatchEvent>& events,
     if (ids) ids->push_back(EventId(pack_id(slots_[slot].generation, slot)));
     heap_.push_back(Entry{event.at, next_seq_++, slot});
   }
-  // Restore the heap invariant: k sift-ups cost O(k log n) and one
-  // make_heap pass costs O(n), so a batch that is small next to the
-  // heap sifts and a dominating one (a large delivery fan-out into a
-  // quiet heap) heapifies in one sweep.
-  if (events.size() >= existing / 8) {
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-  } else {
-    for (std::size_t i = existing; i < heap_.size(); ++i) {
-      std::push_heap(heap_.begin(),
-                     heap_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                     Later{});
-    }
-  }
   events.clear();
+  // Sort the batch's keys in the heap's tail into one run, chain each
+  // event to its successor, and keep only the earliest in the heap.
+  const auto run = heap_.begin() + static_cast<std::ptrdiff_t>(existing);
+  std::sort(run, heap_.end(),
+            [](const Entry& a, const Entry& b) { return Later{}(b, a); });
+  for (auto it = run; it + 1 != heap_.end(); ++it) {
+    slots_[it->slot].next = *(it + 1);
+  }
+  slots_[heap_.back().slot].next.slot = kEndOfRun;
+  heap_.resize(existing + 1);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Scheduler::cancel(EventId id) {
@@ -80,10 +78,13 @@ bool Scheduler::cancel(EventId id) {
   // cancelled) and the slot moved on; cancelling it is a no-op that must
   // report failure.
   if (!pending(id)) return false;
-  // Lazy deletion: clear the pending flag; the heap entry is dropped
-  // (and the slot vacated, destroying the callback) when it surfaces.
+  // Lazy deletion: clear the pending flag and leave the tombstone queued.
   slots_[static_cast<std::uint32_t>(id.id_)].pending = false;
   --pending_count_;
+  // Sweeping every heap entry costs O(heap), and a sweep leaves at most
+  // pending_count_ heads, so the next one is due only after about as many
+  // cancels again: O(1) per cancel.
+  if (heap_.size() > 2 * pending_count_) sweep();
   return true;
 }
 
@@ -96,11 +97,12 @@ bool Scheduler::pending(EventId id) const {
   return s.generation == generation && s.pending;
 }
 
-void Scheduler::vacate(std::uint32_t slot) {
+Scheduler::Callback Scheduler::vacate(std::uint32_t slot) {
   auto& s = slots_[slot];
-  // Destroys a cancelled event's callback; a run event's was already
-  // moved out.
-  s.cb = nullptr;
+  // Handed back rather than destroyed here: a callback's captures may
+  // schedule or cancel events as they die, or the callback is about to
+  // run and may grow slots_, so it must leave the slot vector first.
+  Callback cb = std::move(s.cb);
   s.pending = false;
   // Bumping the generation invalidates every id handed out for this
   // occupancy. Wrap-around after 2^32 reuses of one slot is accepted:
@@ -109,29 +111,78 @@ void Scheduler::vacate(std::uint32_t slot) {
   ++s.generation;
   if (s.generation == 0) s.generation = 1;  // keep packed ids non-zero
   free_slots_.push_back(slot);
+  return cb;
+}
+
+void Scheduler::sift_down(Entry entry) {
+  // Moves `entry` down from the root's hole until no child is earlier.
+  const std::size_t size = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && Later{}(heap_[child], heap_[child + 1])) ++child;
+    if (!Later{}(entry, heap_[child])) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = entry;
+}
+
+void Scheduler::pop_head() {
+  // The run's next event takes the root's place; a finished run leaves
+  // the heap.
+  const Entry next = slots_[heap_.front().slot].next;
+  if (next.slot != kEndOfRun) {
+    sift_down(next);
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
+}
+
+void Scheduler::sweep() {
+  // Each dead head hands its place to the first live event of its run;
+  // a run with none left drops out. A swept tombstone is out of every
+  // run, so its `next` links it into the swept_ list instead.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    Entry entry = heap_[i];
+    while (!slots_[entry.slot].pending) {
+      const std::uint32_t dead = entry.slot;
+      entry = slots_[dead].next;
+      slots_[dead].next.slot = swept_;
+      swept_ = dead;
+      if (entry.slot == kEndOfRun) break;
+    }
+    if (entry.slot != kEndOfRun) heap_[kept++] = entry;
+  }
+  heap_.resize(kept);
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  // Only now, with the heap whole, free the tombstones' slots and destroy
+  // their callbacks, whose captures may cancel or schedule as they die.
+  // A sweep nested in that drains the same list.
+  while (swept_ != kEndOfRun) {
+    const std::uint32_t slot = swept_;
+    swept_ = slots_[slot].next.slot;
+    vacate(slot);
+  }
 }
 
 std::optional<TimePoint> Scheduler::peek_next_time() {
   while (!heap_.empty()) {
-    if (slots_[heap_.front().slot].pending) return heap_.front().at;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    vacate(heap_.back().slot);
-    heap_.pop_back();
+    const Entry head = heap_.front();
+    if (slots_[head.slot].pending) return head.at;
+    pop_head();
+    vacate(head.slot);  // the dropped callback dies here, heap whole
   }
   return std::nullopt;
 }
 
 void Scheduler::pop_and_run() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  const bool live = slots_[entry.slot].pending;
-  // Moved out before the call: running it may schedule events, which
-  // can grow slots_ and reuse this slot.
-  Callback cb = std::move(slots_[entry.slot].cb);
-  vacate(entry.slot);
-  if (!live) return;  // cancelled; already discounted from pending_count_
+  // peek_next_time() has just found the root live.
+  const Entry entry = heap_.front();
+  pop_head();
   --pending_count_;
+  Callback cb = vacate(entry.slot);
   HYDRA_ASSERT(entry.at >= now_);
   now_ = entry.at;
   ++executed_;

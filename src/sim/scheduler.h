@@ -1,7 +1,7 @@
-// Discrete-event scheduler: a stable min-heap of (time, sequence) events
-// run one at a time on the calling thread. A simulation lives wholly on
-// one thread — its scheduler, medium and nodes, and the BufferPool free
-// lists their packets and callbacks recycle through.
+// Discrete-event scheduler: events run one at a time in (time, sequence)
+// order on the calling thread. A simulation lives wholly on one thread —
+// its scheduler, medium and nodes, and the BufferPool free lists their
+// packets and callbacks recycle through.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +58,10 @@ class Scheduler {
   };
   // Commits every event of `events` (in order — the sequence numbers are
   // assigned contiguously, so same-instant FIFO semantics match N
-  // schedule_at calls exactly) and restores the heap in one pass when
-  // the batch is large relative to it, instead of N sift-ups. The medium
-  // uses this to commit a whole transmission's delivery fan-out at once.
+  // schedule_at calls exactly) as one sorted run that enters the heap
+  // through its earliest event: one push, whatever the batch's size. The
+  // medium uses this to commit a whole transmission's delivery fan-out
+  // at once.
   // With `ids`, the EventId of every committed event is appended in
   // batch order (the ids cost nothing extra — batch events already
   // occupy cancel slots), so callers can cancel individual deliveries
@@ -77,8 +78,8 @@ class Scheduler {
   // Stale-handle-safe, like cancel(): a reused slot reports false.
   bool pending(EventId id) const;
 
-  // The time of the next live event, dropping any cancelled entries off
-  // the head of the queue on the way; nullopt when the queue is empty.
+  // The time of the next live event, dropping any cancelled events off
+  // the front of the queue on the way; nullopt when the queue is empty.
   std::optional<TimePoint> peek_next_time();
 
   // Runs events until the queue is empty. Returns the number executed.
@@ -93,7 +94,7 @@ class Scheduler {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
-  // A heap key. The callback waits in slots_[slot], so sifting moves
+  // An event's key. The callback waits in slots_[slot], so sifting moves
   // 24 plain bytes rather than a type-erased callable.
   struct Entry {
     TimePoint at;
@@ -107,34 +108,49 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
+  // The slot of `Slot::next` after a run's last event.
+  static constexpr std::uint32_t kEndOfRun = UINT32_MAX;
   // One queued event's slot: it holds the callback until the event
-  // surfaces. `generation` stamps the EventId handed out for the slot's
-  // current occupant; vacating the slot bumps it, so cancel() can tell
-  // "still pending" from "already ran / already cancelled / slot reused"
-  // with two array loads instead of hash-set lookups.
+  // surfaces, and `next`, the key of the following event of its run
+  // (slot kEndOfRun after the last). `generation` stamps the EventId
+  // handed out for the slot's current occupant; vacating the slot bumps
+  // it, so cancel() can tell "still pending" from "already ran / already
+  // cancelled / slot reused" with two array loads instead of hash-set
+  // lookups.
   struct Slot {
     Callback cb;
+    Entry next{};
     std::uint32_t generation = 1;
     bool pending = false;
   };
 
   void pop_and_run();
+  void pop_head();
+  void sift_down(Entry entry);
+  void sweep();
   std::uint32_t acquire_slot();
-  void vacate(std::uint32_t slot);
+  Callback vacate(std::uint32_t slot);
 
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t pending_count_ = 0;
-  // Kept in heap order by the std::*_heap algorithms (not a
-  // priority_queue: batch commits need to append a run of entries and
-  // restore the invariant in one make_heap pass).
+  // The head of every queued run, in heap order. A run is a batch sorted
+  // by (time, seq) and chained through Slot::next, or one schedule_at
+  // event; its head is its earliest event, so the heap's root is the
+  // earliest queued event. Popping a head puts its run's next event in
+  // its place. Cancelling is lazy: a cancelled event stays queued as a
+  // tombstone, and is dropped when it surfaces at the root or when
+  // cancel() sweeps the heap, once its heads outnumber twice the live
+  // events.
   std::vector<Entry> heap_;
   // Slot storage grows to the high-water mark of concurrently scheduled
-  // events and is then recycled through the free list; cancelled heap
-  // entries are dropped lazily when popped.
+  // events and is then recycled through the free list.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
+  // The slot of the last tombstone a sweep has unlinked but not yet
+  // freed, chained to the earlier ones through Slot::next.
+  std::uint32_t swept_ = kEndOfRun;
 };
 
 }  // namespace hydra::sim

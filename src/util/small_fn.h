@@ -8,7 +8,8 @@
 // steady-state event scheduling allocates nothing from the system heap.
 // Move-only (no copy), matching how the scheduler actually handles
 // callbacks: constructed once, moved into its event's slot, moved out
-// once, invoked, destroyed.
+// once when the event runs or, cancelled, leaves the queue, invoked if it
+// runs, destroyed.
 #pragma once
 
 #include <cstddef>

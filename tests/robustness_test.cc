@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -67,6 +68,188 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
     if (!reference[i].cancelled) expected.push_back(reference[i].seq);
   }
   EXPECT_EQ(executed, expected);
+}
+
+// The same model under the medium's and the timers' patterns: batches of
+// 1-90 events (queued as sorted runs), cancels of heads, followers and
+// events long gone, callbacks that schedule and cancel in turn, and
+// run_until slices. Every event that is never cancelled runs once, at its
+// time, in (time, scheduling order) order; cancel() succeeds exactly on
+// events that have neither run nor been cancelled.
+class FuzzWorld {
+ public:
+  explicit FuzzWorld(std::uint64_t seed) : rng_(seed) {}
+
+  void schedule_one() {
+    const auto at = draw_time();
+    const auto label = add(at);
+    ids_.push_back(sched_.schedule_at(at, [this, label] { on_run(label); }));
+    tracked_.push_back(label);
+  }
+
+  // Re-arms one of a few timers the way sim::Timer::arm does: cancel the
+  // pending firing, if any, and schedule a new one.
+  void rearm() {
+    auto& timer = timers_[rng_.uniform_int(0, timers_.size() - 1)];
+    if (timer != kNoTimer) cancel(timer);
+    timer = ids_.size();
+    schedule_one();
+  }
+
+  void schedule_batch() {
+    // Half the batches are the size of a paper_tcp fan-out (5.6 events
+    // on average), half up to a flood_10k one (85).
+    const auto count = rng_.uniform_int(1, rng_.bernoulli(0.5) ? 6 : 90);
+    const bool with_ids = rng_.bernoulli(0.5);
+    std::vector<sim::Scheduler::BatchEvent> batch;
+    std::vector<std::size_t> labels;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto at = draw_time();
+      const auto label = add(at);
+      batch.push_back({at, [this, label] { on_run(label); }});
+      labels.push_back(label);
+    }
+    std::vector<sim::EventId> ids;
+    sched_.schedule_batch(batch, with_ids ? &ids : nullptr);
+    EXPECT_TRUE(batch.empty());
+    if (!with_ids) return;
+    ASSERT_EQ(ids.size(), labels.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids_.push_back(ids[i]);
+      tracked_.push_back(labels[i]);
+    }
+  }
+
+  // Cancels each queued event whose id is known with probability `p`.
+  void cancel_some(double p) {
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      auto& event = events_[tracked_[i]];
+      if (event.ran || event.cancelled || !rng_.bernoulli(p)) continue;
+      EXPECT_TRUE(sched_.cancel(ids_[i]));
+      event.cancelled = true;
+    }
+  }
+
+  // Cancels a random event whose id is known: queued or not.
+  void cancel_one() {
+    if (!ids_.empty()) cancel(rng_.uniform_int(0, ids_.size() - 1));
+  }
+
+  void run_slice() {
+    const auto deadline = sched_.now() + sim::Duration::micros(
+        static_cast<std::int64_t>(rng_.uniform_int(0, 3'000)));
+    sched_.run_until(deadline);
+    EXPECT_EQ(sched_.now(), deadline);
+    std::size_t queued = 0;
+    for (const auto& event : events_) {
+      const bool due = event.at <= deadline && !event.cancelled;
+      EXPECT_EQ(event.ran, due);
+      queued += !event.ran && !event.cancelled;
+    }
+    EXPECT_EQ(sched_.pending_events(), queued);
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      const auto& event = events_[tracked_[i]];
+      EXPECT_EQ(sched_.pending(ids_[i]), !event.ran && !event.cancelled);
+    }
+  }
+
+  void finish() {
+    sched_.run();
+    EXPECT_EQ(sched_.pending_events(), 0u);
+    // The reference: a stable sort on time over scheduling order.
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      if (!events_[i].cancelled) expected.push_back(i);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return events_[a].at < events_[b].at;
+                     });
+    EXPECT_EQ(executed_, expected);
+  }
+
+ private:
+  struct Event {
+    sim::TimePoint at;
+    bool ran = false;
+    bool cancelled = false;
+  };
+
+  // Times fall on a coarse grid, so events tie with each other within
+  // batches and across runs.
+  sim::TimePoint draw_time() {
+    return sched_.now() + sim::Duration::micros(static_cast<std::int64_t>(
+                              50 * rng_.uniform_int(0, 200)));
+  }
+
+  // Cancels the event of ids_[i], checking the result against the model.
+  void cancel(std::size_t i) {
+    auto& event = events_[tracked_[i]];
+    const bool live = !event.ran && !event.cancelled;
+    EXPECT_EQ(sched_.pending(ids_[i]), live);
+    EXPECT_EQ(sched_.cancel(ids_[i]), live);
+    if (live) event.cancelled = true;
+  }
+
+  std::size_t add(sim::TimePoint at) {
+    events_.push_back({at});
+    return events_.size() - 1;
+  }
+
+  void on_run(std::size_t label) {
+    auto& event = events_[label];
+    EXPECT_FALSE(event.ran);
+    EXPECT_FALSE(event.cancelled);
+    EXPECT_EQ(sched_.now(), event.at);
+    event.ran = true;
+    executed_.push_back(label);
+    if (events_.size() >= kMaxEvents) return;
+    if (rng_.bernoulli(0.2)) schedule_one();
+    if (rng_.bernoulli(0.02)) schedule_batch();
+    if (rng_.bernoulli(0.2)) cancel_one();
+    if (rng_.bernoulli(0.2)) rearm();
+  }
+
+  static constexpr std::size_t kMaxEvents = 6'000;
+  static constexpr std::size_t kNoTimer = SIZE_MAX;
+
+  sim::Rng rng_;
+  sim::Scheduler sched_;
+  std::vector<Event> events_;  // by label, in scheduling order
+  std::vector<std::size_t> executed_;
+  // The events whose ids are known: ids_[i] is events_[tracked_[i]]'s.
+  std::vector<sim::EventId> ids_;
+  std::vector<std::size_t> tracked_;
+  // Each of 8 timers' latest firing, as an index into ids_.
+  std::vector<std::size_t> timers_ = std::vector<std::size_t>(8, kNoTimer);
+};
+
+TEST_P(SchedulerFuzz, BatchesCancelsAndSlicesMatchReferenceModel) {
+  FuzzWorld world(static_cast<std::uint64_t>(GetParam()));
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 60; ++i) {
+      const auto action = rng.uniform_int(0, 9);
+      if (action < 2) {
+        world.schedule_one();
+      } else if (action < 4) {
+        world.schedule_batch();
+      } else if (action < 6) {
+        world.cancel_one();
+      } else if (action < 8) {
+        world.rearm();
+      } else {
+        world.run_slice();
+      }
+    }
+    // Half the queued events cancelled, then a storm of re-arms: the
+    // timers' tombstones soon outnumber the live events, so the queue is
+    // swept while runs with cancelled heads still hold live followers.
+    world.cancel_some(0.5);
+    for (int i = 0; i < 400; ++i) world.rearm();
+    world.run_slice();
+  }
+  world.finish();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzz, ::testing::Range(1, 9));

@@ -1,14 +1,17 @@
 // Edge cases of the discrete-event scheduler: cancellation semantics,
 // FIFO ordering at one instant, run_until clock handling, pending-event
 // accounting under cancellations, peek_next_time, schedule_batch (the
-// medium's delivery fan-out path) against N schedule_at calls, and the
-// ownership of callbacks parked in the scheduler's slots.
+// medium's delivery fan-out path) against N schedule_at calls, batches
+// queued as sorted runs under cancels and sweeps, and the ownership of
+// callbacks parked in the scheduler's slots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -169,16 +172,16 @@ TEST(SchedulerEdge, BatchAtABusyInstantRunsAfterQueuedEventsInBatchOrder) {
 }
 
 TEST(SchedulerEdge, SmallBatchMatchesScheduleAtOrder) {
-  // 10 events into a heap of 800: under heap/8, so the batch sifts up
-  // one entry at a time.
+  // 10 events into a heap of 800: the batch's run merges with many
+  // queued runs of one.
   const auto batched = run_order(800, 10, true);
   EXPECT_EQ(batched, run_order(800, 10, false));
   EXPECT_EQ(batched.size(), 810u);
 }
 
 TEST(SchedulerEdge, LargeBatchMatchesScheduleAtOrder) {
-  // 300 events into a heap of 800 (and into an empty heap): at or over
-  // heap/8, so the batch restores the heap with one make_heap pass.
+  // 300 events into a heap of 800, and into an empty heap, where the
+  // batch's run is the whole queue.
   const auto batched = run_order(800, 300, true);
   EXPECT_EQ(batched, run_order(800, 300, false));
   EXPECT_EQ(batched.size(), 1100u);
@@ -227,6 +230,163 @@ TEST(SchedulerEdge, BatchClearsEventsAndAppendsIds) {
   sched.schedule_batch(batch, &ids);
   EXPECT_EQ(ids.size(), 3u);
   EXPECT_EQ(sched.run(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Runs and the sweep. A batch waits as one sorted run whose earliest
+// event is its only heap entry; a cancelled head must hand its place to
+// the next live event of its run, whether it surfaces at the front of
+// the queue or is swept once tombstones outnumber live events.
+// ---------------------------------------------------------------------
+
+TEST(SchedulerEdge, CancelledRunHeadHandsOverToItsNextLiveEvent) {
+  Scheduler sched;
+  std::vector<int> order;
+  std::vector<Scheduler::BatchEvent> batch;
+  for (int i = 0; i < 5; ++i) {
+    batch.push_back({TimePoint::at(Duration::millis(1 + i)),
+                     [&order, i] { order.push_back(i); }});
+  }
+  std::vector<EventId> ids;
+  sched.schedule_batch(batch, &ids);
+  ASSERT_EQ(ids.size(), 5u);
+  EXPECT_TRUE(sched.cancel(ids[0]));
+  EXPECT_TRUE(sched.cancel(ids[1]));
+  EXPECT_EQ(sched.pending_events(), 3u);
+  EXPECT_EQ(sched.peek_next_time(), TimePoint::at(Duration::millis(3)));
+  EXPECT_EQ(sched.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerEdge, SweepKeepsTheLiveTailOfACancelledRun) {
+  Scheduler sched;
+  std::vector<int> order;
+  // Labels in scheduling order with their times, for the expected order.
+  std::vector<std::pair<std::int64_t, int>> queued;
+  auto record = [&order](int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+  // 64 runs of one, every 8th left live: cancelling the other 56 leaves
+  // tombstones far outnumbering live events, so a sweep must run.
+  std::vector<EventId> singles;
+  for (int i = 0; i < 64; ++i) {
+    singles.push_back(sched.schedule_at(
+        TimePoint::at(Duration::micros(i)), record(i)));
+    queued.emplace_back(i, i);
+  }
+  // A run of five, given out of time order; its head is the 10 us event.
+  const std::array<std::int64_t, 5> times{40, 10, 55, 20, 33};
+  std::vector<Scheduler::BatchEvent> batch;
+  for (std::size_t j = 0; j < times.size(); ++j) {
+    const int label = 100 + static_cast<int>(j);
+    batch.push_back({TimePoint::at(Duration::micros(times[j])), record(label)});
+    queued.emplace_back(times[j], label);
+  }
+  std::vector<EventId> ids;
+  sched.schedule_batch(batch, &ids);
+  EXPECT_TRUE(sched.cancel(ids[1]));  // the run's head
+  std::vector<int> cancelled{101};
+  for (int i = 0; i < 64; ++i) {
+    if (i % 8 == 0) continue;
+    EXPECT_TRUE(sched.cancel(singles[static_cast<std::size_t>(i)]));
+    cancelled.push_back(i);
+  }
+  EXPECT_EQ(sched.pending_events(), 8u + 4u);
+
+  std::stable_sort(queued.begin(), queued.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<int> expected;
+  for (const auto& [at, label] : queued) {
+    if (std::find(cancelled.begin(), cancelled.end(), label) ==
+        cancelled.end()) {
+      expected.push_back(label);
+    }
+  }
+  EXPECT_EQ(sched.run(), 12u);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+// Cancels its target when destroyed (and not when moved from, since a
+// moved-from unique_ptr is null), recording whether the cancel took.
+struct CancelOnDestroy {
+  Scheduler& sched;
+  EventId target;
+  int& cancels;
+  ~CancelOnDestroy() {
+    if (sched.cancel(target)) ++cancels;
+  }
+};
+
+TEST(SchedulerEdge, SweepSurvivesACancelFromADestroyedCapture) {
+  Scheduler sched;
+  // Four victims, each the target of two killers, whose captures cancel
+  // it as they die. Cancelling every killer forces sweeps, and each dying
+  // capture's cancel may start another sweep while one is under way.
+  constexpr int kVictims = 4;
+  std::array<int, kVictims> runs{};
+  std::array<int, kVictims> cancels{};
+  std::array<EventId, kVictims> victims;
+  for (int v = 0; v < kVictims; ++v) {
+    victims[static_cast<std::size_t>(v)] =
+        sched.schedule_at(TimePoint::at(Duration::millis(1 + 2 * v)),
+                          [&runs, v] { ++runs[static_cast<std::size_t>(v)]; });
+  }
+  int killer_runs = 0;
+  std::vector<EventId> killers;
+  for (int k = 0; k < 2 * kVictims; ++k) {
+    const auto v = static_cast<std::size_t>(k % kVictims);
+    auto guard =
+        std::make_unique<CancelOnDestroy>(sched, victims[v], cancels[v]);
+    killers.push_back(sched.schedule_at(
+        TimePoint::at(Duration::millis(k)),
+        [&killer_runs, guard = std::move(guard)] { ++killer_runs; }));
+  }
+  for (const auto id : killers) EXPECT_TRUE(sched.cancel(id));
+  // Fresh events reuse every freed slot: a slot freed twice would give
+  // two of them one slot, and one would never run.
+  constexpr int kProbes = 16;
+  std::array<int, kProbes> probe_runs{};
+  for (int p = 0; p < kProbes; ++p) {
+    sched.schedule_at(TimePoint::at(Duration::millis(p)), [&probe_runs, p] {
+      ++probe_runs[static_cast<std::size_t>(p)];
+    });
+  }
+
+  sched.run();
+  EXPECT_EQ(killer_runs, 0);
+  for (std::size_t v = 0; v < kVictims; ++v) {
+    EXPECT_EQ(runs[v] + cancels[v], 1) << "victim " << v;
+  }
+  for (std::size_t p = 0; p < kProbes; ++p) {
+    EXPECT_EQ(probe_runs[p], 1) << "probe " << p;
+  }
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerEdge, RunUntilStopsInsideARun) {
+  Scheduler sched;
+  int runs = 0;
+  std::vector<Scheduler::BatchEvent> batch;
+  for (int i = 0; i < 4; ++i) {
+    batch.push_back({TimePoint::at(Duration::millis(10 * (i + 1))),
+                     [&runs] { ++runs; }});
+  }
+  std::vector<EventId> ids;
+  sched.schedule_batch(batch, &ids);
+  const auto deadline = TimePoint::at(Duration::millis(25));
+  EXPECT_EQ(sched.run_until(deadline), 2u);
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(sched.now(), deadline);
+  EXPECT_EQ(sched.pending_events(), 2u);
+  EXPECT_FALSE(sched.pending(ids[0]));
+  EXPECT_FALSE(sched.pending(ids[1]));
+  EXPECT_TRUE(sched.pending(ids[2]));
+  EXPECT_TRUE(sched.pending(ids[3]));
+  EXPECT_EQ(sched.peek_next_time(), TimePoint::at(Duration::millis(30)));
+  EXPECT_EQ(sched.run(), 2u);
+  EXPECT_EQ(runs, 4);
 }
 
 // ---------------------------------------------------------------------
@@ -284,7 +444,8 @@ TEST(SchedulerEdge, EveryCallbackIsDestroyedExactlyOnce) {
     EXPECT_EQ(sched.run_until(TimePoint::at(Duration::millis(5))), 1u);
     EXPECT_EQ(*token, 1);
     // The run event's captures die after its call, the cancelled
-    // event's when its tombstone surfaces; the later event keeps its.
+    // event's when its tombstone surfaces or is swept; the later event
+    // keeps its.
     EXPECT_EQ(token.use_count(), 2);
   }
   // Destroying the scheduler destroys the still-pending callback.
