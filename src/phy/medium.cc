@@ -233,6 +233,8 @@ void Medium::attach(Phy& phy) {
   HYDRA_ASSERT_MSG(!phy.attached_, "phy attached twice");
   phy.attach_index_ = static_cast<std::uint32_t>(phys_.size());
   phys_.push_back(&phy);
+  phy.receiver_key_ = receivers_.size();
+  receivers_.push_back(&phy);
   phy.attached_ = true;
   if (!backend_dirty_ && backend_.attach_incremental(phy, phys_, config_)) {
     ++incremental_attaches_;
@@ -243,7 +245,7 @@ void Medium::attach(Phy& phy) {
 
 bool Medium::detach(Phy& phy) {
   if (!phy.attached_) return false;
-  cancel_pending_rx(phy);
+  receivers_[phy.receiver_key_] = nullptr;
   phy.abort_receptions();
   const std::uint32_t index = unlink(phy);
   ++detaches_;
@@ -279,16 +281,11 @@ std::uint32_t Medium::unlink(Phy& phy) {
   return index;
 }
 
-void Medium::cancel_pending_rx(Phy& phy) {
-  for (const auto id : phy.pending_rx_events_) sim_.scheduler().cancel(id);
-  phy.pending_rx_events_.clear();
-}
-
 void Medium::on_phy_destroyed(Phy& phy) {
-  // Already detach()ed explicitly: the pending events were cancelled
-  // then, and a detached PHY accrues no new ones.
+  // Already detach()ed explicitly: the key was cleared then, and a
+  // detached PHY holds no other.
   if (!phy.attached_) return;
-  cancel_pending_rx(phy);
+  receivers_[phy.receiver_key_] = nullptr;
   unlink(phy);
   backend_dirty_ = true;
 }
@@ -327,42 +324,31 @@ sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
   // the last delivery drops its ref.
   auto tx = util::make_pooled<Transmission>();
   tx->id = next_tx_id_++;
-  tx->source = &src;
   tx->frame = std::move(frame);
   tx->timing = timing;
-  tx->start = sim_.now();
 
   const auto& deliveries = backend_.deliveries(src);
   deliveries_scheduled_ += deliveries.size();
   // The whole fan-out commits as one batch: rx_start/rx_end pairs in
   // delivery-list (canonical attach) order, exactly the sequence — and
   // sequence numbers — that per-delivery schedule_in calls would have
-  // produced.
+  // produced. Each event captures its receiver's key, not the receiver,
+  // so one whose receiver has since detached or died runs as a no-op.
   const auto now = sim_.now();
   batch_.clear();
   batch_.reserve(2 * deliveries.size());
   for (const Delivery& delivery : deliveries) {
-    Phy* dst = delivery.destination;
+    const std::size_t key = delivery.destination->receiver_key_;
     const double power = delivery.rx_power_dbm;
-    batch_.push_back({now + delivery.propagation,
-                      [dst, tx, power] { dst->rx_start(tx, power); }});
-    batch_.push_back({now + delivery.propagation + timing.total,
-                      [dst, tx, power] { dst->rx_end(tx, power); }});
+    const auto arrival = now + delivery.propagation;
+    batch_.push_back({arrival, [this, key, tx, power] {
+      if (Phy* dst = receivers_[key]) dst->rx_start(tx, power);
+    }});
+    batch_.push_back({arrival + timing.total, [this, key, tx, power] {
+      if (Phy* dst = receivers_[key]) dst->rx_end(tx, power);
+    }});
   }
-  batch_ids_.clear();
-  sim_.scheduler().schedule_batch(batch_, &batch_ids_);
-  // Hand each receiver the ids of its rx pair so detach() can cancel
-  // in-flight deliveries. Ids whose events already ran are compacted
-  // out first, keeping each vector at the live in-flight count instead
-  // of growing with history.
-  auto& scheduler = sim_.scheduler();
-  for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    auto& pend = deliveries[i].destination->pending_rx_events_;
-    std::erase_if(pend,
-                  [&](sim::EventId id) { return !scheduler.pending(id); });
-    pend.push_back(batch_ids_[2 * i]);
-    pend.push_back(batch_ids_[2 * i + 1]);
-  }
+  sim_.scheduler().schedule_batch(batch_);
   return timing.total;
 }
 

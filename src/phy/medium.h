@@ -28,9 +28,10 @@
 // contract extends to motion — after any incremental patch the lists are
 // bit-identical to a from-scratch rebuild at the current positions,
 // pinned by the mobility determinism suite (`ctest -L mobility`).
-// Detaching (or destroying) a PHY cancels its in-flight rx_start/rx_end
-// events through the scheduler's generation-stamped cancel path, so no
-// scheduled event ever touches a PHY the medium no longer knows.
+// A delivery reaches its receiver through the key attach() gave it, not a
+// pointer: detaching (or destroying) a PHY clears its key, so a delivery
+// still in flight lands nowhere, and no scheduled event ever touches a
+// PHY the medium no longer knows.
 // Everything here runs on the simulation's one thread.
 #pragma once
 
@@ -86,10 +87,8 @@ double reach_radius_m(const MediumConfig& config, double tx_power_dbm);
 // One in-flight transmission, shared by every receiver's bookkeeping.
 struct Transmission {
   std::uint64_t id = 0;
-  const Phy* source = nullptr;
   PhyFrame frame;
   FrameTiming timing;
-  sim::TimePoint start;
 };
 
 // One precomputed receiver of a given source PHY.
@@ -166,17 +165,19 @@ class Medium {
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
 
-  // Registers a PHY. A PHY that is destroyed while attached detaches
-  // itself (and cancels its in-flight deliveries), so outliving the
+  // Registers a PHY under a key this medium has never handed out before.
+  // A PHY that is destroyed while attached detaches itself (clearing its
+  // key, so its in-flight deliveries land nowhere), so outliving the
   // medium's events is no longer the caller's problem.
   void attach(Phy& phy);
 
-  // Unregisters `phy`: cancels its pending rx_start/rx_end events,
-  // aborts its in-progress receptions, and removes it from both
-  // delivery-list directions — in place, unless the lists already await
-  // a rebuild. Idempotent; returns false when `phy` was not attached. A
-  // detached PHY may keep transmitting (the MAC's timing machinery keeps
-  // running) but reaches nobody until re-attach()ed.
+  // Unregisters `phy`: clears its key, so its queued rx_start/rx_end
+  // events land nowhere, aborts its in-progress receptions, and removes
+  // it from both delivery-list directions — in place, unless the lists
+  // already await a rebuild. Idempotent; returns false when `phy` was not
+  // attached. A detached PHY may keep transmitting (the MAC's timing
+  // machinery keeps running) but reaches nobody until re-attach()ed, and
+  // the re-attach's fresh key keeps the old deliveries away from it.
   bool detach(Phy& phy);
 
   // Repositions `phy` and patches the delivery lists in place when the
@@ -229,9 +230,7 @@ class Medium {
   // attach index keeps matching its position. Returns the index `phy`
   // held.
   std::uint32_t unlink(Phy& phy);
-  // Cancels every still-queued rx event scheduled for `phy`.
-  void cancel_pending_rx(Phy& phy);
-  // Destructor-path detach: unregister and cancel, but skip the
+  // Destructor-path detach: unregister and clear the key, but skip the
   // incremental patch (teardown destroys nodes one by one — patching N
   // lists per destruction is O(N²) work nobody will read) and skip the
   // CCA callback (the owning node is mid-destruction). Unlinking still
@@ -243,6 +242,12 @@ class Medium {
   MediumConfig config_;
   ErrorModel error_model_;
   std::vector<Phy*> phys_;
+  // Every attachment's PHY, by key: attach() appends a fresh entry, and
+  // detach() and on_phy_destroyed() null it. Grow-only, so no key is
+  // ever reused — neither by a re-attach nor by a new PHY the allocator
+  // places at a freed one's address — and a delivery captures its key,
+  // not its receiver.
+  std::vector<Phy*> receivers_;
   DeliveryBackend backend_;
   bool backend_dirty_ = true;
   // Transmission-path state: one global sequence shared by every node.
@@ -256,10 +261,9 @@ class Medium {
   std::uint64_t incremental_detaches_ = 0;
   std::uint64_t incremental_moves_ = 0;
   // Reused per transmission: the batch the delivery fan-out commits
-  // through (one schedule_batch call instead of 2·k schedule_in heap
-  // pushes), and the ids it hands back for per-receiver cancellation.
+  // through, fire-and-forget (one schedule_batch call instead of 2·k
+  // schedule_in heap pushes).
   std::vector<sim::Scheduler::BatchEvent> batch_;
-  std::vector<sim::EventId> batch_ids_;
 };
 
 }  // namespace hydra::phy

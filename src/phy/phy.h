@@ -1,6 +1,7 @@
 // PHY device: transmit/receive state, CCA, per-subframe error draws.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,14 +21,14 @@ struct PhyConfig {
 };
 
 // Half-duplex transceiver. The MAC drives transmit() and reacts to the
-// three callbacks; the Medium drives the rx_* entry points.
+// three callbacks; the Medium drives the private rx_* entry points.
 class Phy {
  public:
   Phy(sim::Simulation& simulation, Medium& medium, PhyConfig config,
       std::uint32_t id);
-  // Detaches from the medium and cancels every event that still names
-  // this PHY (in-flight deliveries, the tx-complete timer), so a node
-  // may be destroyed mid-simulation without leaving dangling callbacks.
+  // Detaches from the medium, whose in-flight deliveries to this PHY then
+  // land nowhere, and cancels the tx-complete timer, so a node may be
+  // destroyed mid-simulation without leaving dangling callbacks.
   ~Phy();
 
   Phy(const Phy&) = delete;
@@ -50,12 +51,6 @@ class Phy {
   // CCA state changed (true = busy). Fired on every edge.
   std::function<void(bool)> on_cca_change;
 
-  // --- Medium-facing interface ----------------------------------------
-  void rx_start(const std::shared_ptr<const Transmission>& tx,
-                double rx_power_dbm);
-  void rx_end(const std::shared_ptr<const Transmission>& tx,
-              double rx_power_dbm);
-
   const PhyConfig& config() const { return config_; }
   std::uint32_t id() const { return id_; }
   // False after Medium::detach() until the next attach(). Position
@@ -76,9 +71,8 @@ class Phy {
   std::uint64_t rx_starts() const { return rx_starts_; }
 
  private:
-  // The medium manages attachment state and index, the position (via
-  // move_node) and the pending-delivery handles it needs to cancel on
-  // detach.
+  // The medium manages attachment state, index and key, the position
+  // (via move_node), and is the only caller of the rx_* entry points.
   friend class Medium;
 
   struct Incoming {
@@ -87,9 +81,15 @@ class Phy {
     bool doomed;  // overlapped another reception or our own transmission
   };
 
+  // A delivery's arrival and departure, called by the medium only while
+  // the delivery's key is still this PHY's.
+  void rx_start(const std::shared_ptr<const Transmission>& tx,
+                double rx_power_dbm);
+  void rx_end(const std::shared_ptr<const Transmission>& tx,
+              double rx_power_dbm);
   void update_cca();
   // Detach path: drops every in-progress reception and re-evaluates CCA
-  // (the matching rx_end events have just been cancelled, so nothing
+  // (the matching rx_end events can no longer find this PHY, so nothing
   // else would ever clear them).
   void abort_receptions();
   // Fills and returns scratch_report_; valid until the next evaluate().
@@ -105,6 +105,9 @@ class Phy {
   bool last_cca_busy_ = false;
   bool attached_ = false;
   std::uint32_t attach_index_ = 0;
+  // The key the medium's deliveries reach this PHY through, fresh at
+  // every attach(). Meaningful only while attached().
+  std::size_t receiver_key_ = 0;
   // In-progress receptions, ordered by arrival. A handful at most, so a
   // flat vector beats a node-per-entry map on the per-delivery path:
   // push_back/erase reuse the same capacity for the whole run.
@@ -112,10 +115,7 @@ class Phy {
   // Reused across receptions so steady-state delivery evaluation
   // allocates nothing (the contained vectors keep their capacity).
   RxReport scratch_report_;
-  // Scheduler handles for events that capture `this`: the rx_start /
-  // rx_end pairs of in-flight deliveries (written by the medium,
-  // compacted as events run) and the tx-complete timer.
-  std::vector<sim::EventId> pending_rx_events_;
+  // The tx-complete timer, the one event that captures `this`.
   sim::EventId tx_complete_event_;
 
   std::uint64_t frames_sent_ = 0;

@@ -46,17 +46,14 @@ EventId Scheduler::schedule_in(Duration delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
-void Scheduler::schedule_batch(std::vector<BatchEvent>& events,
-                               std::vector<EventId>* ids) {
+void Scheduler::schedule_batch(std::vector<BatchEvent>& events) {
   if (events.empty()) return;
   const std::size_t existing = heap_.size();
-  if (ids) ids->reserve(ids->size() + events.size());
   for (auto& event : events) {
     HYDRA_ASSERT_MSG(event.at >= now_, "cannot schedule into the past");
     HYDRA_ASSERT(event.cb != nullptr);
     const std::uint32_t slot = acquire_slot();
     slots_[slot].cb = std::move(event.cb);
-    if (ids) ids->push_back(EventId(pack_id(slots_[slot].generation, slot)));
     heap_.push_back(Entry{event.at, next_seq_++, slot});
   }
   events.clear();
@@ -140,20 +137,17 @@ void Scheduler::pop_head() {
 }
 
 void Scheduler::sweep() {
-  // Each dead head hands its place to the first live event of its run;
-  // a run with none left drops out. A swept tombstone is out of every
-  // run, so its `next` links it into the swept_ list instead.
+  // A dead head is a cancelled run of one, so it drops out whole, and
+  // its `next`, which ended the run, links it into the swept_ list.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
-    Entry entry = heap_[i];
-    while (!slots_[entry.slot].pending) {
-      const std::uint32_t dead = entry.slot;
-      entry = slots_[dead].next;
-      slots_[dead].next.slot = swept_;
-      swept_ = dead;
-      if (entry.slot == kEndOfRun) break;
+    const Entry entry = heap_[i];
+    if (slots_[entry.slot].pending) {
+      heap_[kept++] = entry;
+    } else {
+      slots_[entry.slot].next.slot = swept_;
+      swept_ = entry.slot;
     }
-    if (entry.slot != kEndOfRun) heap_[kept++] = entry;
   }
   heap_.resize(kept);
   std::make_heap(heap_.begin(), heap_.end(), Later{});

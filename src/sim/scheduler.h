@@ -61,14 +61,9 @@ class Scheduler {
   // schedule_at calls exactly) as one sorted run that enters the heap
   // through its earliest event: one push, whatever the batch's size. The
   // medium uses this to commit a whole transmission's delivery fan-out
-  // at once.
-  // With `ids`, the EventId of every committed event is appended in
-  // batch order (the ids cost nothing extra — batch events already
-  // occupy cancel slots), so callers can cancel individual deliveries
-  // later; without it the batch is fire-and-forget. `events` is left
-  // cleared for reuse; `ids` is appended to, not cleared.
-  void schedule_batch(std::vector<BatchEvent>& events,
-                      std::vector<EventId>* ids = nullptr);
+  // at once. Fire-and-forget: a batch event has no EventId and cannot be
+  // cancelled. `events` is left cleared for reuse.
+  void schedule_batch(std::vector<BatchEvent>& events);
 
   // Cancels a pending event. Returns false if the event already ran, was
   // already cancelled, or the id is invalid.
@@ -142,7 +137,8 @@ class Scheduler {
   // its place. Cancelling is lazy: a cancelled event stays queued as a
   // tombstone, and is dropped when it surfaces at the root or when
   // cancel() sweeps the heap, once its heads outnumber twice the live
-  // events.
+  // events. Only a schedule_at event can be cancelled, so every
+  // tombstone is a run of one and leaves the heap whole.
   std::vector<Entry> heap_;
   // Slot storage grows to the high-water mark of concurrently scheduled
   // events and is then recycled through the free list.

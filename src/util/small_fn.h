@@ -1,7 +1,7 @@
 // Move-only type-erased `void()` callable for the scheduler hot path.
 //
 // std::function costs a heap allocation for any capture over ~16 bytes
-// (libstdc++), and the medium's per-delivery rx callbacks capture 32.
+// (libstdc++), and the medium's per-delivery rx callbacks capture 40.
 // SmallFn stores captures up to 48 bytes inline — enough for every
 // callback the simulator schedules today — and boxes larger ones
 // through the BufferPool (the calling thread's free lists), so

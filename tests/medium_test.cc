@@ -361,9 +361,9 @@ TEST(MediumDeathTest, AttachingAnAttachedPhyAborts) {
 
 TEST(MediumDetach, DetachCancelsInFlightDeliveries) {
   // a's frame is mid-air at b (rx_start ran, rx_end still queued) when b
-  // detaches: the queued rx_end must be cancelled — not delivered to a
-  // PHY the medium no longer knows — and the half-open reception must be
-  // aborted so CCA clears.
+  // detaches: the queued rx_end must land nowhere — not on a PHY the
+  // medium no longer knows — and the half-open reception must be aborted
+  // so CCA clears.
   sim::Simulation s(1);
   phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
@@ -376,15 +376,66 @@ TEST(MediumDetach, DetachCancelsInFlightDeliveries) {
   EXPECT_TRUE(medium.detach(b));
   EXPECT_FALSE(b.cca_busy()) << "detach must abort the open reception";
   s.run();
-  EXPECT_EQ(b.frames_received(), 0u) << "cancelled rx_end must not decode";
+  EXPECT_EQ(b.frames_received(), 0u) << "a stale rx_end must not decode";
+}
+
+TEST(MediumDetach, ReattachMidFlightDropsTheOldAttachmentsDeliveries) {
+  // b leaves while a's rx_end for it is queued and comes back at the same
+  // instant. That rx_end was sent to b's old attachment, so it must land
+  // nowhere: the re-attached b has no reception open for it. A key reused
+  // across attachments would deliver it and abort on "rx_end without
+  // rx_start".
+  sim::Simulation s(1);
+  phy::Medium medium(s);
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
+  phy::Phy b(s, medium, {.position = {10, 0}}, 1);
+  a.transmit(test_frame());
+  s.run_until(s.now() + sim::Duration::micros(5));
+  ASSERT_EQ(b.rx_starts(), 1u);
+  ASSERT_TRUE(b.cca_busy()) << "reception should be in progress";
+
+  ASSERT_TRUE(medium.detach(b));
+  medium.attach(b);
+  s.run();
+  EXPECT_EQ(b.frames_received(), 0u);
+  EXPECT_FALSE(b.cca_busy());
+
+  // The new attachment hears a's next frame whole.
+  a.transmit(test_frame());
+  s.run();
+  EXPECT_EQ(b.rx_starts(), 2u);
+  EXPECT_EQ(b.frames_received(), 1u);
+}
+
+TEST(MediumDetach, ANewPhyInheritsNoDeliveriesOfADestroyedOne) {
+  // b dies while a's rx_end for it is queued, and a new PHY attaches at
+  // once, at b's position and often at b's freed address. The queued
+  // rx_end was sent to b's attachment, which died with b: the newcomer
+  // must not receive it.
+  sim::Simulation s(1);
+  phy::Medium medium(s);
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
+  auto b = std::make_unique<phy::Phy>(
+      s, medium, phy::PhyConfig{.position = {10, 0}}, 1);
+  a.transmit(test_frame());
+  s.run_until(s.now() + sim::Duration::micros(5));
+  ASSERT_EQ(b->rx_starts(), 1u);
+
+  b.reset();
+  auto newcomer = std::make_unique<phy::Phy>(
+      s, medium, phy::PhyConfig{.position = {10, 0}}, 1);
+  s.run();
+  EXPECT_EQ(newcomer->rx_starts(), 0u);
+  EXPECT_EQ(newcomer->frames_received(), 0u);
+  EXPECT_FALSE(newcomer->cca_busy());
 }
 
 TEST(MediumDetach, DestroyingAPhyMidFlightLeavesNoDanglingEvents) {
-  // The lifecycle bug this PR flushes out: a Phy destroyed while
-  // rx_start/rx_end events are queued for it left dangling Phy*
-  // callbacks in the scheduler (ASan catches the use-after-free when the
-  // suite runs sanitized). Destroy a mid-flight receiver AND a
-  // mid-flight transmitter, then drain the queue.
+  // A Phy destroyed while rx_start/rx_end events are queued for it must
+  // not be reached by them: they find its key cleared and land nowhere
+  // (ASan catches the use-after-free when the suite runs sanitized).
+  // Destroy a mid-flight receiver AND a mid-flight transmitter, then
+  // drain the queue.
   sim::Simulation s(1);
   phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);

@@ -71,11 +71,12 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
 }
 
 // The same model under the medium's and the timers' patterns: batches of
-// 1-90 events (queued as sorted runs), cancels of heads, followers and
-// events long gone, callbacks that schedule and cancel in turn, and
-// run_until slices. Every event that is never cancelled runs once, at its
-// time, in (time, scheduling order) order; cancel() succeeds exactly on
-// events that have neither run nor been cancelled.
+// 1-90 events (queued as sorted runs, fire-and-forget), cancels of
+// schedule_at events queued or long gone, callbacks that schedule and
+// cancel in turn, and run_until slices. Every event that is never
+// cancelled runs once, at its time, in (time, scheduling order) order;
+// cancel() succeeds exactly on events that have neither run nor been
+// cancelled.
 class FuzzWorld {
  public:
   explicit FuzzWorld(std::uint64_t seed) : rng_(seed) {}
@@ -100,27 +101,17 @@ class FuzzWorld {
     // Half the batches are the size of a paper_tcp fan-out (5.6 events
     // on average), half up to a flood_10k one (85).
     const auto count = rng_.uniform_int(1, rng_.bernoulli(0.5) ? 6 : 90);
-    const bool with_ids = rng_.bernoulli(0.5);
     std::vector<sim::Scheduler::BatchEvent> batch;
-    std::vector<std::size_t> labels;
     for (std::uint64_t i = 0; i < count; ++i) {
       const auto at = draw_time();
       const auto label = add(at);
       batch.push_back({at, [this, label] { on_run(label); }});
-      labels.push_back(label);
     }
-    std::vector<sim::EventId> ids;
-    sched_.schedule_batch(batch, with_ids ? &ids : nullptr);
+    sched_.schedule_batch(batch);
     EXPECT_TRUE(batch.empty());
-    if (!with_ids) return;
-    ASSERT_EQ(ids.size(), labels.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ids_.push_back(ids[i]);
-      tracked_.push_back(labels[i]);
-    }
   }
 
-  // Cancels each queued event whose id is known with probability `p`.
+  // Cancels each queued schedule_at event with probability `p`.
   void cancel_some(double p) {
     for (std::size_t i = 0; i < ids_.size(); ++i) {
       auto& event = events_[tracked_[i]];
@@ -130,7 +121,7 @@ class FuzzWorld {
     }
   }
 
-  // Cancels a random event whose id is known: queued or not.
+  // Cancels a random schedule_at event: queued or not.
   void cancel_one() {
     if (!ids_.empty()) cancel(rng_.uniform_int(0, ids_.size() - 1));
   }
@@ -217,7 +208,8 @@ class FuzzWorld {
   sim::Scheduler sched_;
   std::vector<Event> events_;  // by label, in scheduling order
   std::vector<std::size_t> executed_;
-  // The events whose ids are known: ids_[i] is events_[tracked_[i]]'s.
+  // The schedule_at events, the only ones with ids: ids_[i] is
+  // events_[tracked_[i]]'s.
   std::vector<sim::EventId> ids_;
   std::vector<std::size_t> tracked_;
   // Each of 8 timers' latest firing, as an index into ids_.
@@ -242,9 +234,9 @@ TEST_P(SchedulerFuzz, BatchesCancelsAndSlicesMatchReferenceModel) {
         world.run_slice();
       }
     }
-    // Half the queued events cancelled, then a storm of re-arms: the
-    // timers' tombstones soon outnumber the live events, so the queue is
-    // swept while runs with cancelled heads still hold live followers.
+    // Half the cancellable queued events cancelled, then a storm of
+    // re-arms: the timers' tombstones soon outnumber the live events, so
+    // the queue is swept while batch runs still wait in it.
     world.cancel_some(0.5);
     for (int i = 0; i < 400; ++i) world.rearm();
     world.run_slice();

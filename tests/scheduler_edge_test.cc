@@ -188,78 +188,30 @@ TEST(SchedulerEdge, LargeBatchMatchesScheduleAtOrder) {
   EXPECT_EQ(run_order(0, 300, true), run_order(0, 300, false));
 }
 
-TEST(SchedulerEdge, BatchIdsCancelTrackAndGoStale) {
-  Scheduler sched;
-  int runs = 0;
-  std::vector<Scheduler::BatchEvent> batch;
-  for (int i = 0; i < 3; ++i) {
-    batch.push_back({TimePoint::at(Duration::millis(1 + i)), [&] { ++runs; }});
-  }
-  std::vector<EventId> ids;
-  sched.schedule_batch(batch, &ids);
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(sched.pending_events(), 3u);
-  for (const auto id : ids) EXPECT_TRUE(sched.pending(id));
-
-  EXPECT_TRUE(sched.cancel(ids[1]));
-  EXPECT_FALSE(sched.pending(ids[1]));
-  EXPECT_EQ(sched.pending_events(), 2u);
-
-  EXPECT_EQ(sched.run(), 2u);
-  EXPECT_EQ(runs, 2);
-  for (const auto id : ids) {
-    EXPECT_FALSE(sched.pending(id));
-    EXPECT_FALSE(sched.cancel(id));  // ran or already cancelled: stale
-  }
-}
-
 TEST(SchedulerEdge, BatchClearsEventsAndAppendsIds) {
   Scheduler sched;
-  std::vector<EventId> ids;
-  ids.push_back(sched.schedule_in(Duration::millis(1), [] {}));
+  sched.schedule_in(Duration::millis(1), [] {});
   std::vector<Scheduler::BatchEvent> batch;
   batch.push_back({TimePoint::at(Duration::millis(2)), [] {}});
   batch.push_back({TimePoint::at(Duration::millis(3)), [] {}});
-  sched.schedule_batch(batch, &ids);
+  sched.schedule_batch(batch);
   EXPECT_TRUE(batch.empty());
-  ASSERT_EQ(ids.size(), 3u);  // the earlier id is kept, not replaced
-  for (const auto id : ids) EXPECT_TRUE(sched.pending(id));
-  EXPECT_NE(ids[1], ids[2]);
+  EXPECT_EQ(sched.pending_events(), 3u);
 
-  // An empty batch is a no-op that leaves `ids` alone.
-  sched.schedule_batch(batch, &ids);
-  EXPECT_EQ(ids.size(), 3u);
+  sched.schedule_batch(batch);
+  EXPECT_EQ(sched.pending_events(), 3u);
   EXPECT_EQ(sched.run(), 3u);
 }
 
 // ---------------------------------------------------------------------
 // Runs and the sweep. A batch waits as one sorted run whose earliest
-// event is its only heap entry; a cancelled head must hand its place to
-// the next live event of its run, whether it surfaces at the front of
-// the queue or is swept once tombstones outnumber live events.
+// event is its only heap entry. Only a schedule_at event can be
+// cancelled, so a tombstone is a run of one: it drops out whole, whether
+// it surfaces at the front of the queue or is swept once tombstones
+// outnumber live events, and every run stays whole.
 // ---------------------------------------------------------------------
 
-TEST(SchedulerEdge, CancelledRunHeadHandsOverToItsNextLiveEvent) {
-  Scheduler sched;
-  std::vector<int> order;
-  std::vector<Scheduler::BatchEvent> batch;
-  for (int i = 0; i < 5; ++i) {
-    batch.push_back({TimePoint::at(Duration::millis(1 + i)),
-                     [&order, i] { order.push_back(i); }});
-  }
-  std::vector<EventId> ids;
-  sched.schedule_batch(batch, &ids);
-  ASSERT_EQ(ids.size(), 5u);
-  EXPECT_TRUE(sched.cancel(ids[0]));
-  EXPECT_TRUE(sched.cancel(ids[1]));
-  EXPECT_EQ(sched.pending_events(), 3u);
-  EXPECT_EQ(sched.peek_next_time(), TimePoint::at(Duration::millis(3)));
-  EXPECT_EQ(sched.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
-  EXPECT_EQ(sched.pending_events(), 0u);
-}
-
-TEST(SchedulerEdge, SweepKeepsTheLiveTailOfACancelledRun) {
+TEST(SchedulerEdge, SweepDropsCancelledSingletonsAndKeepsARunWhole) {
   Scheduler sched;
   std::vector<int> order;
   // Labels in scheduling order with their times, for the expected order.
@@ -283,16 +235,14 @@ TEST(SchedulerEdge, SweepKeepsTheLiveTailOfACancelledRun) {
     batch.push_back({TimePoint::at(Duration::micros(times[j])), record(label)});
     queued.emplace_back(times[j], label);
   }
-  std::vector<EventId> ids;
-  sched.schedule_batch(batch, &ids);
-  EXPECT_TRUE(sched.cancel(ids[1]));  // the run's head
-  std::vector<int> cancelled{101};
+  sched.schedule_batch(batch);
+  std::vector<int> cancelled;
   for (int i = 0; i < 64; ++i) {
     if (i % 8 == 0) continue;
     EXPECT_TRUE(sched.cancel(singles[static_cast<std::size_t>(i)]));
     cancelled.push_back(i);
   }
-  EXPECT_EQ(sched.pending_events(), 8u + 4u);
+  EXPECT_EQ(sched.pending_events(), 8u + 5u);
 
   std::stable_sort(queued.begin(), queued.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -303,7 +253,7 @@ TEST(SchedulerEdge, SweepKeepsTheLiveTailOfACancelledRun) {
       expected.push_back(label);
     }
   }
-  EXPECT_EQ(sched.run(), 12u);
+  EXPECT_EQ(sched.run(), 13u);
   EXPECT_EQ(order, expected);
   EXPECT_EQ(sched.pending_events(), 0u);
 }
@@ -373,17 +323,12 @@ TEST(SchedulerEdge, RunUntilStopsInsideARun) {
     batch.push_back({TimePoint::at(Duration::millis(10 * (i + 1))),
                      [&runs] { ++runs; }});
   }
-  std::vector<EventId> ids;
-  sched.schedule_batch(batch, &ids);
+  sched.schedule_batch(batch);
   const auto deadline = TimePoint::at(Duration::millis(25));
   EXPECT_EQ(sched.run_until(deadline), 2u);
   EXPECT_EQ(runs, 2);
   EXPECT_EQ(sched.now(), deadline);
   EXPECT_EQ(sched.pending_events(), 2u);
-  EXPECT_FALSE(sched.pending(ids[0]));
-  EXPECT_FALSE(sched.pending(ids[1]));
-  EXPECT_TRUE(sched.pending(ids[2]));
-  EXPECT_TRUE(sched.pending(ids[3]));
   EXPECT_EQ(sched.peek_next_time(), TimePoint::at(Duration::millis(30)));
   EXPECT_EQ(sched.run(), 2u);
   EXPECT_EQ(runs, 4);
