@@ -9,7 +9,6 @@
 #include "app/udp_cbr.h"
 #include "app/udp_sink.h"
 #include "net/node.h"
-#include "util/alloc_stats.h"
 #include "util/assert.h"
 
 namespace hydra::app {
@@ -23,10 +22,6 @@ constexpr proto::Port kUdpPort = 9001;
 
 topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   using topo::TrafficKind;
-
-  // Meter the whole experiment, scenario build included: the build is
-  // where cold pools warm up, so excluding it would hide setup cost.
-  const auto alloc_before = util::alloc_snapshot();
 
   auto scenario = topo::Scenario::build(config.scenario, config.seed);
   sim::Simulation& simulation = scenario.sim();
@@ -211,21 +206,14 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   result.phy_transmissions = scenario.medium().transmissions_started();
   result.phy_deliveries = scenario.medium().deliveries_scheduled();
   result.phy_rebuilds = scenario.medium().rebuilds();
-  result.phy_incremental_attaches = scenario.medium().incremental_attaches();
   result.phy_detaches = scenario.medium().detaches();
   result.phy_moves = scenario.medium().moves();
-  result.phy_incremental_detaches = scenario.medium().incremental_detaches();
   result.phy_incremental_moves = scenario.medium().incremental_moves();
   result.sched_executed_events = simulation.scheduler().executed_events();
   for (std::size_t i = 0; i < node_count; ++i) {
     result.node_stats.push_back(scenario.node(i).mac_stats());
     result.transport_injected_drops += scenario.node(i).stack().injected_drops();
   }
-
-  const auto alloc_after = util::alloc_snapshot();
-  result.heap_allocations = alloc_after.allocations - alloc_before.allocations;
-  result.heap_bytes_allocated = alloc_after.bytes - alloc_before.bytes;
-  result.peak_rss_kb = util::peak_rss_kb();
   return result;
 }
 

@@ -57,9 +57,6 @@ class DualQueue {
 
   bool empty() const { return broadcast_.empty() && unicast_.empty(); }
   std::size_t total_size() const { return broadcast_.size() + unicast_.size(); }
-  std::uint64_t total_drops() const {
-    return broadcast_.drops() + unicast_.drops();
-  }
 
   // Enqueue time of the oldest subframe in either queue, if any; drives
   // the delayed-aggregation timeout.

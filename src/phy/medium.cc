@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
 #include <limits>
 
 #include "phy/phy.h"
@@ -44,57 +43,69 @@ double reach_radius_m(const MediumConfig& config, double tx_power_dbm) {
 
 namespace {
 
-Delivery make_delivery(const MediumConfig& config, const Phy& src, Phy& dst) {
+Delivery make_delivery(const MediumConfig& config, const Phy& src,
+                       const Phy& dst) {
   const double d =
       distance_m(src.config().position, dst.config().position);
-  return Delivery{&dst, src.config().tx_power_dbm - path_loss_db(config, d),
+  return Delivery{dst.key(),
+                  src.config().tx_power_dbm - path_loss_db(config, d),
                   propagation_delay(config, d)};
 }
 
-// `phy`'s entry in `list`, or end(). A linear scan: it compares the
-// pointers in place, where a binary search by attach index would chase
-// one destination pointer per probe.
-std::vector<Delivery>::iterator find_entry(std::vector<Delivery>& list,
-                                           const Phy& phy) {
-  return std::find_if(list.begin(), list.end(), [&](const Delivery& d) {
-    return d.destination == &phy;
-  });
+// Where `key` sits in the key-sorted `list`: its entry if it has one,
+// else the slot an entry for it would take.
+std::vector<Delivery>::iterator slot_of(std::vector<Delivery>& list,
+                                        std::uint32_t key) {
+  return std::lower_bound(
+      list.begin(), list.end(), key,
+      [](const Delivery& d, std::uint32_t k) { return d.key < k; });
+}
+
+// Whether slot_of(list, key) returned `key`'s entry.
+bool holds(const std::vector<Delivery>& list,
+           std::vector<Delivery>::iterator it, std::uint32_t key) {
+  return it != list.end() && it->key == key;
 }
 
 }  // namespace
 
 // Builds a grid whose cells span the widest reach among the attached
 // transmitters, so every possible receiver sits in the 3×3 neighborhood
-// of its source's cell, then computes every list in attach order.
-void DeliveryBackend::rebuild(const std::vector<Phy*>& phys,
+// of its source's cell, then computes every list in key order.
+void DeliveryBackend::rebuild(const std::vector<Phy*>& receivers,
                               const MediumConfig& config) {
   lists_.clear();
-  lists_.resize(phys.size());
+  lists_.resize(receivers.size());
   positions_.clear();
-  positions_.reserve(phys.size());
+  positions_.reserve(receivers.size());
   // reach_radius_m is monotone in tx power, so the loudest transmitter
   // sets the widest reach.
   double loudest_dbm = -std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < phys.size(); ++s) {
-    HYDRA_ASSERT_MSG(phys[s]->attach_index() == s,
-                     "delivery lists need the attach-order vector");
-    positions_.push_back(phys[s]->config().position);
-    loudest_dbm = std::max(loudest_dbm, phys[s]->config().tx_power_dbm);
+  for (std::uint32_t k = 0; k < receivers.size(); ++k) {
+    const Phy* phy = receivers[k];
+    if (phy == nullptr) continue;
+    HYDRA_ASSERT_MSG(phy->attached() && phy->key() == k,
+                     "delivery lists need the key table");
+    positions_.push_back(phy->config().position);
+    loudest_dbm = std::max(loudest_dbm, phy->config().tx_power_dbm);
   }
-  grid_.build(positions_,
-              phys.empty() ? 1.0 : reach_radius_m(config, loudest_dbm));
-  candidates_.reserve(phys.size());
+  grid_.reset(positions_,
+              positions_.empty() ? 1.0 : reach_radius_m(config, loudest_dbm));
+  for (std::uint32_t k = 0; k < receivers.size(); ++k) {
+    if (const Phy* phy = receivers[k]) grid_.insert(phy->config().position, k);
+  }
+  candidates_.reserve(positions_.size());
   const double floor = cull_floor_dbm(config);
   // Ascending order meets compute_list's precondition: cell adjacency is
   // symmetric, so every earlier candidate's list already holds its entry
   // for s.
-  for (std::uint32_t s = 0; s < phys.size(); ++s) {
-    compute_list(s, phys, config, floor);
+  for (std::uint32_t s = 0; s < receivers.size(); ++s) {
+    if (receivers[s] != nullptr) compute_list(s, receivers, config, floor);
   }
 }
 
 bool DeliveryBackend::attach_incremental(Phy& phy,
-                                         const std::vector<Phy*>& phys,
+                                         const std::vector<Phy*>& receivers,
                                          const MediumConfig& config) {
   // Local only when the newcomer sits inside the built grid and its own
   // reach fits one cell (so the 3×3 query stays sufficient in both
@@ -104,36 +115,40 @@ bool DeliveryBackend::attach_incremental(Phy& phy,
   if (reach_radius_m(config, phy.config().tx_power_dbm) > grid_.cell_m()) {
     return false;
   }
-  const std::uint32_t s = phy.attach_index();
-  lists_.emplace_back();
+  const std::uint32_t s = phy.key();
+  lists_.resize(receivers.size());
   grid_.insert(p, s);
   // Reverse direction first: every in-reach existing source gains the
-  // newcomer. It holds the highest attach index, so push_back keeps each
-  // list attach-ordered; the power filter is the same exact cull a full
-  // rebuild would apply.
+  // newcomer. It holds the newest key, so push_back keeps each list
+  // key-sorted; the power filter is the same exact cull a full rebuild
+  // would apply.
   const double floor = cull_floor_dbm(config);
   grid_.neighborhood(p, [&](std::uint32_t i) {
     if (i == s) return;
-    const auto delivery = make_delivery(config, *phys[i], phy);
+    const auto delivery = make_delivery(config, *receivers[i], phy);
     if (delivery.rx_power_dbm >= floor) lists_[i].push_back(delivery);
   });
-  compute_list(s, phys, config, floor);
+  compute_list(s, receivers, config, floor);
   return true;
 }
 
-void DeliveryBackend::detach_incremental(const Phy& phy, std::uint32_t index) {
-  // erase_and_renumber keeps the grid aligned with the compacted attach
-  // index space (the over-wide bounding box and cell width stay valid).
-  grid_.erase_and_renumber(index);
-  lists_.erase(lists_.begin() + index);
-  for (auto& list : lists_) {
-    std::erase_if(list,
-                  [&](const Delivery& d) { return d.destination == &phy; });
-  }
+void DeliveryBackend::detach_incremental(const Phy& phy) {
+  // The bounding box and cell width stay valid for the survivors. Only
+  // the sources in the leaver's grid neighborhood had it as a candidate
+  // (cell adjacency is symmetric), so only their lists can hold it.
+  const std::uint32_t s = phy.key();
+  const Position p = phy.config().position;
+  grid_.erase(p, s);
+  lists_[s] = {};
+  grid_.neighborhood(p, [&](std::uint32_t i) {
+    auto& list = lists_[i];
+    const auto it = slot_of(list, s);
+    if (holds(list, it, s)) list.erase(it);
+  });
 }
 
 bool DeliveryBackend::move_incremental(Phy& phy, Position old_position,
-                                       const std::vector<Phy*>& phys,
+                                       const std::vector<Phy*>& receivers,
                                        const MediumConfig& config) {
   // Local only inside the built bounding box: neighborhood()'s 3×3
   // superset guarantee holds for clamped queries near the box but NOT
@@ -145,7 +160,7 @@ bool DeliveryBackend::move_incremental(Phy& phy, Position old_position,
   if (reach_radius_m(config, phy.config().tx_power_dbm) > grid_.cell_m()) {
     return false;
   }
-  const std::uint32_t s = phy.attach_index();
+  const std::uint32_t s = phy.key();
   grid_.erase(old_position, s);
   grid_.insert(p, s);
   // Any other list can differ from a rebuild only in its entry for the
@@ -154,52 +169,48 @@ bool DeliveryBackend::move_incremental(Phy& phy, Position old_position,
   // neighborhood. Each gets the entry a rebuild would compute: the same
   // make_delivery from *its* transmit power (reach need not be
   // symmetric) under the same cull test: overwritten, erased, or
-  // inserted at its attach-order slot.
+  // inserted at its key's slot.
   const double floor = cull_floor_dbm(config);
   grid_.neighborhood(p, [&](std::uint32_t i) {
     if (i == s) return;
     auto& list = lists_[i];
-    const auto it = find_entry(list, phy);
-    const auto delivery = make_delivery(config, *phys[i], phy);
+    const auto it = slot_of(list, s);
+    const auto delivery = make_delivery(config, *receivers[i], phy);
     if (delivery.rx_power_dbm < floor) {
-      if (it != list.end()) list.erase(it);
-    } else if (it != list.end()) {
+      if (holds(list, it, s)) list.erase(it);
+    } else if (holds(list, it, s)) {
       *it = delivery;
     } else {
-      const auto before_mover = [&](const Delivery& d) {
-        return d.destination->attach_index() < s;
-      };
-      list.insert(std::partition_point(list.begin(), list.end(), before_mover),
-                  delivery);
+      list.insert(it, delivery);
     }
   });
   // Sources whose neighborhood held the old cell but not the new one
   // lost the mover as a candidate (none unless it changed cell).
   grid_.neighborhood_outside(old_position, p, [&](std::uint32_t i) {
     auto& list = lists_[i];
-    const auto it = find_entry(list, phy);
-    if (it != list.end()) list.erase(it);
+    const auto it = slot_of(list, s);
+    if (holds(list, it, s)) list.erase(it);
   });
   // The mover's own list last, once every neighbor's entry for it is
   // current (compute_list's precondition).
-  compute_list(s, phys, config, floor);
+  compute_list(s, receivers, config, floor);
   return true;
 }
 
 const std::vector<Delivery>& DeliveryBackend::deliveries(const Phy& src) const {
-  HYDRA_ASSERT_MSG(src.attached() && src.attach_index() < lists_.size(),
+  HYDRA_ASSERT_MSG(src.attached() && src.key() < lists_.size(),
                    "deliveries of a phy these lists do not hold");
-  return lists_[src.attach_index()];
+  return lists_[src.key()];
 }
 
 void DeliveryBackend::compute_list(std::uint32_t s,
-                                   const std::vector<Phy*>& phys,
+                                   const std::vector<Phy*>& receivers,
                                    const MediumConfig& config, double floor) {
-  const Phy& src = *phys[s];
+  const Phy& src = *receivers[s];
   candidates_.clear();
   grid_.neighborhood(src.config().position,
                      [&](std::uint32_t i) { candidates_.push_back(i); });
-  // A freshly built one-cell neighborhood is in attach order already.
+  // A freshly built one-cell neighborhood is in key order already.
   if (!std::is_sorted(candidates_.begin(), candidates_.end())) {
     std::sort(candidates_.begin(), candidates_.end());
   }
@@ -208,17 +219,18 @@ void DeliveryBackend::compute_list(std::uint32_t s,
   for (const std::uint32_t i : candidates_) {
     if (i == s) continue;
     if (i < s &&
-        phys[i]->config().tx_power_dbm == src.config().tx_power_dbm) {
+        receivers[i]->config().tx_power_dbm == src.config().tx_power_dbm) {
       // Distance, path loss and delay are symmetric bit for bit, so at
       // equal transmit power the entry s -> i mirrors list i's entry for
       // s, and is culled exactly when that one is.
-      const auto it = find_entry(lists_[i], src);
-      if (it != lists_[i].end()) {
-        list_.push_back({phys[i], it->rx_power_dbm, it->propagation});
+      auto& mirror = lists_[i];
+      const auto it = slot_of(mirror, s);
+      if (holds(mirror, it, s)) {
+        list_.push_back({i, it->rx_power_dbm, it->propagation});
       }
       continue;
     }
-    const auto delivery = make_delivery(config, src, *phys[i]);
+    const auto delivery = make_delivery(config, src, *receivers[i]);
     if (delivery.rx_power_dbm >= floor) list_.push_back(delivery);
   }
   lists_[s].assign(list_.begin(), list_.end());
@@ -229,14 +241,13 @@ Medium::Medium(sim::Simulation& simulation, MediumConfig config,
     : sim_(simulation), config_(config), error_model_(error_model) {}
 
 void Medium::attach(Phy& phy) {
-  // attached_ is true exactly while `phy` sits in phys_, at attach_index_.
+  // attached_ is true exactly while receivers_[key_] holds `phy`.
   HYDRA_ASSERT_MSG(!phy.attached_, "phy attached twice");
-  phy.attach_index_ = static_cast<std::uint32_t>(phys_.size());
-  phys_.push_back(&phy);
-  phy.receiver_key_ = receivers_.size();
+  phy.key_ = static_cast<std::uint32_t>(receivers_.size());
   receivers_.push_back(&phy);
   phy.attached_ = true;
-  if (!backend_dirty_ && backend_.attach_incremental(phy, phys_, config_)) {
+  if (!backend_dirty_ &&
+      backend_.attach_incremental(phy, receivers_, config_)) {
     ++incremental_attaches_;
     return;
   }
@@ -245,12 +256,12 @@ void Medium::attach(Phy& phy) {
 
 bool Medium::detach(Phy& phy) {
   if (!phy.attached_) return false;
-  receivers_[phy.receiver_key_] = nullptr;
+  release_key(phy);
   phy.abort_receptions();
-  const std::uint32_t index = unlink(phy);
+  phy.attached_ = false;
   ++detaches_;
   if (!backend_dirty_) {
-    backend_.detach_incremental(phy, index);
+    backend_.detach_incremental(phy);
     ++incremental_detaches_;
   }
   return true;
@@ -262,31 +273,26 @@ void Medium::move_node(Phy& phy, Position position) {
   if (!phy.attached_) return;  // takes effect when the PHY re-attaches
   ++moves_;
   if (!backend_dirty_ &&
-      backend_.move_incremental(phy, old, phys_, config_)) {
+      backend_.move_incremental(phy, old, receivers_, config_)) {
     ++incremental_moves_;
     return;
   }
   backend_dirty_ = true;
 }
 
-std::uint32_t Medium::unlink(Phy& phy) {
-  const std::uint32_t index = phy.attach_index_;
-  HYDRA_ASSERT_MSG(index < phys_.size() && phys_[index] == &phy,
-                   "phy attached to another medium");
-  phys_.erase(phys_.begin() + index);
-  for (std::size_t i = index; i < phys_.size(); ++i) {
-    phys_[i]->attach_index_ = static_cast<std::uint32_t>(i);
-  }
-  phy.attached_ = false;
-  return index;
+void Medium::release_key(const Phy& phy) {
+  HYDRA_ASSERT_MSG(
+      phy.key_ < receivers_.size() && receivers_[phy.key_] == &phy,
+      "phy attached to another medium");
+  receivers_[phy.key_] = nullptr;
 }
 
 void Medium::on_phy_destroyed(Phy& phy) {
   // Already detach()ed explicitly: the key was cleared then, and a
   // detached PHY holds no other.
   if (!phy.attached_) return;
-  receivers_[phy.receiver_key_] = nullptr;
-  unlink(phy);
+  release_key(phy);
+  phy.attached_ = false;
   backend_dirty_ = true;
 }
 
@@ -297,7 +303,7 @@ const DeliveryBackend& Medium::backend() {
 
 void Medium::ensure_backend() {
   if (backend_dirty_) {
-    backend_.rebuild(phys_, config_);
+    backend_.rebuild(receivers_, config_);
     backend_dirty_ = false;
     ++rebuilds_;
   }
@@ -330,7 +336,7 @@ sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
   const auto& deliveries = backend_.deliveries(src);
   deliveries_scheduled_ += deliveries.size();
   // The whole fan-out commits as one batch: rx_start/rx_end pairs in
-  // delivery-list (canonical attach) order, exactly the sequence — and
+  // delivery-list (receiver key) order, exactly the sequence — and
   // sequence numbers — that per-delivery schedule_in calls would have
   // produced. Each event captures its receiver's key, not the receiver,
   // so one whose receiver has since detached or died runs as a no-op.
@@ -338,7 +344,7 @@ sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
   batch_.clear();
   batch_.reserve(2 * deliveries.size());
   for (const Delivery& delivery : deliveries) {
-    const std::size_t key = delivery.destination->receiver_key_;
+    const std::uint32_t key = delivery.key;
     const double power = delivery.rx_power_dbm;
     const auto arrival = now + delivery.propagation;
     batch_.push_back({arrival, [this, key, tx, power] {

@@ -28,10 +28,13 @@
 // contract extends to motion — after any incremental patch the lists are
 // bit-identical to a from-scratch rebuild at the current positions,
 // pinned by the mobility determinism suite (`ctest -L mobility`).
-// A delivery reaches its receiver through the key attach() gave it, not a
-// pointer: detaching (or destroying) a PHY clears its key, so a delivery
-// still in flight lands nowhere, and no scheduled event ever touches a
-// PHY the medium no longer knows.
+// One index names every PHY: the key attach() hands out, fresh at every
+// call and never reused. The delivery lists, the grid and every delivery
+// are indexed by it, and a delivery reaches its receiver through it, not
+// a pointer: detaching (or destroying) a PHY clears its key, so a
+// delivery still in flight lands nowhere, and no scheduled event ever
+// touches a PHY the medium no longer knows. Keys grow in attach-call
+// order, so among attached PHYs key order is attach order.
 // Everything here runs on the simulation's one thread.
 #pragma once
 
@@ -93,38 +96,39 @@ struct Transmission {
 
 // One precomputed receiver of a given source PHY.
 struct Delivery {
-  Phy* destination = nullptr;
+  std::uint32_t key = 0;  // the receiver's Phy::key()
   double rx_power_dbm = 0.0;
   sim::Duration propagation;
 };
 
 // The per-source delivery lists and the spatial grid their candidates
-// come from. Lists are ordered by receiver attach index — scheduling
-// order at equal timestamps decides RNG draw order. The methods that
-// take `phys` expect the medium's attach-order vector, in which phys[i]
-// holds attach index i (Phy::attach_index). Medium keeps one; tests and
-// benches build standalone ones as from-scratch references.
+// come from, both indexed by attachment key (Phy::key). Each list is
+// sorted by receiver key — scheduling order at equal timestamps decides
+// RNG draw order. The methods that take `receivers` expect a key table:
+// receivers[k] is the PHY attached under key k, or null once that PHY
+// has detached or died. Medium keeps one; tests and benches build
+// standalone ones as from-scratch references.
 class DeliveryBackend {
  public:
-  // Recomputes every list from `phys` at their current positions (called
-  // lazily after a membership or position change that could not be
-  // absorbed incrementally).
-  void rebuild(const std::vector<Phy*>& phys, const MediumConfig& config);
+  // Recomputes every list from `receivers` at their current positions
+  // (called lazily after a membership or position change that could not
+  // be absorbed incrementally).
+  void rebuild(const std::vector<Phy*>& receivers, const MediumConfig& config);
 
-  // Extends the lists for `phy`, just attached as phys.back(), without
-  // touching any other pair. Returns false, changing nothing, when the
-  // update is not provably local: `phy` lies outside the grid's bounding
-  // box or its reach exceeds one cell. The caller then rebuilds. Only
-  // meaningful after a rebuild().
-  bool attach_incremental(Phy& phy, const std::vector<Phy*>& phys,
+  // Extends the lists for `phy`, just attached under the newest key
+  // (receivers.back()), without touching any other pair. Returns false,
+  // changing nothing, when the update is not provably local: `phy` lies
+  // outside the grid's bounding box or its reach exceeds one cell. The
+  // caller then rebuilds. Only meaningful after a rebuild().
+  bool attach_incremental(Phy& phy, const std::vector<Phy*>& receivers,
                           const MediumConfig& config);
 
-  // Removes `phy`, which held attach index `index` and has already left
-  // the attach-order vector, from both delivery directions: its own list
-  // goes away and it is stripped from every remaining list, without
-  // recomputing any surviving pair. Always local: fewer nodes never need
-  // a larger reach, and relative attach order is untouched.
-  void detach_incremental(const Phy& phy, std::uint32_t index);
+  // Removes `phy`, whose key the caller has just cleared, from both
+  // delivery directions: its own list empties and its entry leaves every
+  // list in its grid neighborhood (the only ones that can hold it),
+  // without recomputing any surviving pair. Always local: fewer nodes
+  // never need a larger reach, and no other key changes.
+  void detach_incremental(const Phy& phy);
 
   // Repositions `phy` (its config already holds the new position;
   // `old_position` is where the lists last saw it) and patches both
@@ -133,25 +137,26 @@ class DeliveryBackend {
   // at the new positions. Same refusal contract as attach_incremental:
   // outside the bounding box the 3×3 superset guarantee no longer holds.
   bool move_incremental(Phy& phy, Position old_position,
-                        const std::vector<Phy*>& phys,
+                        const std::vector<Phy*>& receivers,
                         const MediumConfig& config);
 
   // The receivers a transmission from the attached PHY `src` fans out to.
   const std::vector<Delivery>& deliveries(const Phy& src) const;
 
  private:
-  // Computes source s's list: grid candidates, sorted to attach order,
-  // culled against `floor`, stored at its exact size. Requires every
-  // candidate i < s to hold its current entry for s (or none, if
-  // culled): an equal-power pair is read from there, not recomputed.
-  void compute_list(std::uint32_t s, const std::vector<Phy*>& phys,
+  // Computes source s's list: grid candidates, sorted by key, culled
+  // against `floor`, stored at its exact size. Requires every candidate
+  // i < s to hold its current entry for s (or none, if culled): an
+  // equal-power pair is read from there, not recomputed.
+  void compute_list(std::uint32_t s, const std::vector<Phy*>& receivers,
                     const MediumConfig& config, double floor);
 
   std::vector<std::vector<Delivery>> lists_;
   SpatialGrid grid_;
   // Reused by every rebuild and patch, so they allocate nothing once
-  // grown: the grid's input, compute_list's candidates, and the list it
-  // builds before copying it out at its exact size.
+  // grown: the attached positions the grid is laid over, compute_list's
+  // candidates, and the list it builds before copying it out at its
+  // exact size.
   std::vector<Position> positions_;
   std::vector<std::uint32_t> candidates_;
   std::vector<Delivery> list_;
@@ -167,8 +172,9 @@ class Medium {
 
   // Registers a PHY under a key this medium has never handed out before.
   // A PHY that is destroyed while attached detaches itself (clearing its
-  // key, so its in-flight deliveries land nowhere), so outliving the
-  // medium's events is no longer the caller's problem.
+  // key, so its in-flight deliveries land nowhere) in O(1), so outliving
+  // the medium's events is no longer the caller's problem, and PHYs may
+  // die in any order.
   void attach(Phy& phy);
 
   // Unregisters `phy`: clears its key, so its queued rx_start/rx_end
@@ -217,36 +223,27 @@ class Medium {
   std::uint64_t incremental_detaches() const { return incremental_detaches_; }
   std::uint64_t incremental_moves() const { return incremental_moves_; }
 
-  // The attached PHYs in attach order — the canonical index space the
-  // delivery lists use (tests compare incremental lists against a
-  // from-scratch rebuild over exactly this set).
-  const std::vector<Phy*>& attached() const { return phys_; }
-
  private:
   friend class Phy;
 
   void ensure_backend();
-  // Erases `phy` from phys_ and renumbers the PHYs behind it, so every
-  // attach index keeps matching its position. Returns the index `phy`
-  // held.
-  std::uint32_t unlink(Phy& phy);
-  // Destructor-path detach: unregister and clear the key, but skip the
-  // incremental patch (teardown destroys nodes one by one — patching N
-  // lists per destruction is O(N²) work nobody will read) and skip the
-  // CCA callback (the owning node is mid-destruction). Unlinking still
-  // renumbers the PHYs attached after this one, so tearing down
-  // newest-first, as Scenario does, keeps each call O(1).
+  // Asserts `phy` holds its key here, then clears the key: from now on
+  // its queued deliveries land nowhere.
+  void release_key(const Phy& phy);
+  // Destructor-path detach: release the key and mark the lists stale,
+  // O(1) in any teardown order. It skips the incremental patch (teardown
+  // destroys nodes one by one, and nobody reads the lists in between)
+  // and the CCA callback (the owning node is mid-destruction).
   void on_phy_destroyed(Phy& phy);
 
   sim::Simulation& sim_;
   MediumConfig config_;
   ErrorModel error_model_;
-  std::vector<Phy*> phys_;
-  // Every attachment's PHY, by key: attach() appends a fresh entry, and
-  // detach() and on_phy_destroyed() null it. Grow-only, so no key is
-  // ever reused — neither by a re-attach nor by a new PHY the allocator
-  // places at a freed one's address — and a delivery captures its key,
-  // not its receiver.
+  // The key table: every attachment's PHY, by key. attach() appends a
+  // fresh entry, and detach() and on_phy_destroyed() null it. Grow-only,
+  // so no key is ever reused — neither by a re-attach nor by a new PHY
+  // the allocator places at a freed one's address — and a delivery
+  // captures its key, not its receiver.
   std::vector<Phy*> receivers_;
   DeliveryBackend backend_;
   bool backend_dirty_ = true;

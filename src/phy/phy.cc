@@ -19,7 +19,6 @@ void Phy::transmit(PhyFrame frame) {
   HYDRA_ASSERT_MSG(!transmitting_, "transmit while already transmitting");
   HYDRA_ASSERT_MSG(!frame.empty(), "empty phy frame");
   transmitting_ = true;
-  ++frames_sent_;
   // Receptions overlapping our own transmission are lost (half duplex).
   for (auto& rx : incoming_) rx.doomed = true;
   update_cca();

@@ -1,7 +1,6 @@
 // PHY device: transmit/receive state, CCA, per-subframe error draws.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -57,12 +56,12 @@ class Phy {
   // changes go through Medium::move_node (the medium owns the delivery
   // lists the position feeds).
   bool attached() const { return attached_; }
-  // This PHY's position in Medium::attached() — the index the delivery
-  // lists use. Meaningful only while attached().
-  std::uint32_t attach_index() const { return attach_index_; }
+  // The key the medium attached this PHY under: fresh at every attach(),
+  // never reused, and the one index its delivery lists, grid and
+  // deliveries use. Meaningful only while attached().
+  std::uint32_t key() const { return key_; }
 
   // Diagnostics.
-  std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t collisions_seen() const { return collisions_; }
   // Deliveries the medium started at this PHY (audible or not). The
@@ -71,8 +70,8 @@ class Phy {
   std::uint64_t rx_starts() const { return rx_starts_; }
 
  private:
-  // The medium manages attachment state, index and key, the position
-  // (via move_node), and is the only caller of the rx_* entry points.
+  // The medium manages attachment state and key, the position (via
+  // move_node), and is the only caller of the rx_* entry points.
   friend class Medium;
 
   struct Incoming {
@@ -104,10 +103,7 @@ class Phy {
   bool transmitting_ = false;
   bool last_cca_busy_ = false;
   bool attached_ = false;
-  std::uint32_t attach_index_ = 0;
-  // The key the medium's deliveries reach this PHY through, fresh at
-  // every attach(). Meaningful only while attached().
-  std::size_t receiver_key_ = 0;
+  std::uint32_t key_ = 0;
   // In-progress receptions, ordered by arrival. A handful at most, so a
   // flat vector beats a node-per-entry map on the per-delivery path:
   // push_back/erase reuse the same capacity for the whole run.
@@ -118,7 +114,6 @@ class Phy {
   // The tx-complete timer, the one event that captures `this`.
   sim::EventId tx_complete_event_;
 
-  std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_received_ = 0;
   std::uint64_t collisions_ = 0;
   std::uint64_t rx_starts_ = 0;

@@ -12,7 +12,7 @@ double distance_m(Position a, Position b) {
   return std::sqrt(dx * dx + dy * dy);
 }
 
-void SpatialGrid::build(const std::vector<Position>& points,
+void SpatialGrid::reset(const std::vector<Position>& points,
                         double min_cell_m) {
   HYDRA_ASSERT(min_cell_m > 0.0);
   min_ = max_ = {0.0, 0.0};
@@ -41,9 +41,6 @@ void SpatialGrid::build(const std::vector<Position>& points,
   // cells without regrowing them (and a one-cell world exactly).
   const std::size_t mean = (points.size() + cells_.size() - 1) / cells_.size();
   for (auto& cell : cells_) cell.reserve(mean);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    insert(points[i], static_cast<std::uint32_t>(i));
-  }
 }
 
 bool SpatialGrid::contains(Position p) const {
@@ -51,32 +48,16 @@ bool SpatialGrid::contains(Position p) const {
          p.y_m <= max_.y_m;
 }
 
-void SpatialGrid::insert(Position p, std::uint32_t index) {
+void SpatialGrid::insert(Position p, std::uint32_t key) {
   HYDRA_ASSERT_MSG(contains(p), "insert outside the grid's bounding box");
-  cells_[cell_index(clamped_cell_x(p), clamped_cell_y(p))].push_back(index);
+  cells_[cell_index(clamped_cell_x(p), clamped_cell_y(p))].push_back(key);
 }
 
-void SpatialGrid::erase(Position p, std::uint32_t index) {
+void SpatialGrid::erase(Position p, std::uint32_t key) {
   auto& cell = cells_[cell_index(clamped_cell_x(p), clamped_cell_y(p))];
-  const auto it = std::find(cell.begin(), cell.end(), index);
+  const auto it = std::find(cell.begin(), cell.end(), key);
   HYDRA_ASSERT_MSG(it != cell.end(), "erase of a point the grid never held");
   cell.erase(it);
-}
-
-void SpatialGrid::erase_and_renumber(std::uint32_t index) {
-  bool found = false;
-  for (auto& cell : cells_) {
-    for (auto it = cell.begin(); it != cell.end();) {
-      if (*it == index) {
-        it = cell.erase(it);
-        found = true;
-      } else {
-        if (*it > index) --*it;
-        ++it;
-      }
-    }
-  }
-  HYDRA_ASSERT_MSG(found, "erase of a point the grid never held");
 }
 
 int SpatialGrid::clamped_cell_x(Position p) const {

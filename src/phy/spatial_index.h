@@ -1,10 +1,11 @@
 // Geometry support for the medium's delivery lists: node positions and
 // a uniform-grid spatial index.
 //
-// The grid stores point indices in cells at least one query radius
-// wide, so every point within that radius of a query position lives in
-// the 3×3 cell neighborhood — candidate sets are supersets of the
-// in-reach sets, never subsets (the property test pins this).
+// The grid stores one caller-chosen key per point (the medium's are the
+// attachment keys Medium::attach hands out) in cells at least one query
+// radius wide, so every point within that radius of a query position
+// lives in the 3×3 cell neighborhood — candidate sets are supersets of
+// the in-reach sets, never subsets (the property test pins this).
 #pragma once
 
 #include <algorithm>
@@ -21,11 +22,13 @@ struct Position {
 
 double distance_m(Position a, Position b);
 
-// Uniform-grid spatial index over static points.
+// Uniform-grid spatial index over keyed points.
 class SpatialGrid {
  public:
-  // Builds over `points`; cells at least `min_cell_m` wide.
-  void build(const std::vector<Position>& points, double min_cell_m);
+  // Empties the grid and lays its cells, at least `min_cell_m` wide, over
+  // the bounding box of `points`, each reserved for the mean occupancy;
+  // insert() then stores each point under its key.
+  void reset(const std::vector<Position>& points, double min_cell_m);
 
   // The realized cell width (>= the requested minimum; the per-axis cap
   // can widen cells further when the world is very elongated).
@@ -37,21 +40,15 @@ class SpatialGrid {
   // for insert() and for the incremental-attach fast path.
   bool contains(Position p) const;
 
-  // Adds one point with the given payload index; requires contains(p).
-  void insert(Position p, std::uint32_t index);
+  // Adds one point under `key`; requires contains(p).
+  void insert(Position p, std::uint32_t key);
 
-  // Removes payload `index` from the cell containing `p` (it must have
-  // been inserted there). O(cell occupancy); the cell's remaining
-  // entries keep their relative order.
-  void erase(Position p, std::uint32_t index);
+  // Removes `key` from the cell containing `p` (it must have been
+  // inserted there). O(cell occupancy); the cell's remaining entries
+  // keep their relative order.
+  void erase(Position p, std::uint32_t key);
 
-  // Removes payload `index` from wherever it sits and renumbers every
-  // stored index above it down by one — the mirror of erasing element
-  // `index` from the payload vector the grid indexes into (a detach).
-  // O(total points); cell-local order is preserved.
-  void erase_and_renumber(std::uint32_t index);
-
-  // Calls `visit` with every point index in the 3×3 neighborhood of the
+  // Calls `visit` with every key in the 3×3 neighborhood of the
   // (clamped) cell containing `p`.
   template <typename Visit>
   void neighborhood(Position p, Visit&& visit) const {
@@ -60,7 +57,7 @@ class SpatialGrid {
     });
   }
 
-  // Calls `visit` with every point index in the 3×3 neighborhood of `p`
+  // Calls `visit` with every key in the 3×3 neighborhood of `p`
   // that lies outside the 3×3 neighborhood of `q`: the points a move
   // from `p` to `q` takes out of mutual candidacy. Empty when both
   // positions share a cell.

@@ -92,32 +92,19 @@ struct ExperimentResult {
   std::uint64_t phy_transmissions = 0;
   std::uint64_t phy_deliveries = 0;
 
-  // Delivery-list accounting: full delivery-list rebuilds, and attaches
-  // absorbed incrementally without one.
+  // Full delivery-list rebuilds.
   std::uint64_t phy_rebuilds = 0;
-  std::uint64_t phy_incremental_attaches = 0;
 
   // Mobility accounting: detach()/move_node() calls the medium saw on
-  // attached PHYs, and how many of each it absorbed incrementally
-  // instead of falling back to a rebuild. All zero for static scenarios
+  // attached PHYs, and how many moves it absorbed incrementally instead
+  // of falling back to a rebuild. All zero for static scenarios
   // (MobilityKind::kNone).
   std::uint64_t phy_detaches = 0;
   std::uint64_t phy_moves = 0;
-  std::uint64_t phy_incremental_detaches = 0;
   std::uint64_t phy_incremental_moves = 0;
 
   // Events the scheduler executed over the run.
   std::uint64_t sched_executed_events = 0;
-
-  // Memory accounting over the run (scenario build + traffic), from the
-  // process-wide counters in util/alloc_stats.h: operator-new calls and
-  // bytes, and the process peak RSS after the run. Deltas are exact for
-  // serially executed experiments; inside a parallel sweep they include
-  // concurrent runs and are only indicative. peak_rss_kb is a
-  // whole-process high-water mark, not a per-run delta.
-  std::uint64_t heap_allocations = 0;
-  std::uint64_t heap_bytes_allocated = 0;
-  std::uint64_t peak_rss_kb = 0;
 
   // Transport accounting, summed over every TCP connection the workload
   // opened (client and accepted sides): retransmissions, RTO firings,

@@ -500,15 +500,6 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t seed)
       medium_(std::make_unique<phy::Medium>(*sim_, spec.medium_config())),
       trace_(std::make_shared<std::vector<std::string>>()) {}
 
-Scenario::~Scenario() {
-  // The members' own order (mobility, discovery, then nodes), but with
-  // the nodes retired newest-first: each PHY then leaves from the end of
-  // the medium's attach order, and no survivor needs renumbering.
-  mobility_.reset();
-  discovery_.clear();
-  while (!nodes_.empty()) nodes_.pop_back();
-}
-
 Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
   // Node index i is link address i+1 (proto::MacAddress::for_node), so
   // index 0xfffe would be the MAC broadcast address.

@@ -203,9 +203,6 @@ class Scenario {
   // 65 534 on the MAC broadcast address.
   static Scenario build(const ScenarioSpec& spec, std::uint64_t seed = 1);
 
-  Scenario(Scenario&&) = default;
-  ~Scenario();
-
   const ScenarioSpec& spec() const { return spec_; }
   sim::Simulation& sim() { return *sim_; }
   phy::Medium& medium() { return *medium_; }

@@ -4,8 +4,8 @@
 // operator new/delete family with counting wrappers over malloc/free:
 // two relaxed atomic increments per allocation, nothing else. That
 // makes "how many heap allocations did this run cost" a first-class,
-// deterministic (in serial runs) metric that ExperimentResult and the
-// bench baseline gate can track, the same way they track deliveries.
+// deterministic (in serial runs) metric: bench_ext_scale_10k meters its
+// run loop with it, and bench/perf's traced runs report it per event.
 //
 // Counters are global: deltas taken around a serial experiment are
 // exact; around parallel sweeps they include whatever ran concurrently

@@ -96,24 +96,13 @@ constexpr bool operator!=(const PoolAllocator<A>&,
 template <class T>
 using PooledVector = std::vector<T, PoolAllocator<T>>;
 
-// Typed facade over the BufferPool for shared simulation objects
-// (packets, PDUs, transmissions): one allocation holds the control
-// block and the object, and both recycle together when the last
-// reference drops.
-template <class T>
-class ArenaPool {
- public:
-  template <class... Args>
-  static std::shared_ptr<T> make(Args&&... args) {
-    return std::allocate_shared<T>(PoolAllocator<T>{},
-                                   std::forward<Args>(args)...);
-  }
-};
-
-// Convenience spelling: make_pooled<T>(...) ≡ ArenaPool<T>::make(...).
+// Shared simulation objects (packets, PDUs, transmissions) from the
+// BufferPool: one allocation holds the control block and the object, and
+// both recycle together when the last reference drops.
 template <class T, class... Args>
 std::shared_ptr<T> make_pooled(Args&&... args) {
-  return ArenaPool<T>::make(std::forward<Args>(args)...);
+  return std::allocate_shared<T>(PoolAllocator<T>{},
+                                 std::forward<Args>(args)...);
 }
 
 }  // namespace hydra::util

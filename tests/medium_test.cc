@@ -35,6 +35,15 @@ constexpr double kFullMeshMargin = std::numeric_limits<double>::infinity();
 // The margin every scenario runs with unless its spec says otherwise.
 constexpr double kDefaultMargin = phy::MediumConfig{}.cull_margin_db;
 
+// A grid laid over `points` holding point i under key i.
+phy::SpatialGrid grid_over(const std::vector<phy::Position>& points,
+                           double min_cell_m) {
+  phy::SpatialGrid grid;
+  grid.reset(points, min_cell_m);
+  for (std::uint32_t i = 0; i < points.size(); ++i) grid.insert(points[i], i);
+  return grid;
+}
+
 // ---------------------------------------------------------------------
 // Propagation-delay and reach math
 // ---------------------------------------------------------------------
@@ -118,8 +127,7 @@ TEST(MediumMath, InfiniteMarginIsTheFullMeshReference) {
 
   const std::vector<phy::Position> points = {
       {4000, 0}, {0, 0}, {-250, 3000}, {30, -12}, {0, 0}};
-  phy::SpatialGrid grid;
-  grid.build(points, phy::reach_radius_m(config, 8.86));
+  const auto grid = grid_over(points, phy::reach_radius_m(config, 8.86));
   EXPECT_EQ(grid.cells_x(), 1);
   EXPECT_EQ(grid.cells_y(), 1);
   for (const auto& p : points) {
@@ -309,7 +317,7 @@ TEST(MediumDetach, DetachRemovesBothDirectionsWithoutRebuilding) {
 
     EXPECT_TRUE(medium.detach(b));
     EXPECT_FALSE(b.attached());
-    EXPECT_EQ(medium.attached().size(), 2u);
+    EXPECT_TRUE(a.attached() && c.attached());
     // Inbound direction: b no longer hears a.
     a.transmit(test_frame());
     s.run();
@@ -558,8 +566,7 @@ TEST(SpatialIndexProperty, NeighborhoodCoversEveryInReachPair) {
     for (int i = 0; i < 80; ++i) {
       points.push_back({rng.uniform() * 200.0, rng.uniform() * 150.0});
     }
-    phy::SpatialGrid grid;
-    grid.build(points, reach);
+    const auto grid = grid_over(points, reach);
     EXPECT_GE(grid.cells_x(), 3) << "world should span several cells";
 
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -592,8 +599,7 @@ TEST(SpatialIndexProperty, NearBoxQueriesStaySupersets_FartherOutIsUnproven) {
     for (int i = 0; i < 60; ++i) {
       points.push_back({rng.uniform() * 220.0, rng.uniform() * 160.0});
     }
-    phy::SpatialGrid grid;
-    grid.build(points, reach);
+    const auto grid = grid_over(points, reach);
     const double cell = grid.cell_m();
 
     for (int q = 0; q < 40; ++q) {

@@ -9,13 +9,18 @@
 //      moves (in-box and far-out), detaches and re-attaches on a small
 //      lattice; sub-metre steps and cross-world jumps on a wider one
 //      with mixed transmit powers — must, after EVERY step, hold
-//      delivery lists equal — destination, bit-exact receive power,
+//      delivery lists equal — receiver key, bit-exact receive power,
 //      delay — to a from-scratch rebuild over the same attached set,
 //      and to a geometry-free list built from every attached pair.
 //   2. Scenario-level: flood traffic over waypoint / distance-step /
 //      churn mobility models must produce the same trace digest and
 //      byte-identical stats tables at the default cull margin and at
 //      an infinite one, across a seed sweep.
+//
+// Both layers compare the medium with references indexed by the same
+// attachment keys, so a delivery order they all share is pinned once
+// more against recorded values: the churn world's digests and a receive
+// order across deaths and re-attaches.
 //
 // Registered under the `mobility` ctest label.
 #include <gtest/gtest.h>
@@ -34,6 +39,7 @@
 #include "sim/simulation.h"
 #include "topo/mobility.h"
 #include "topo/scenario.h"
+#include "util/crc32.h"
 
 namespace hydra {
 namespace {
@@ -52,8 +58,7 @@ void expect_same_list(const std::vector<phy::Delivery>& got,
                       const std::string& ctx) {
   ASSERT_EQ(got.size(), want.size()) << ctx << ": list length diverged";
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].destination, want[i].destination)
-        << ctx << " entry " << i;
+    EXPECT_EQ(got[i].key, want[i].key) << ctx << " entry " << i;
     // Bit-exact, not approximately: the patched entry must have come
     // through the same arithmetic as a rebuild's.
     EXPECT_EQ(got[i].rx_power_dbm, want[i].rx_power_dbm)
@@ -63,37 +68,53 @@ void expect_same_list(const std::vector<phy::Delivery>& got,
   }
 }
 
+// The key table of `phys`' attached members, from the PHYs themselves:
+// entry k is the PHY attached under key k, null where none is.
+std::vector<phy::Phy*> key_table(
+    const std::vector<std::unique_ptr<phy::Phy>>& phys) {
+  std::vector<phy::Phy*> table;
+  for (const auto& phy : phys) {
+    if (!phy->attached()) continue;
+    if (phy->key() >= table.size()) table.resize(phy->key() + 1);
+    table[phy->key()] = phy.get();
+  }
+  return table;
+}
+
 // The list the medium's definition gives `src`, with no spatial index:
-// every other attached PHY in attach order whose receive power clears
-// the cull floor.
+// every other attached PHY in key order whose receive power clears the
+// cull floor.
 std::vector<phy::Delivery> brute_force_list(
-    const phy::Phy& src, const std::vector<phy::Phy*>& attached,
+    const phy::Phy& src, const std::vector<phy::Phy*>& receivers,
     const phy::MediumConfig& config) {
   std::vector<phy::Delivery> list;
-  for (phy::Phy* dst : attached) {
-    if (dst == &src) continue;
+  for (const phy::Phy* dst : receivers) {
+    if (dst == nullptr || dst == &src) continue;
     const double d =
         phy::distance_m(src.config().position, dst->config().position);
     const double power =
         src.config().tx_power_dbm - phy::path_loss_db(config, d);
     if (power >= phy::cull_floor_dbm(config)) {
-      list.push_back({dst, power, phy::propagation_delay(config, d)});
+      list.push_back({dst->key(), power, phy::propagation_delay(config, d)});
     }
   }
   return list;
 }
 
-void expect_lists_match_rebuild(phy::Medium& medium, const std::string& ctx) {
-  const auto& attached = medium.attached();
+void expect_lists_match_rebuild(
+    phy::Medium& medium, const std::vector<std::unique_ptr<phy::Phy>>& phys,
+    const std::string& ctx) {
+  const auto receivers = key_table(phys);
   const auto& live = medium.backend();
   phy::DeliveryBackend reference;
-  reference.rebuild(attached, medium.config());
-  for (const phy::Phy* src : attached) {
+  reference.rebuild(receivers, medium.config());
+  for (const phy::Phy* src : receivers) {
+    if (src == nullptr) continue;
     const std::string where = ctx + ": source " + std::to_string(src->id());
     expect_same_list(live.deliveries(*src), reference.deliveries(*src),
                      where + " vs rebuild");
     expect_same_list(live.deliveries(*src),
-                     brute_force_list(*src, attached, medium.config()),
+                     brute_force_list(*src, receivers, medium.config()),
                      where + " vs brute force");
   }
 }
@@ -118,17 +139,20 @@ struct ListWorld {
 };
 
 // True when some source reaches a receiver that cannot reach it back.
-bool has_one_way_link(phy::Medium& medium) {
+bool has_one_way_link(phy::Medium& medium,
+                      const std::vector<std::unique_ptr<phy::Phy>>& phys) {
+  const auto receivers = key_table(phys);
   const auto& backend = medium.backend();
-  const auto hears = [&](const phy::Phy& src, const phy::Phy* dst) {
+  const auto hears = [&](const phy::Phy& src, std::uint32_t dst) {
     const auto& list = backend.deliveries(src);
     return std::any_of(list.begin(), list.end(), [&](const phy::Delivery& d) {
-      return d.destination == dst;
+      return d.key == dst;
     });
   };
-  for (const phy::Phy* src : medium.attached()) {
+  for (const phy::Phy* src : receivers) {
+    if (src == nullptr) continue;
     for (const phy::Delivery& d : backend.deliveries(*src)) {
-      if (!hears(*d.destination, src)) return true;
+      if (!hears(*receivers[d.key], src->key())) return true;
     }
   }
   return false;
@@ -153,6 +177,17 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
        .mixed_power = true,
        .ops = 134,  // per seed: ~400 moves
        .cull_margins_db = {kDefaultMargin}},
+      // The same lattice under churn: a detach strips the leaver from
+      // its grid neighbourhood's lists only, which must hold when "i
+      // hears s" and "s hears i" differ.
+      {.name = "12x12 mixed power churn",
+       .cols = 12,
+       .rows = 12,
+       .spacing_m = 10.0,
+       .mixed_power = true,
+       .churn = true,
+       .ops = 60,
+       .cull_margins_db = {kDefaultMargin}},
   };
   for (const auto& world : worlds) {
     const std::uint32_t n = world.cols * world.rows;
@@ -172,9 +207,10 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
           if (world.mixed_power && i % 3 == 0) pc.tx_power_dbm = 2.0;
           phys.push_back(std::make_unique<phy::Phy>(s, medium, pc, i));
         }
-        expect_lists_match_rebuild(medium, world.name + " initial build");
+        expect_lists_match_rebuild(medium, phys,
+                                   world.name + " initial build");
         if (world.mixed_power) {
-          ASSERT_TRUE(has_one_way_link(medium)) << world.name;
+          ASSERT_TRUE(has_one_way_link(medium, phys)) << world.name;
         }
 
         sim::Rng rng(seed * 977 + 13);
@@ -206,7 +242,7 @@ TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
           } else {
             if (!target.attached()) medium.attach(target);
           }
-          expect_lists_match_rebuild(medium, ctx);
+          expect_lists_match_rebuild(medium, phys, ctx);
         }
         EXPECT_GT(medium.moves(), 0u);
         if (world.churn) {
@@ -327,6 +363,95 @@ TEST(MobilityDeterminism, ChurnIsBackendInvariant) {
   for (const std::uint64_t seed : {3, 7}) {
     const auto culled = assert_full_mesh_agrees_in_motion(spec, seed);
     EXPECT_GT(culled.detaches, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Recorded values: the rebuild, brute-force and full-mesh references
+// above all follow the medium's key order, so a reordering they share
+// shows only against numbers recorded from an earlier build
+// ---------------------------------------------------------------------
+
+TEST(MobilityDeterminism, ChurnMatchesRecordedValues) {
+  auto spec = mobile_grid(topo::MobilityKind::kChurn);
+  spec.mobility.down_time = sim::Duration::millis(300);
+  struct Recorded {
+    std::uint64_t seed;
+    std::uint32_t digest;
+    std::uint32_t stats_crc;
+  };
+  for (const Recorded& want : {Recorded{3, 495672347u, 2050939008u},
+                               Recorded{7, 1473156884u, 4043059924u}}) {
+    const auto run = run_mobile(spec, kDefaultMargin, want.seed);
+    const std::uint32_t stats_crc = crc32(
+        {reinterpret_cast<const std::uint8_t*>(run.stats.data()),
+         run.stats.size()});
+    EXPECT_EQ(run.digest, want.digest) << "seed " << want.seed;
+    EXPECT_EQ(stats_crc, want.stats_crc) << "seed " << want.seed << "\n"
+                                         << run.stats;
+  }
+}
+
+TEST(MobilityDeterminism, ReceiveOrderAcrossDestroyAndReattachIsRecorded) {
+  // Every receiver sits exactly 5 m from the transmitter, so each frame
+  // reaches them all at one instant and the delivery-list order alone
+  // decides who hears it first (and who consumes the first error draws).
+  // PHYs die, join and re-attach between frames; the expected orders
+  // are those attach order gives: survivors first, re-attached PHYs at
+  // the back.
+  const phy::Position ring[] = {{5, 0},  {4, 3},   {3, 4},   {0, 5},
+                                {-3, 4}, {-4, 3},  {-5, 0},  {-4, -3},
+                                {-3, -4}, {0, -5}, {3, -4}, {4, -3}};
+  for (const double margin : {kDefaultMargin, kFullMeshMargin}) {
+    sim::Simulation s(1);
+    phy::MediumConfig config;
+    config.cull_margin_db = margin;
+    phy::Medium medium(s, config);
+    phy::Phy tx(s, medium, {.position = {0, 0}}, 100);
+    std::vector<std::uint32_t> heard;
+    std::vector<std::unique_ptr<phy::Phy>> rx(12);
+    const auto join = [&](std::uint32_t id, std::size_t at) {
+      rx[id] = std::make_unique<phy::Phy>(
+          s, medium, phy::PhyConfig{.position = ring[at]}, id);
+      rx[id]->on_rx = [&heard, id](const phy::RxReport&) {
+        heard.push_back(id);
+      };
+    };
+    const auto send = [&] {
+      phy::PhyFrame frame;
+      frame.unicast.mode = proto::base_mode();
+      frame.unicast.subframe_bytes = {200, 200};
+      frame.payload = std::make_shared<phy::Payload>();
+      heard.clear();
+      tx.transmit(std::move(frame));
+      s.run();
+      return heard;
+    };
+    const std::string ctx = "margin " + std::to_string(margin);
+
+    for (std::uint32_t id = 0; id < 6; ++id) join(id, id);
+    EXPECT_EQ(send(), (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5})) << ctx;
+
+    rx[1].reset();
+    rx[3].reset();
+    join(6, 6);
+    join(7, 1);  // where 1 stood
+    EXPECT_EQ(send(), (std::vector<std::uint32_t>{0, 2, 4, 5, 6, 7})) << ctx;
+
+    medium.detach(*rx[2]);
+    medium.detach(*rx[0]);
+    medium.attach(*rx[0]);
+    medium.attach(*rx[2]);
+    EXPECT_EQ(send(), (std::vector<std::uint32_t>{4, 5, 6, 7, 0, 2})) << ctx;
+
+    rx[5].reset();
+    join(8, 3);  // where 3 stood
+    medium.detach(*rx[6]);
+    EXPECT_EQ(send(), (std::vector<std::uint32_t>{4, 7, 0, 2, 8})) << ctx;
+    // Deaths force rebuilds; the in-box detaches and re-attaches patch.
+    EXPECT_EQ(medium.rebuilds(), 3u) << ctx;
+    EXPECT_EQ(medium.incremental_detaches(), 2u) << ctx;
+    EXPECT_EQ(medium.incremental_attaches(), 2u) << ctx;
   }
 }
 
