@@ -28,7 +28,6 @@ class Aggregator {
   explicit Aggregator(AggregationPolicy policy) : policy_(policy) {}
 
   const AggregationPolicy& policy() const { return policy_; }
-  AggregationPolicy& policy() { return policy_; }
 
   // The PHY modes of the two portions; required for airtime-capped
   // policies (kept current by the MAC when its rates change).

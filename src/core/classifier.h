@@ -29,9 +29,6 @@ class TcpAckClassifier {
   // link-layer destination is the broadcast address.
   TrafficClass classify(const proto::Packet& packet, bool link_broadcast) const;
 
-  void set_enabled(bool enabled) { tcp_ack_as_broadcast_ = enabled; }
-  bool enabled() const { return tcp_ack_as_broadcast_; }
-
   // Counters for the experiment reports.
   std::uint64_t acks_classified() const { return acks_classified_; }
   std::uint64_t packets_seen() const { return packets_seen_; }

@@ -174,15 +174,6 @@ void Mac::begin_sequence() {
     inflight_unicast_ = frame.unicast;
   }
 
-  // Compute the frame timing once; duration fields and the ACK timeout
-  // derive from it.
-  const auto tentative_phy =
-      to_phy_frame(MacPdu::make_aggregate(frame, config_.address),
-                   config_.broadcast_mode, config_.unicast_mode);
-  pending_timing_ = phy::frame_timing(tentative_phy.broadcast,
-                                      tentative_phy.unicast,
-                                      phy_.config().timings);
-
   // Medium reservation after the data frame ends: SIFS + ACK, if the
   // frame needs acknowledgement.
   const auto& t = config_.timings;
@@ -193,7 +184,16 @@ void Mac::begin_sequence() {
   for (auto& sf : frame.broadcast) sf.duration_units = dur_units;
   for (auto& sf : frame.unicast) sf.duration_units = dur_units;
 
+  // The duration fields change no subframe's size, so the PHY frame is
+  // built once, after them: send_rts reserves its airtime, and send_data
+  // accounts its header time and transmits it.
   pending_pdu_ = MacPdu::make_aggregate(std::move(frame), config_.address);
+  pending_frame_ = to_phy_frame(pending_pdu_, config_.broadcast_mode,
+                                config_.unicast_mode);
+  const auto timing = phy::frame_timing(
+      pending_frame_.broadcast, pending_frame_.unicast, phy_.config().timings);
+  pending_header_ = timing.header;
+  pending_airtime_ = timing.total;
 
   const bool needs_rts =
       config_.use_rts_cts && pending_pdu_->aggregate.has_unicast();
@@ -212,7 +212,7 @@ void Mac::send_rts() {
   rts.transmitter = config_.address;
   // Reservation: CTS + data + ACK, with the three SIFS gaps.
   const auto reservation = t.sifs + control_airtime(proto::kCtsBytes) + t.sifs +
-                           pending_timing_.total + t.sifs + ack_duration();
+                           pending_airtime_ + t.sifs + ack_duration();
   rts.duration_units = proto::encode_duration_us(reservation.ns() / 1000);
   phase_ = Phase::kTxRts;
   ++stats_.rts_tx;
@@ -223,9 +223,8 @@ void Mac::send_rts() {
 void Mac::send_data() {
   phase_ = Phase::kTxData;
   tx_kind_ = TxKind::kData;
-  account_data_tx(pending_pdu_->aggregate, pending_timing_);
-  phy_.transmit(to_phy_frame(pending_pdu_, config_.broadcast_mode,
-                             config_.unicast_mode));
+  account_data_tx(pending_pdu_->aggregate, pending_header_);
+  phy_.transmit(std::move(pending_frame_));
 }
 
 void Mac::transmit_control(proto::ControlFrame frame, TxKind kind) {
@@ -235,12 +234,12 @@ void Mac::transmit_control(proto::ControlFrame frame, TxKind kind) {
 }
 
 void Mac::account_data_tx(const proto::AggregateFrame& frame,
-                          const phy::FrameTiming& timing) {
+                          sim::Duration header) {
   ++stats_.data_frames_tx;
   stats_.broadcast_subframes_tx += frame.broadcast.size();
   stats_.unicast_subframes_tx += frame.unicast.size();
   stats_.data_bytes_tx += frame.total_wire_bytes();
-  stats_.time.phy_header += timing.header;
+  stats_.time.phy_header += header;
 
   const auto account_portion = [this](const proto::AggregateFrame::SubframeVec& sfs,
                                       const proto::PhyMode& mode) {
@@ -323,6 +322,7 @@ void Mac::sequence_failed() {
 
 void Mac::finish_sequence() {
   pending_pdu_.reset();
+  pending_frame_ = {};  // still set when the CTS never came
   response_timer_.cancel();
   phase_ = Phase::kIdle;
   kick();

@@ -84,10 +84,6 @@ class Mac {
   const MacStats& stats() const { return stats_; }
   const core::DualQueue& queues() const { return queues_; }
   const core::TcpAckClassifier& classifier() const { return classifier_; }
-  core::AggregationPolicy& policy() { return aggregator_.policy(); }
-  const core::AggregationPolicy& policy() const {
-    return aggregator_.policy();
-  }
 
  private:
   enum class Phase { kIdle, kTxRts, kWaitCts, kTxData, kWaitAck };
@@ -124,7 +120,7 @@ class Mac {
   sim::Duration control_airtime(std::size_t bytes) const;
   sim::Duration ack_duration() const;
   void account_data_tx(const proto::AggregateFrame& frame,
-                       const phy::FrameTiming& timing);
+                       sim::Duration header);
   bool already_delivered(const proto::MacSubframe& sf) const;
   void remember_delivered(const proto::MacSubframe& sf);
   bool is_neighbor(proto::MacAddress transmitter) const;
@@ -154,7 +150,11 @@ class Mac {
 
   // Current transmit sequence.
   std::shared_ptr<const MacPdu> pending_pdu_;
-  phy::FrameTiming pending_timing_;
+  // The PHY frame of pending_pdu_, built in begin_sequence and moved out
+  // by send_data, and the two parts of its timing the MAC reads.
+  phy::PhyFrame pending_frame_;
+  sim::Duration pending_header_;
+  sim::Duration pending_airtime_;
   proto::AggregateFrame::SubframeVec inflight_unicast_;
   unsigned retries_ = 0;
   sim::Timer response_timer_;

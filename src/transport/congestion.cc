@@ -6,12 +6,8 @@
 
 namespace hydra::transport {
 
-// ---------------------------------------------------------------------
-// NewReno — the seed arithmetic, moved verbatim.
-// ---------------------------------------------------------------------
-
-bool NewRenoCc::on_ack(std::uint32_t ack, std::uint32_t newly,
-                       const CcView& view) {
+bool CongestionControl::on_ack(std::uint32_t ack, std::uint32_t newly,
+                               const CcView& view) {
   if (in_recovery_) {
     if (seq_geq(ack, recover_)) {
       // Full recovery: deflate.
@@ -36,7 +32,8 @@ bool NewRenoCc::on_ack(std::uint32_t ack, std::uint32_t newly,
   return false;
 }
 
-CongestionControl::DupAckAction NewRenoCc::on_dup_ack(const CcView& view) {
+CongestionControl::DupAckAction CongestionControl::on_dup_ack(
+    const CcView& view) {
   ++dup_acks_;
   if (!in_recovery_ && dup_acks_ == 3) {
     recover_ = view.snd_nxt;
@@ -51,35 +48,13 @@ CongestionControl::DupAckAction NewRenoCc::on_dup_ack(const CcView& view) {
   return DupAckAction::kNone;
 }
 
-void NewRenoCc::on_rto(const CcView& view) {
+void CongestionControl::on_rto(const CcView& view) {
   in_recovery_ = false;
   dup_acks_ = 0;
   collapse_on_timeout(view);
 }
 
-void NewRenoCc::on_rtt_sample(sim::Duration, const CcView&) {}
-
-void NewRenoCc::enter_recovery(const CcView& view) {
-  ++congestion_losses_;
-  ssthresh_ = std::max(view.flight_size / 2, 2 * view.mss);
-  cwnd_ = ssthresh_ + 3 * view.mss;
-}
-
-void NewRenoCc::exit_recovery(const CcView& view) {
-  cwnd_ = std::max(ssthresh_, view.mss);
-}
-
-void NewRenoCc::collapse_on_timeout(const CcView& view) {
-  ++congestion_losses_;
-  ssthresh_ = std::max(view.flight_size / 2, 2 * view.mss);
-  cwnd_ = view.mss;
-}
-
-// ---------------------------------------------------------------------
-// CERL
-// ---------------------------------------------------------------------
-
-void CerlCc::on_rtt_sample(sim::Duration sample, const CcView&) {
+void CongestionControl::on_rtt_sample(sim::Duration sample) {
   if (!have_rtt_) {
     have_rtt_ = true;
     rtt_min_ = sample;
@@ -90,20 +65,23 @@ void CerlCc::on_rtt_sample(sim::Duration sample, const CcView&) {
   rtt_max_ = std::max(rtt_max_, sample);
 }
 
-LossKind CerlCc::classify(const CcView& view) const {
-  // No RTT evidence yet: conservatively congestion (exact NewReno).
-  if (!have_rtt_ || !view.rtt_valid) return LossKind::kCongestion;
+LossKind CongestionControl::classify(const CcView& view) const {
+  // NewReno, or CERL with no RTT evidence yet: congestion, the NewReno
+  // reaction.
+  if (scheme_ != CcScheme::kCerl || !have_rtt_ || !view.rtt_valid) {
+    return LossKind::kCongestion;
+  }
   // Threshold between the observed floor and ceiling. Integer-nanosecond
   // arithmetic; <= keeps a flat-RTT path (floor == ceiling) classified
   // as channel — no queue ever built, so the drop cannot be congestion.
   const double span =
-      static_cast<double>((rtt_max_ - rtt_min_).ns()) * tuning_.alpha;
+      static_cast<double>((rtt_max_ - rtt_min_).ns()) * kCerlAlpha;
   const auto threshold =
       rtt_min_ + sim::Duration::nanos(static_cast<std::int64_t>(span));
   return view.srtt <= threshold ? LossKind::kChannel : LossKind::kCongestion;
 }
 
-void CerlCc::enter_recovery(const CcView& view) {
+void CongestionControl::enter_recovery(const CcView& view) {
   if (classify(view) == LossKind::kChannel) {
     // Channel loss: retransmit (the caller does) but keep ssthresh and
     // remember today's cwnd — the window deflation on exit is skipped.
@@ -116,19 +94,21 @@ void CerlCc::enter_recovery(const CcView& view) {
     return;
   }
   channel_episode_ = false;
-  NewRenoCc::enter_recovery(view);
+  ++congestion_losses_;
+  ssthresh_ = std::max(view.flight_size / 2, 2 * view.mss);
+  cwnd_ = ssthresh_ + 3 * view.mss;
 }
 
-void CerlCc::exit_recovery(const CcView& view) {
+void CongestionControl::exit_recovery(const CcView& view) {
   if (channel_episode_) {
     channel_episode_ = false;
     cwnd_ = std::max(channel_exit_cwnd_, view.mss);
     return;
   }
-  NewRenoCc::exit_recovery(view);
+  cwnd_ = std::max(ssthresh_, view.mss);
 }
 
-void CerlCc::collapse_on_timeout(const CcView& view) {
+void CongestionControl::collapse_on_timeout(const CcView& view) {
   channel_episode_ = false;
   if (classify(view) == LossKind::kChannel) {
     // The ACK clock still has to be rebuilt after go-back-N, so cwnd
@@ -138,18 +118,9 @@ void CerlCc::collapse_on_timeout(const CcView& view) {
     cwnd_ = view.mss;
     return;
   }
-  NewRenoCc::collapse_on_timeout(view);
-}
-
-std::unique_ptr<CongestionControl> make_congestion_control(
-    const TransportTuning& tuning) {
-  switch (tuning.cc) {
-    case CcScheme::kCerl:
-      return std::make_unique<CerlCc>(tuning.cerl);
-    case CcScheme::kNewReno:
-      break;
-  }
-  return std::make_unique<NewRenoCc>();
+  ++congestion_losses_;
+  ssthresh_ = std::max(view.flight_size / 2, 2 * view.mss);
+  cwnd_ = view.mss;
 }
 
 }  // namespace hydra::transport

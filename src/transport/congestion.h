@@ -1,31 +1,39 @@
-// CongestionControl: the pluggable seam that owns cwnd/ssthresh and the
-// loss-recovery state machine of a TcpConnection. The connection drives
-// it through four hooks — cumulative ACK advance, duplicate ACK,
-// retransmission timeout, RTT sample — and obeys the returned actions
-// (retransmit the front of the flight, try to transmit more). All
-// sequence-number machinery (what to retransmit, go-back-N, Karn's
-// rule) stays in the connection; the scheme only decides *how the
+// CongestionControl: owns cwnd/ssthresh and the loss-recovery state
+// machine of a TcpConnection, for the CcScheme it was built with. The
+// connection drives it through four hooks — cumulative ACK advance,
+// duplicate ACK, retransmission timeout, RTT sample — and obeys the
+// returned actions (retransmit the front of the flight, try to transmit
+// more). All sequence-number machinery (what to retransmit, go-back-N,
+// Karn's rule) stays in the connection; the scheme only decides *how the
 // window reacts*.
 //
-// NewRenoCc is the seed behaviour extracted verbatim; CerlCc layers
-// RTT-threshold loss differentiation on top (channel losses retransmit
-// without multiplicative backoff). The differential suite pins the
-// NewReno default bit-identical to the pre-seam TCP.
+// Both schemes run RFC 6582 NewReno's recovery machine, the seed
+// behaviour extracted verbatim. CERL branches at the three points where
+// a loss moves the window (recovery entry, recovery exit and the RTO
+// collapse): a loss it classifies as channel retransmits without
+// multiplicative backoff. NewReno classifies every loss as congestion,
+// so it never takes those branches; the differential suite pins it
+// bit-identical to the seed TCP.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/time.h"
 #include "transport/tuning.h"
 
 namespace hydra::transport {
 
-// How a detected loss was classified (CERL; NewReno calls everything
-// congestion).
+// CERL's classifier keeps the minimum and maximum RTT samples seen so
+// far; a loss detected while
+//   srtt <= rtt_min + kCerlAlpha * (rtt_max - rtt_min)
+// reads as channel loss (the path shows no queue buildup, so the drop
+// was corruption, not congestion).
+inline constexpr double kCerlAlpha = 0.55;
+
+// How a detected loss was classified.
 enum class LossKind { kCongestion, kChannel };
 
-// Read-only view of the connection state the schemes consult. The
+// Read-only view of the connection state the scheme consults. The
 // connection fills it immediately before every hook call, so the values
 // are exact at the decision point (flight_size in particular is read
 // *before* any go-back-N rewind).
@@ -39,28 +47,22 @@ struct CcView {
 
 class CongestionControl {
  public:
-  virtual ~CongestionControl() = default;
-
-  virtual const char* name() const = 0;
-
-  // Called once, before the handshake.
-  void init(std::uint32_t initial_cwnd) { cwnd_ = initial_cwnd; }
+  CongestionControl(CcScheme scheme, std::uint32_t initial_cwnd)
+      : scheme_(scheme), cwnd_(initial_cwnd) {}
 
   std::uint32_t cwnd() const { return cwnd_; }
   std::uint32_t ssthresh() const { return ssthresh_; }
   bool in_recovery() const { return in_recovery_; }
 
-  // Loss-classification tallies (CERL; NewReno counts every episode as
-  // congestion). One increment per recovery entry or timeout, not per
-  // retransmitted segment.
+  // Loss-classification tallies. One increment per recovery entry or
+  // timeout, not per retransmitted segment.
   std::uint64_t channel_losses() const { return channel_losses_; }
   std::uint64_t congestion_losses() const { return congestion_losses_; }
 
   // A cumulative ACK advanced snd_una by `newly` bytes to `ack`.
   // Returns true when the scheme wants the front of the flight
   // retransmitted (the NewReno partial-ACK hole fill).
-  virtual bool on_ack(std::uint32_t ack, std::uint32_t newly,
-                      const CcView& view) = 0;
+  bool on_ack(std::uint32_t ack, std::uint32_t newly, const CcView& view);
 
   // What the connection should do after a duplicate ACK.
   enum class DupAckAction {
@@ -70,72 +72,36 @@ class CongestionControl {
     // In recovery: the window inflated, try to transmit more.
     kSendMore,
   };
-  virtual DupAckAction on_dup_ack(const CcView& view) = 0;
+  DupAckAction on_dup_ack(const CcView& view);
 
   // The retransmission timer fired (the connection performs the
   // go-back-N rewind itself, after this hook).
-  virtual void on_rto(const CcView& view) = 0;
+  void on_rto(const CcView& view);
 
   // The RTT estimator accepted a sample (already Karn-filtered by the
-  // connection). view.srtt is the post-update smoothed value.
-  virtual void on_rtt_sample(sim::Duration sample, const CcView& view) = 0;
+  // connection): it moves the RTT floor and ceiling.
+  void on_rtt_sample(sim::Duration sample);
 
- protected:
-  std::uint32_t cwnd_ = 0;
-  std::uint32_t ssthresh_ = 0xffffffff;
-  bool in_recovery_ = false;
-  std::uint64_t channel_losses_ = 0;
-  std::uint64_t congestion_losses_ = 0;
-};
-
-// The seed scheme: RFC 6582 NewReno, extracted from the monolithic
-// TcpConnection without behavioural change.
-class NewRenoCc : public CongestionControl {
- public:
-  const char* name() const override { return "newreno"; }
-
-  bool on_ack(std::uint32_t ack, std::uint32_t newly,
-              const CcView& view) override;
-  DupAckAction on_dup_ack(const CcView& view) override;
-  void on_rto(const CcView& view) override;
-  void on_rtt_sample(sim::Duration sample, const CcView& view) override;
-
- protected:
-  // Recovery entry/exit, virtual so CerlCc can divert the channel-loss
-  // cases while sharing the whole dup-ack state machine.
-  virtual void enter_recovery(const CcView& view);
-  virtual void exit_recovery(const CcView& view);
-  virtual void collapse_on_timeout(const CcView& view);
-
-  unsigned dup_acks_ = 0;
-  std::uint32_t recover_ = 0;  // NewReno recovery point (snd_nxt at entry)
-};
-
-// NewReno + CERL-style loss differentiation: tracks the RTT floor and
-// ceiling; a loss detected while srtt sits within `alpha` of the floor
-// is classified as channel loss and retransmitted without touching
-// ssthresh (and, for fast retransmit, without deflating cwnd on exit).
-// Congestion-classified losses react exactly like NewReno.
-class CerlCc : public NewRenoCc {
- public:
-  explicit CerlCc(CerlTuning tuning) : tuning_(tuning) {}
-
-  const char* name() const override { return "cerl"; }
-
-  void on_rtt_sample(sim::Duration sample, const CcView& view) override;
-
-  // The classifier's current verdict for a loss detected now.
+  // The verdict for a loss detected now. Always congestion under
+  // NewReno, and under CERL until the RTT has been sampled.
   LossKind classify(const CcView& view) const;
   sim::Duration rtt_floor() const { return rtt_min_; }
   sim::Duration rtt_ceiling() const { return rtt_max_; }
 
- protected:
-  void enter_recovery(const CcView& view) override;
-  void exit_recovery(const CcView& view) override;
-  void collapse_on_timeout(const CcView& view) override;
-
  private:
-  CerlTuning tuning_;
+  void enter_recovery(const CcView& view);
+  void exit_recovery(const CcView& view);
+  void collapse_on_timeout(const CcView& view);
+
+  CcScheme scheme_;
+  std::uint32_t cwnd_;
+  std::uint32_t ssthresh_ = 0xffffffff;
+  bool in_recovery_ = false;
+  unsigned dup_acks_ = 0;
+  std::uint32_t recover_ = 0;  // NewReno recovery point (snd_nxt at entry)
+  std::uint64_t channel_losses_ = 0;
+  std::uint64_t congestion_losses_ = 0;
+
   bool have_rtt_ = false;
   sim::Duration rtt_min_;
   sim::Duration rtt_max_;
@@ -145,9 +111,5 @@ class CerlCc : public NewRenoCc {
   bool channel_episode_ = false;
   std::uint32_t channel_exit_cwnd_ = 0;
 };
-
-// Builds the scheme `tuning` selects.
-std::unique_ptr<CongestionControl> make_congestion_control(
-    const TransportTuning& tuning);
 
 }  // namespace hydra::transport

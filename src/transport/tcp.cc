@@ -1,7 +1,6 @@
 #include "transport/tcp.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/assert.h"
 
@@ -20,13 +19,12 @@ TcpConnection::TcpConnection(sim::Simulation& simulation, TcpConfig config,
       local_(local),
       remote_(remote),
       send_packet_(std::move(send)),
-      cc_(make_congestion_control(config.tuning)),
+      cc_(config.tuning.cc, config.initial_cwnd_segments * config.mss),
       rto_(config.rto_initial),
       rto_timer_(simulation.scheduler(), [this] { on_rto(); }),
-      ack_policy_(make_ack_policy(config.tuning)),
+      ack_policy_(config.tuning.ack),
       delack_timer_(simulation.scheduler(), [this] { delack_fired(); }) {
   HYDRA_ASSERT(send_packet_ != nullptr);
-  cc_->init(config_.initial_cwnd_segments * config_.mss);
 }
 
 // -----------------------------------------------------------------------
@@ -149,7 +147,7 @@ void TcpConnection::segment_arrived(const proto::Packet& packet) {
 
 std::uint32_t TcpConnection::send_limit_seq() const {
   const std::uint32_t window =
-      std::min(cc_->cwnd(), peer_window_ == 0 ? config_.mss : peer_window_);
+      std::min(cc_.cwnd(), peer_window_ == 0 ? config_.mss : peer_window_);
   return snd_una_ + window;
 }
 
@@ -193,13 +191,6 @@ void TcpConnection::emit_segment(std::uint32_t seq, std::uint32_t len,
                                   static_cast<std::uint16_t>(config_.recv_window),
                                   len);
   ++stats_.segments_sent;
-  static const bool kTrace = getenv("HYDRA_TCP_TRACE") != nullptr;
-  if (kTrace) {
-    std::fprintf(stderr, "[%.4f] emit seq=%u len=%u retx=%d una=%u nxt=%u hw=%u cwnd=%u\n",
-                 sim_.now().seconds_f(), seq - iss_, len, (int)is_retransmit,
-                 snd_una_ - iss_, snd_nxt_ - iss_, high_water_ - iss_,
-                 cc_->cwnd());
-  }
   if (is_retransmit) {
     ++stats_.retransmits;
     // Karn's rule: never time a retransmitted segment.
@@ -242,11 +233,6 @@ void TcpConnection::retransmit_front() {
 }
 
 void TcpConnection::handle_ack(const proto::TcpHeader& h) {
-  static const bool kTrace = getenv("HYDRA_TCP_TRACE") != nullptr;
-  if (kTrace) {
-    std::fprintf(stderr, "[%.4f] peer=%u rx-ack ack=%u una=%u nxt=%u\n",
-                 sim_.now().seconds_f(), remote_.address.value() & 0xff, h.ack, snd_una_, snd_nxt_);
-  }
   // Bound against the highest sequence ever transmitted, not snd_nxt:
   // during a go-back-N replay snd_nxt sits below data the receiver may
   // already hold, and its cumulative ACKs are entirely legitimate.
@@ -270,7 +256,7 @@ void TcpConnection::handle_ack(const proto::TcpHeader& h) {
 
     // The scheme grows/deflates the window; a true return asks for the
     // NewReno partial-ACK hole fill.
-    if (cc_->on_ack(h.ack, newly, cc_view())) retransmit_front();
+    if (cc_.on_ack(h.ack, newly, cc_view())) retransmit_front();
 
     if (all_data_acked()) {
       rto_timer_.cancel();
@@ -292,7 +278,7 @@ void TcpConnection::handle_ack(const proto::TcpHeader& h) {
   // Possible duplicate ACK: pure, no payload, for the front of the flight.
   if (h.ack == snd_una_ && flight_size() > 0) {
     ++stats_.dup_acks_seen;
-    switch (cc_->on_dup_ack(cc_view())) {
+    switch (cc_.on_dup_ack(cc_view())) {
       case CongestionControl::DupAckAction::kFastRetransmit:
         ++stats_.fast_retransmits;
         retransmit_front();
@@ -329,7 +315,7 @@ void TcpConnection::on_rto() {
     case State::kClosedByPeer: {
       // The view must capture the flight *before* the go-back-N rewind —
       // ssthresh halves against what was actually outstanding.
-      cc_->on_rto(cc_view());
+      cc_.on_rto(cc_view());
       timing_segment_ = false;
       // Go-back-N: without SACK, everything past the timeout hole must be
       // presumed lost; pull snd_nxt back so the normal send path (clocked
@@ -361,7 +347,7 @@ void TcpConnection::update_rtt(sim::Duration sample) {
     srtt_ = (7 * srtt_ + sample) / 8;
   }
   rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.rto_min, config_.rto_max);
-  cc_->on_rtt_sample(sample, cc_view());
+  cc_.on_rtt_sample(sample);
 }
 
 // -----------------------------------------------------------------------
@@ -371,11 +357,6 @@ void TcpConnection::update_rtt(sim::Duration sample) {
 void TcpConnection::handle_data(const proto::TcpHeader& h,
                                 std::uint32_t payload) {
   const std::uint32_t end = h.seq + payload;
-  static const bool kTrace = getenv("HYDRA_TCP_TRACE") != nullptr;
-  if (kTrace) {
-    std::fprintf(stderr, "[%.4f] peer=%u rx-data seq=%u end=%u rcv_nxt=%u\n",
-                 sim_.now().seconds_f(), remote_.address.value() & 0xff, h.seq, end, rcv_nxt_);
-  }
   if (seq_leq(end, rcv_nxt_)) {
     send_ack();  // stale retransmission: duplicate ACK, never delayed
     return;
@@ -429,12 +410,12 @@ void TcpConnection::handle_data(const proto::TcpHeader& h,
     return;
   }
   ++segs_since_ack_;
-  if (ack_policy_->on_in_order_data(sim_.now(), segs_since_ack_) ==
+  if (ack_policy_.on_in_order_data(sim_.now(), segs_since_ack_) ==
       AckPolicy::Decision::kAckNow) {
     send_ack();
   } else {
     ++stats_.acks_delayed;
-    if (!delack_timer_.pending()) delack_timer_.arm(ack_policy_->delay());
+    if (!delack_timer_.pending()) delack_timer_.arm(ack_policy_.delay());
   }
 }
 

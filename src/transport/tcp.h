@@ -5,8 +5,9 @@
 // acknowledgements, out-of-order reassembly, RTO per RFC 6298 with
 // Karn's rule and exponential backoff, and FIN teardown.
 //
-// Congestion control and ACK policy are pluggable seams selected by
-// TcpConfig::tuning (see transport/tuning.h):
+// TcpConfig::tuning names the connection's congestion-control and ACK
+// schemes (see transport/tuning.h); the connection holds one
+// CongestionControl and one AckPolicy built for them:
 //   - CongestionControl owns cwnd/ssthresh and the loss-recovery state
 //     machine (default: NewReno — slow start, congestion avoidance,
 //     fast retransmit/recovery with partial-ACK handling; alternative:
@@ -19,7 +20,7 @@
 //     immediately, regardless of policy.
 // The defaults are the seed behaviour extracted verbatim;
 // transport_differential_test pins them bit-identical to a frozen copy
-// of the pre-seam implementation.
+// of the seed implementation.
 //
 // The payload is synthetic: send() appends a byte *count* to the stream;
 // receivers observe in-order byte counts via on_data. Sequence numbers,
@@ -29,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "proto/packet.h"
@@ -59,6 +59,9 @@ struct TcpConfig {
   // Which congestion-control / ACK-policy schemes this connection runs.
   TransportTuning tuning;
 };
+
+static_assert(kDelackCeiling < TcpConfig{}.rto_min,
+              "a held ACK must never fire the sender's RTO");
 
 struct TcpStats {
   std::uint64_t segments_sent = 0;
@@ -118,18 +121,18 @@ class TcpConnection {
 
   // --- introspection -----------------------------------------------------
   State state() const { return state_; }
-  std::uint32_t cwnd() const { return cc_->cwnd(); }
-  std::uint32_t ssthresh() const { return cc_->ssthresh(); }
+  std::uint32_t cwnd() const { return cc_.cwnd(); }
+  std::uint32_t ssthresh() const { return cc_.ssthresh(); }
   std::uint64_t bytes_in_flight() const { return seq_diff(snd_nxt_, snd_una_); }
   std::uint64_t delivered_bytes() const { return delivered_bytes_; }
   const TcpStats& stats() const { return stats_; }
   proto::Endpoint local() const { return local_; }
   proto::Endpoint remote() const { return remote_; }
   sim::Duration current_rto() const { return rto_; }
-  // The scheme instances behind the seams (for stats harvesting and
-  // scheme-specific introspection in tests).
-  const CongestionControl& congestion() const { return *cc_; }
-  const AckPolicy& ack_policy() const { return *ack_policy_; }
+  // The schemes' state (for stats harvesting and scheme-specific
+  // introspection in tests).
+  const CongestionControl& congestion() const { return cc_; }
+  const AckPolicy& ack_policy() const { return ack_policy_; }
   bool delack_pending() const { return delack_timer_.pending(); }
 
  private:
@@ -185,7 +188,7 @@ class TcpConnection {
   std::uint32_t fin_seq_ = 0;
 
   // Congestion control (owns cwnd/ssthresh/recovery state).
-  std::unique_ptr<CongestionControl> cc_;
+  CongestionControl cc_;
 
   // RTT estimation.
   bool rtt_valid_ = false;
@@ -209,7 +212,7 @@ class TcpConnection {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ooo_;
 
   // ACK policy (receiver side).
-  std::unique_ptr<AckPolicy> ack_policy_;
+  AckPolicy ack_policy_;
   sim::Timer delack_timer_;
   // In-order data segments received since the last ACK left.
   unsigned segs_since_ack_ = 0;

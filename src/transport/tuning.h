@@ -1,20 +1,18 @@
 // The transport-scheme axis: which congestion control and which ACK
-// policy a TcpConnection runs, plus the per-scheme knobs. Rides inside
-// TcpConfig so every existing plumbing path (mux listen/connect, the
-// file-transfer apps, topo::ExperimentConfig, the sweep grid) carries it
-// without new parameters.
+// policy a TcpConnection runs. Rides inside TcpConfig so every existing
+// plumbing path (mux listen/connect, the file-transfer apps,
+// topo::ExperimentConfig, the sweep grid) carries it without new
+// parameters. Each scheme's fixed values are named constants beside the
+// class that runs it (congestion.h, ack_policy.h).
 //
 // The defaults reproduce the seed TCP exactly: NewReno congestion
 // control and the strict immediate-ACK receiver (one ACK per data
 // segment). `transport_differential_test` pins that equivalence — trace
 // digests, stats tables and event counts — against a frozen copy of the
-// seed implementation, so the seams provably cost nothing until a
-// non-default scheme is selected.
+// seed implementation.
 #pragma once
 
 #include <string>
-
-#include "sim/time.h"
 
 namespace hydra::transport {
 
@@ -34,7 +32,7 @@ enum class AckScheme {
   // One ACK per received data segment (the seed behaviour, and the 1:1
   // data/ACK pattern the paper's prototype observed).
   kImmediate,
-  // Classic delayed ACKs: hold up to `max_pending_segments`, bounded by
+  // Classic delayed ACKs: hold up to two in-order segments, bounded by
   // a fixed delack timer.
   kDelayed,
   // Adaptive delayed ACKs (TCP-AAD style): measures the inter-segment
@@ -61,37 +59,9 @@ inline std::string to_string(AckScheme scheme) {
   return "?";
 }
 
-// CERL loss-differentiation knobs. The classifier keeps the minimum and
-// maximum RTT samples seen so far; a loss detected while
-//   srtt <= rtt_min + alpha * (rtt_max - rtt_min)
-// reads as channel loss (the path shows no queue buildup, so the drop
-// was corruption, not congestion). With no RTT sample yet every loss
-// conservatively reads as congestion (exact NewReno behaviour).
-struct CerlTuning {
-  double alpha = 0.55;
-};
-
-// Delayed-ACK knobs (kDelayed and kAdaptive).
-struct DelAckTuning {
-  // kDelayed: the fixed delack timer. kAdaptive: the timer floor. Kept
-  // well under TcpConfig::rto_min so a held ACK can never fire the
-  // sender's retransmission timer.
-  sim::Duration delay = sim::Duration::millis(100);
-  // Ceiling for the adaptive timer.
-  sim::Duration max_delay = sim::Duration::millis(200);
-  // Stretch cap: in-order segments withheld before an ACK is forced.
-  unsigned max_pending_segments = 2;
-  // kAdaptive: delack deadline = clamp(gap_ewma * gap_multiplier,
-  // delay, max_delay) — a little past the observed arrival gap, so the
-  // timer only fires once a burst has actually ended.
-  double gap_multiplier = 2.0;
-};
-
 struct TransportTuning {
   CcScheme cc = CcScheme::kNewReno;
   AckScheme ack = AckScheme::kImmediate;
-  CerlTuning cerl;
-  DelAckTuning delack;
 };
 
 // Compact axis label: "newreno+ack-imm".

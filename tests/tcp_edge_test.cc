@@ -312,8 +312,7 @@ TEST(TcpEdge, AdaptiveDelackStretchesPastASlowArrivalGap) {
   TcpConfig cfg;
   cfg.tuning.ack = AckScheme::kAdaptive;
   DelAckServer server(cfg);
-  const auto& policy =
-      dynamic_cast<const AdaptiveAckPolicy&>(server.conn.ack_policy());
+  const auto& policy = server.conn.ack_policy();
 
   server.conn.segment_arrived(*server.seg(0));
   server.sim.run_for(sim::Duration::millis(150));

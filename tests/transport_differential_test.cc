@@ -1,10 +1,10 @@
-// Pluggable-default vs seed TCP differential determinism: the refactor
-// that made congestion control and ACK policy pluggable seams must be
-// invisible under the default tuning (NewReno + immediate ACK). Every
-// paper spec — plus chain, star and grid worlds — runs the same file
-// workload twice, once over the refactored transport::TcpConnection and
-// once over the frozen pre-seam copy in tests/support/seed_tcp.h, and
-// each pair must agree on
+// Default schemes vs seed TCP differential determinism: the connection
+// engine, with its congestion control and ACK policy split out into
+// their own classes, must be invisible under the default tuning
+// (NewReno + immediate ACK). Every paper spec — plus chain, star and
+// grid worlds — runs the same file workload twice, once over
+// transport::TcpConnection and once over the frozen seed copy in
+// tests/support/seed_tcp.h, and each pair must agree on
 //
 //   - the trace digest (CRC-32 over the network-event trace),
 //   - the per-node MAC stats table, byte for byte,
@@ -14,7 +14,7 @@
 // Both variants get byte-identical wiring: the same staggered sender
 // start times through the same timers, the same listener setup,
 // the same run-slice loop — the only degree of freedom is which TCP
-// processes the segments. A seam that scheduled one extra event (say,
+// processes the segments. A scheme that scheduled one extra event (say,
 // an always-armed delack timer) or perturbed one windowing decision
 // diverges here on every affected combo. Registered under the
 // `transport` ctest label.
@@ -50,7 +50,7 @@ struct RunFingerprint {
 // over: which mux attaches to a node and which connection type it hands
 // out. Everything else in a run is shared code, so the wiring (timers,
 // callback order, start times) cannot drift between sides.
-struct PluggableSide {
+struct CurrentSide {
   using Connection = transport::TcpConnection;
   static auto& mux(net::Node& node) { return transport::mux_of(node); }
 };
@@ -61,7 +61,7 @@ struct SeedSide {
 };
 
 // Minimal FileSenderApp equivalent, shared by both sides (the real app
-// is hardwired to the pluggable mux). Same start timer, same
+// is hardwired to transport::mux_of). Same start timer, same
 // connect/send/close sequence.
 template <typename Side>
 class Sender {
@@ -147,48 +147,48 @@ RunFingerprint run_transfers(const topo::ScenarioSpec& spec) {
   return fp;
 }
 
-void assert_seam_invisible(const topo::ScenarioSpec& spec) {
-  const auto pluggable = run_transfers<PluggableSide>(spec);
+void assert_matches_seed(const topo::ScenarioSpec& spec) {
+  const auto current = run_transfers<CurrentSide>(spec);
   const auto seed = run_transfers<SeedSide>(spec);
   const std::string where = spec.label();
   EXPECT_TRUE(seed.all_complete) << where << ": seed run incomplete";
-  EXPECT_EQ(pluggable.digest, seed.digest)
-      << where << ": pluggable vs seed trace digest diverged";
-  EXPECT_EQ(pluggable.stats, seed.stats)
-      << where << ": pluggable vs seed MAC stats diverged";
-  EXPECT_EQ(pluggable.transmissions, seed.transmissions) << where;
-  EXPECT_EQ(pluggable.deliveries, seed.deliveries) << where;
-  EXPECT_EQ(pluggable.executed_events, seed.executed_events)
-      << where << ": event counts diverged (a seam scheduled events)";
-  EXPECT_EQ(pluggable.delivered_bytes, seed.delivered_bytes) << where;
+  EXPECT_EQ(current.digest, seed.digest)
+      << where << ": current vs seed trace digest diverged";
+  EXPECT_EQ(current.stats, seed.stats)
+      << where << ": current vs seed MAC stats diverged";
+  EXPECT_EQ(current.transmissions, seed.transmissions) << where;
+  EXPECT_EQ(current.deliveries, seed.deliveries) << where;
+  EXPECT_EQ(current.executed_events, seed.executed_events)
+      << where << ": event counts diverged (a scheme scheduled events)";
+  EXPECT_EQ(current.delivered_bytes, seed.delivered_bytes) << where;
 }
 
 TEST(TransportDifferential, OneHop) {
-  assert_seam_invisible(topo::ScenarioSpec::one_hop());
+  assert_matches_seed(topo::ScenarioSpec::one_hop());
 }
 
 TEST(TransportDifferential, TwoHop) {
-  assert_seam_invisible(topo::ScenarioSpec::two_hop());
+  assert_matches_seed(topo::ScenarioSpec::two_hop());
 }
 
 TEST(TransportDifferential, ThreeHop) {
-  assert_seam_invisible(topo::ScenarioSpec::three_hop());
+  assert_matches_seed(topo::ScenarioSpec::three_hop());
 }
 
 TEST(TransportDifferential, Fig6Star) {
-  assert_seam_invisible(topo::ScenarioSpec::fig6_star());
+  assert_matches_seed(topo::ScenarioSpec::fig6_star());
 }
 
 TEST(TransportDifferential, Chain5) {
-  assert_seam_invisible(topo::ScenarioSpec::chain(5));
+  assert_matches_seed(topo::ScenarioSpec::chain(5));
 }
 
 TEST(TransportDifferential, Star3) {
-  assert_seam_invisible(topo::ScenarioSpec::star(3));
+  assert_matches_seed(topo::ScenarioSpec::star(3));
 }
 
 TEST(TransportDifferential, Grid3x3) {
-  assert_seam_invisible(topo::ScenarioSpec::grid(3, 3));
+  assert_matches_seed(topo::ScenarioSpec::grid(3, 3));
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // Properties of the CERL loss differentiator, checked against NewReno
 // as the reference scheme at two levels:
 //
-//  - Scheme-level, by driving NewRenoCc and a CerlCc side by side
-//    through identical (seeded, LCG-generated) hook scripts. When every
-//    loss classifies as congestion the two must agree on the *exact*
-//    cwnd/ssthresh trajectory — CERL is NewReno plus a classifier, so a
-//    congestion verdict must change nothing. When every loss classifies
-//    as channel, CERL's ssthresh must never drop below NewReno's (in
-//    fact it must not move at all).
+//  - Scheme-level, by driving a NewReno and a CERL CongestionControl
+//    side by side through identical (seeded, LCG-generated) hook
+//    scripts. When every loss classifies as congestion the two must
+//    agree on the *exact* cwnd/ssthresh trajectory — CERL is NewReno
+//    plus a classifier, so a congestion verdict must change nothing.
+//    When every loss classifies as channel, CERL's ssthresh must never
+//    drop below NewReno's (in fact it must not move at all).
 //
 //  - Connection-level, over a constant-delay pipe (flat RTT ⇒ channel
 //    verdicts): a mid-stream drop costs NewReno half its window while
@@ -47,19 +47,18 @@ CcView view_at(std::uint32_t flight, std::uint32_t snd_nxt,
 // ---------------------------------------------------------------------
 
 TEST(TransportProperty, CerlClassifierVerdicts) {
-  CerlCc cerl{CerlTuning{}};  // alpha = 0.55
-  cerl.init(2 * kMss);
+  CongestionControl cerl{CcScheme::kCerl, 2 * kMss};  // alpha = 0.55
 
   // No RTT evidence yet: conservatively congestion.
   auto v = view_at(4 * kMss, 20'000, sim::Duration::millis(10));
   EXPECT_EQ(cerl.classify(v), LossKind::kCongestion);
 
   // Flat RTT (floor == ceiling): no queue ever built, so channel.
-  cerl.on_rtt_sample(sim::Duration::millis(10), v);
+  cerl.on_rtt_sample(sim::Duration::millis(10));
   EXPECT_EQ(cerl.classify(v), LossKind::kChannel);
 
   // Widen the range to [10ms, 110ms]; threshold = 10 + 0.55*100 = 65ms.
-  cerl.on_rtt_sample(sim::Duration::millis(110), v);
+  cerl.on_rtt_sample(sim::Duration::millis(110));
   EXPECT_EQ(cerl.rtt_floor(), sim::Duration::millis(10));
   EXPECT_EQ(cerl.rtt_ceiling(), sim::Duration::millis(110));
 
@@ -83,13 +82,10 @@ TEST(TransportProperty, CerlClassifierVerdicts) {
 
 class ScriptedPair {
  public:
-  explicit ScriptedPair(sim::Duration srtt) : srtt_(srtt) {
-    reno_.init(2 * kMss);
-    cerl_.init(2 * kMss);
-  }
+  explicit ScriptedPair(sim::Duration srtt) : srtt_(srtt) {}
 
-  NewRenoCc& reno() { return reno_; }
-  CerlCc& cerl() { return cerl_; }
+  CongestionControl& reno() { return reno_; }
+  CongestionControl& cerl() { return cerl_; }
 
   // One scripted episode; `check` runs after every individual hook call.
   void run(unsigned rounds, const std::function<void(unsigned)>& check) {
@@ -141,8 +137,8 @@ class ScriptedPair {
     return (lcg_ >> 16) % m;
   }
 
-  NewRenoCc reno_;
-  CerlCc cerl_{CerlTuning{}};
+  CongestionControl reno_{CcScheme::kNewReno, 2 * kMss};
+  CongestionControl cerl_{CcScheme::kCerl, 2 * kMss};
   sim::Duration srtt_;
   std::uint32_t snd_nxt_ = 10'001;
   std::uint32_t lcg_ = 0x5eed5eed;
@@ -154,10 +150,10 @@ TEST(TransportProperty, CongestionOnlyLossesMatchNewRenoTrajectoryExactly) {
   // must be indistinguishable from NewReno, hook for hook.
   ScriptedPair pair(sim::Duration::millis(100));
   const auto v = view_at(0, 10'001, sim::Duration::millis(100));
-  pair.reno().on_rtt_sample(sim::Duration::millis(10), v);
-  pair.cerl().on_rtt_sample(sim::Duration::millis(10), v);
-  pair.reno().on_rtt_sample(sim::Duration::millis(110), v);
-  pair.cerl().on_rtt_sample(sim::Duration::millis(110), v);
+  pair.reno().on_rtt_sample(sim::Duration::millis(10));
+  pair.cerl().on_rtt_sample(sim::Duration::millis(10));
+  pair.reno().on_rtt_sample(sim::Duration::millis(110));
+  pair.cerl().on_rtt_sample(sim::Duration::millis(110));
   ASSERT_EQ(pair.cerl().classify(v), LossKind::kCongestion);
 
   pair.run(400, [&](unsigned round) {
@@ -179,8 +175,8 @@ TEST(TransportProperty, ChannelOnlyLossesNeverReduceSsthreshBelowNewReno) {
   // it — and in the channel-only world must never move ssthresh at all.
   ScriptedPair pair(sim::Duration::millis(10));
   const auto v = view_at(0, 10'001, sim::Duration::millis(10));
-  pair.reno().on_rtt_sample(sim::Duration::millis(10), v);
-  pair.cerl().on_rtt_sample(sim::Duration::millis(10), v);
+  pair.reno().on_rtt_sample(sim::Duration::millis(10));
+  pair.cerl().on_rtt_sample(sim::Duration::millis(10));
   ASSERT_EQ(pair.cerl().classify(v), LossKind::kChannel);
 
   pair.run(400, [&](unsigned round) {
@@ -198,10 +194,9 @@ TEST(TransportProperty, ChannelFastRetransmitRestoresWindowOnExit) {
   // A single channel-classified fast-retransmit episode in isolation:
   // entry inflates by the three duplicates, extras inflate further,
   // exit restores the pre-loss window instead of deflating to ssthresh.
-  CerlCc cerl{CerlTuning{}};
-  cerl.init(8 * kMss);
+  CongestionControl cerl{CcScheme::kCerl, 8 * kMss};
   const auto v = view_at(8 * kMss, 30'000, sim::Duration::millis(10));
-  cerl.on_rtt_sample(sim::Duration::millis(10), v);
+  cerl.on_rtt_sample(sim::Duration::millis(10));
 
   const std::uint32_t cwnd_before = cerl.cwnd();
   EXPECT_EQ(cerl.on_dup_ack(v), CongestionControl::DupAckAction::kNone);
@@ -225,10 +220,9 @@ TEST(TransportProperty, ChannelFastRetransmitRestoresWindowOnExit) {
 }
 
 TEST(TransportProperty, ChannelTimeoutRestartsWindowButKeepsSsthresh) {
-  CerlCc cerl{CerlTuning{}};
-  cerl.init(8 * kMss);
+  CongestionControl cerl{CcScheme::kCerl, 8 * kMss};
   const auto v = view_at(8 * kMss, 30'000, sim::Duration::millis(10));
-  cerl.on_rtt_sample(sim::Duration::millis(10), v);
+  cerl.on_rtt_sample(sim::Duration::millis(10));
 
   cerl.on_rto(v);
   // The ACK clock must be rebuilt, so cwnd restarts at one MSS — but

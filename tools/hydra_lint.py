@@ -65,6 +65,11 @@ Rules:
                     Integer folds (e.g. summing wire bytes with a
                     std::size_t init) are associative and exact, and do
                     not fire.
+  host-env          getenv / std::getenv / secure_getenv. An environment
+                    variable read in the core is a hidden option: the
+                    same (scenario, seed) behaves differently on a host
+                    that happens to set it. Every setting travels in a
+                    config struct; no file is exempt.
 
 Escape hatch (same line as the violation, or the line immediately
 above; the reason is mandatory):
@@ -97,6 +102,7 @@ RULES = {
     "raw-mutex": "raw std::mutex outside util/mutex.h",
     "raw-thread": "thread started outside util/parallel_for.h",
     "float-order": "order-sensitive floating-point reduction",
+    "host-env": "environment variable read in the core",
 }
 
 # Per-rule path exemptions, relative to the scanned tree. The exempted
@@ -131,6 +137,7 @@ RAW_MUTEX_RE = re.compile(
 RAW_THREAD_RE = re.compile(
     r"\bstd::j?thread\b(?!\s*::)|\bstd::async\s*\("
 )
+HOST_ENV_RE = re.compile(r"\b(?:secure_)?getenv\b")
 REDUCE_RE = re.compile(r"\bstd::(?:reduce|transform_reduce)\s*\(")
 ACCUMULATE_RE = re.compile(r"\bstd::accumulate\s*\(")
 # Floating-point hints inside an accumulate statement: a float/double
@@ -234,6 +241,10 @@ def lint_file(
         if RAW_THREAD_RE.search(code):
             flag(lineno, "raw-thread",
                  "start threads through util::parallel_for")
+        if HOST_ENV_RE.search(code):
+            flag(lineno, "host-env",
+                 "environment read in the core — pass the setting in a "
+                 "config struct")
         if REDUCE_RE.search(code):
             flag(lineno, "float-order",
                  "std::reduce may reassociate operands — use an ordered "
