@@ -67,10 +67,10 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelChurn)->Arg(1000)->Arg(10000);
 
-// A transmission's delivery fan-out: batches of k events committed into
-// a heap of n standing events (queued far ahead, so they never run) and
-// run. Args mirror paper_tcp (5.6-event batches into a handful of
-// events) and flood_10k (85-event batches beside 10k app timers).
+// A transmission's delivery fan-out: runs of k events committed into a
+// heap of n standing events (queued far ahead, so they never run) and
+// run. Args mirror paper_tcp (5.6-event runs into a handful of events)
+// and flood_10k (85-event runs beside 10k app timers).
 void BM_SchedulerFanout(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
@@ -81,18 +81,22 @@ void BM_SchedulerFanout(benchmark::State& state) {
                           1'000'000 + static_cast<std::int64_t>(i))),
                       [&sum] { ++sum; });
   }
-  std::vector<sim::Scheduler::BatchEvent> batch;
+  std::vector<sim::TimePoint> times;
   for (auto _ : state) {
     // rx_start/rx_end pairs, as the medium commits them: propagation
-    // delays in delivery-list order, the ends one airtime later.
+    // delays in delivery-list order, the ends one airtime later, sorted
+    // into the run's time order.
     const auto now = sched.now();
+    times.clear();
     for (std::size_t i = 0; i < k; ++i) {
       const auto prop = sim::Duration::nanos(
           static_cast<std::int64_t>((i / 2 * 7919) % 997));
       const auto airtime = sim::Duration::micros(i % 2 == 0 ? 0 : 300);
-      batch.push_back({now + prop + airtime, [&sum, i] { sum += i; }});
+      times.push_back(now + prop + airtime);
     }
-    sched.schedule_batch(batch);
+    std::sort(times.begin(), times.end());
+    sched.schedule_run(times.data(), times.size(),
+                       [&sum, i = std::size_t{0}]() mutable { sum += i++; });
     sched.run_until(now + sim::Duration::micros(301));
     benchmark::DoNotOptimize(sum);
   }

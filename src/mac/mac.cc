@@ -185,15 +185,13 @@ void Mac::begin_sequence() {
   for (auto& sf : frame.unicast) sf.duration_units = dur_units;
 
   // The duration fields change no subframe's size, so the PHY frame is
-  // built once, after them: send_rts reserves its airtime, and send_data
-  // accounts its header time and transmits it.
+  // built and timed once, after them: send_rts reserves its airtime, and
+  // send_data accounts its header time and hands both to the PHY.
   pending_pdu_ = MacPdu::make_aggregate(std::move(frame), config_.address);
   pending_frame_ = to_phy_frame(pending_pdu_, config_.broadcast_mode,
                                 config_.unicast_mode);
-  const auto timing = phy::frame_timing(
+  pending_timing_ = phy::frame_timing(
       pending_frame_.broadcast, pending_frame_.unicast, phy_.config().timings);
-  pending_header_ = timing.header;
-  pending_airtime_ = timing.total;
 
   const bool needs_rts =
       config_.use_rts_cts && pending_pdu_->aggregate.has_unicast();
@@ -212,7 +210,7 @@ void Mac::send_rts() {
   rts.transmitter = config_.address;
   // Reservation: CTS + data + ACK, with the three SIFS gaps.
   const auto reservation = t.sifs + control_airtime(proto::kCtsBytes) + t.sifs +
-                           pending_airtime_ + t.sifs + ack_duration();
+                           pending_timing_.total + t.sifs + ack_duration();
   rts.duration_units = proto::encode_duration_us(reservation.ns() / 1000);
   phase_ = Phase::kTxRts;
   ++stats_.rts_tx;
@@ -223,8 +221,8 @@ void Mac::send_rts() {
 void Mac::send_data() {
   phase_ = Phase::kTxData;
   tx_kind_ = TxKind::kData;
-  account_data_tx(pending_pdu_->aggregate, pending_header_);
-  phy_.transmit(std::move(pending_frame_));
+  account_data_tx(pending_pdu_->aggregate, pending_timing_.header);
+  phy_.transmit(std::move(pending_frame_), std::move(pending_timing_));
 }
 
 void Mac::transmit_control(proto::ControlFrame frame, TxKind kind) {
@@ -323,6 +321,7 @@ void Mac::sequence_failed() {
 void Mac::finish_sequence() {
   pending_pdu_.reset();
   pending_frame_ = {};  // still set when the CTS never came
+  pending_timing_ = {};
   response_timer_.cancel();
   phase_ = Phase::kIdle;
   kick();
@@ -345,8 +344,7 @@ void Mac::on_rx(const phy::RxReport& report) {
     ++stats_.collisions;
     return;
   }
-  const auto pdu = std::dynamic_pointer_cast<const MacPdu>(
-      report.frame.payload);
+  const auto* pdu = dynamic_cast<const MacPdu*>(report.frame->payload.get());
   HYDRA_ASSERT_MSG(pdu != nullptr, "non-MAC payload on the medium");
   if (pdu->kind == MacPdu::Kind::kControl) {
     handle_control(pdu->control, report);

@@ -150,11 +150,10 @@ class Mac {
 
   // Current transmit sequence.
   std::shared_ptr<const MacPdu> pending_pdu_;
-  // The PHY frame of pending_pdu_, built in begin_sequence and moved out
-  // by send_data, and the two parts of its timing the MAC reads.
+  // The PHY frame of pending_pdu_ and its timing, both built in
+  // begin_sequence and moved out by send_data.
   phy::PhyFrame pending_frame_;
-  sim::Duration pending_header_;
-  sim::Duration pending_airtime_;
+  phy::FrameTiming pending_timing_;
   proto::AggregateFrame::SubframeVec inflight_unicast_;
   unsigned retries_ = 0;
   sim::Timer response_timer_;

@@ -32,7 +32,9 @@ struct PhyFrame {
 
 // Outcome of one reception, delivered to the MAC.
 struct RxReport {
-  PhyFrame frame;
+  // The received frame, in place in its transmission: valid only during
+  // the on_rx call that delivers this report.
+  const PhyFrame* frame = nullptr;
   // Per-subframe FCS outcome, in portion order. All false on collision.
   std::vector<bool> broadcast_ok;
   std::vector<bool> unicast_ok;

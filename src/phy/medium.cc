@@ -319,43 +319,81 @@ double Medium::snr_db(const Phy& src, const Phy& dst) const {
   return rx_power_dbm(src, dst) - config_.noise_floor_dbm;
 }
 
-sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
-  const auto timing =
-      frame_timing(frame.broadcast, frame.unicast, src.config().timings);
+void Medium::start_transmission(Phy& src, PhyFrame frame,
+                                FrameTiming timing) {
   // A detached radio still burns airtime — the MAC's timing machinery
   // keeps running — but reaches nobody.
-  if (!src.attached_) return timing.total;
+  if (!src.attached_) return;
   ensure_backend();
-  // Pooled: a Transmission and its control block recycle together when
-  // the last delivery drops its ref.
-  auto tx = util::make_pooled<Transmission>();
-  tx->id = next_tx_id_++;
-  tx->frame = std::move(frame);
-  tx->timing = timing;
-
+  const std::uint64_t id = next_tx_id_++;
   const auto& deliveries = backend_.deliveries(src);
   deliveries_scheduled_ += deliveries.size();
-  // The whole fan-out commits as one batch: rx_start/rx_end pairs in
-  // delivery-list (receiver key) order, exactly the sequence — and
-  // sequence numbers — that per-delivery schedule_in calls would have
-  // produced. Each event captures its receiver's key, not the receiver,
-  // so one whose receiver has since detached or died runs as a no-op.
+  if (deliveries.empty()) return;
+  // Pooled: a Transmission and its control block recycle together when
+  // the run that delivers it ends.
+  auto tx = util::make_pooled<Transmission>();
+  tx->id = id;
+  tx->frame = std::move(frame);
+  tx->timing = std::move(timing);
+
+  // The run's order is ascending (time, event number) over the key-sorted
+  // list: the order, under the same contiguous sequence numbers, that one
+  // schedule_at per event, arrival and departure alternating in list
+  // order, would give. Each departure trails its arrival by the same
+  // airtime, so the departures come in the arrivals' order: one sort of
+  // the arrivals, then a merge.
   const auto now = sim_.now();
-  batch_.clear();
-  batch_.reserve(2 * deliveries.size());
-  for (const Delivery& delivery : deliveries) {
-    const std::uint32_t key = delivery.key;
-    const double power = delivery.rx_power_dbm;
-    const auto arrival = now + delivery.propagation;
-    batch_.push_back({arrival, [this, key, tx, power] {
-      if (Phy* dst = receivers_[key]) dst->rx_start(tx, power);
-    }});
-    batch_.push_back({arrival + timing.total, [this, key, tx, power] {
-      if (Phy* dst = receivers_[key]) dst->rx_end(tx, power);
-    }});
+  const auto earlier = [](const Arrival& a, const Arrival& b) {
+    return a.at != b.at ? a.at < b.at : a.event < b.event;
+  };
+  const auto count = static_cast<std::uint32_t>(deliveries.size());
+  tx->receptions.reserve(count);
+  arrivals_.clear();
+  arrivals_.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const Delivery& delivery = deliveries[i];
+    tx->receptions.push_back({delivery.key, delivery.rx_power_dbm});
+    arrivals_.push_back({now + delivery.propagation, 2 * i});
   }
-  sim_.scheduler().schedule_batch(batch_);
-  return timing.total;
+  std::sort(arrivals_.begin(), arrivals_.end(), earlier);
+  tx->events.reserve(2 * count);
+  times_.clear();
+  times_.reserve(2 * count);
+  const auto emit = [&](const Arrival& event) {
+    tx->events.push_back(event.event);
+    times_.push_back(event.at);
+  };
+  std::uint32_t next_arrival = 0;
+  for (const Arrival& arrival : arrivals_) {
+    const Arrival departure{arrival.at + tx->timing.total, arrival.event + 1};
+    while (next_arrival < count &&
+           earlier(arrivals_[next_arrival], departure)) {
+      emit(arrivals_[next_arrival++]);
+    }
+    emit(departure);
+  }
+  sim_.scheduler().schedule_run(times_.data(), times_.size(),
+                                [this, tx = std::move(tx)] { deliver(*tx); });
+}
+
+void Medium::deliver(Transmission& tx) {
+  const std::uint32_t event = tx.events[tx.next++];
+  const bool arrival = event % 2 == 0;
+  const auto& reception = tx.receptions[event / 2];
+  // Below the CCA threshold a reception can neither assert CCA, collide
+  // nor decode: its arrival only counts, and its departure does nothing.
+  const bool audible = reception.rx_power_dbm >= config_.cca_threshold_dbm;
+  if (!audible && !arrival) return;
+  // A receiver that has detached or died since holds no key here.
+  Phy* dst = receivers_[reception.key];
+  if (dst == nullptr) return;
+  if (!audible) {
+    ++dst->rx_starts_;
+  } else if (arrival) {
+    dst->rx_start(tx);
+  } else {
+    dst->rx_end(tx, reception.rx_power_dbm);
+  }
 }
 
 }  // namespace hydra::phy

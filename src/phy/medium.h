@@ -20,14 +20,20 @@
 // The DeliveryBackend precomputes the per-source delivery lists (receive
 // power and propagation delay per pair) once per topology, so the
 // per-frame hot path does no log10 at all, and a whole transmission's
-// fan-out commits through one Scheduler::schedule_batch. Positions are
-// not frozen at build time: attach(), detach() and move_node() patch the
-// lists incrementally for the touched node alone whenever the update is
-// provably local (inside the grid's bounding box, reach within one
-// cell); otherwise they fall back to a full rebuild. The determinism
-// contract extends to motion — after any incremental patch the lists are
-// bit-identical to a from-scratch rebuild at the current positions,
-// pinned by the mobility determinism suite (`ctest -L mobility`).
+// fan-out commits as one Scheduler::schedule_run: one callback that
+// hands each arrival and departure, in time order, to its receiver.
+// The culled lists still carry the deliveries between the cull floor
+// and the CCA threshold; each such arrival only counts in its
+// receiver's rx_starts(), and its departure does nothing, so a PHY sees
+// only audible receptions and compares no power against the CCA
+// threshold itself. Positions are not frozen at build time: attach(),
+// detach() and move_node() patch the lists incrementally for the
+// touched node alone whenever the update is provably local (inside the
+// grid's bounding box, reach within one cell); otherwise they fall back
+// to a full rebuild. The determinism contract extends to motion — after
+// any incremental patch the lists are bit-identical to a from-scratch
+// rebuild at the current positions, pinned by the mobility determinism
+// suite (`ctest -L mobility`).
 // One index names every PHY: the key attach() hands out, fresh at every
 // call and never reused. The delivery lists, the grid and every delivery
 // are indexed by it, and a delivery reaches its receiver through it, not
@@ -45,6 +51,7 @@
 #include "phy/frame.h"
 #include "phy/spatial_index.h"
 #include "sim/simulation.h"
+#include "util/pool.h"
 
 namespace hydra::phy {
 
@@ -87,11 +94,25 @@ double cull_floor_dbm(const MediumConfig& config);
 // sub-metre reach).
 double reach_radius_m(const MediumConfig& config, double tx_power_dbm);
 
-// One in-flight transmission, shared by every receiver's bookkeeping.
+// One in-flight transmission and its fan-out. The scheduler run that
+// delivers it holds the only reference, so it lives until its last
+// departure, and every receiver's rx_start/rx_end reads it in place.
 struct Transmission {
+  // One receiver, copied from the source's delivery list.
+  struct Reception {
+    std::uint32_t key;  // the receiver's Phy::key()
+    double rx_power_dbm;
+  };
+
   std::uint64_t id = 0;
   PhyFrame frame;
   FrameTiming timing;
+  // The receivers in delivery-list (key) order.
+  util::PooledVector<Reception> receptions;
+  // The run's events in time order: 2i is receptions[i]'s arrival and
+  // 2i + 1 its departure. `next` indexes the event that runs next.
+  util::PooledVector<std::uint32_t> events;
+  std::uint32_t next = 0;
 };
 
 // One precomputed receiver of a given source PHY.
@@ -192,9 +213,10 @@ class Medium {
   // re-attach).
   void move_node(Phy& phy, Position position);
 
-  // Begins delivering `frame` from `src` to every receiver on its
-  // delivery list. Returns the frame's on-air duration.
-  sim::Duration start_transmission(Phy& src, PhyFrame frame);
+  // Begins delivering `frame`, whose airtime is `timing` (its
+  // frame_timing under `src`'s timings), from `src` to every receiver on
+  // its delivery list.
+  void start_transmission(Phy& src, PhyFrame frame, FrameTiming timing);
 
   double rx_power_dbm(const Phy& src, const Phy& dst) const;
   double snr_db(const Phy& src, const Phy& dst) const;
@@ -208,9 +230,9 @@ class Medium {
 
   // Counter reads for result collection.
   std::uint64_t transmissions_started() const { return next_tx_id_ - 1; }
-  // Receiver deliveries scheduled so far (each is one rx_start/rx_end
-  // event pair); deliveries ÷ transmissions is the per-frame fan-out the
-  // scale bench charts.
+  // Receiver deliveries scheduled so far (each is one arrival and one
+  // departure event); deliveries ÷ transmissions is the per-frame fan-out
+  // the scale bench charts.
   std::uint64_t deliveries_scheduled() const { return deliveries_scheduled_; }
 
   // Delivery-list accounting: full rebuilds performed; attaches, detaches
@@ -227,6 +249,9 @@ class Medium {
   friend class Phy;
 
   void ensure_backend();
+  // Runs `tx`'s next event: an arrival or departure at its receiver, if
+  // that receiver's key is still attached.
+  void deliver(Transmission& tx);
   // Asserts `phy` holds its key here, then clears the key: from now on
   // its queued deliveries land nowhere.
   void release_key(const Phy& phy);
@@ -257,10 +282,14 @@ class Medium {
   std::uint64_t moves_ = 0;
   std::uint64_t incremental_detaches_ = 0;
   std::uint64_t incremental_moves_ = 0;
-  // Reused per transmission: the batch the delivery fan-out commits
-  // through, fire-and-forget (one schedule_batch call instead of 2·k
-  // schedule_in heap pushes).
-  std::vector<sim::Scheduler::BatchEvent> batch_;
+  // Reused per transmission to order its fan-out: each arrival's time
+  // and event number, then every event's time, which schedule_run copies.
+  struct Arrival {
+    sim::TimePoint at;
+    std::uint32_t event;
+  };
+  std::vector<Arrival> arrivals_;
+  std::vector<sim::TimePoint> times_;
 };
 
 }  // namespace hydra::phy

@@ -16,6 +16,11 @@ Phy::~Phy() {
 }
 
 void Phy::transmit(PhyFrame frame) {
+  auto timing = frame_timing(frame.broadcast, frame.unicast, config_.timings);
+  transmit(std::move(frame), std::move(timing));
+}
+
+void Phy::transmit(PhyFrame frame, FrameTiming timing) {
   HYDRA_ASSERT_MSG(!transmitting_, "transmit while already transmitting");
   HYDRA_ASSERT_MSG(!frame.empty(), "empty phy frame");
   transmitting_ = true;
@@ -23,20 +28,13 @@ void Phy::transmit(PhyFrame frame) {
   for (auto& rx : incoming_) rx.doomed = true;
   update_cca();
 
-  const auto airtime = medium_.start_transmission(*this, std::move(frame));
+  const auto airtime = timing.total;
+  medium_.start_transmission(*this, std::move(frame), std::move(timing));
   tx_complete_event_ = sim_.scheduler().schedule_in(airtime, [this] {
     transmitting_ = false;
     update_cca();
     if (on_tx_complete) on_tx_complete();
   });
-}
-
-bool Phy::cca_busy() const {
-  if (transmitting_) return true;
-  for (const auto& rx : incoming_) {
-    if (rx.power_dbm >= medium_.config().cca_threshold_dbm) return true;
-  }
-  return false;
 }
 
 void Phy::update_cca() {
@@ -52,39 +50,25 @@ void Phy::abort_receptions() {
   update_cca();
 }
 
-void Phy::rx_start(const std::shared_ptr<const Transmission>& tx,
-                   double rx_power_dbm) {
+void Phy::rx_start(const Transmission& tx) {
   ++rx_starts_;
-  const bool audible = rx_power_dbm >= medium_.config().cca_threshold_dbm;
-  bool doomed = transmitting_;
-  if (audible) {
-    // Any concurrent audible reception corrupts both frames (no capture).
-    for (auto& rx : incoming_) {
-      if (rx.power_dbm >= medium_.config().cca_threshold_dbm) {
-        rx.doomed = true;
-        doomed = true;
-      }
-    }
-  }
-  incoming_.push_back(Incoming{tx->id, rx_power_dbm, doomed});
+  // Any concurrent reception corrupts both frames (no capture).
+  const bool doomed = transmitting_ || !incoming_.empty();
+  for (auto& rx : incoming_) rx.doomed = true;
+  incoming_.push_back(Incoming{tx.id, doomed});
   update_cca();
 }
 
-void Phy::rx_end(const std::shared_ptr<const Transmission>& tx,
-                 double rx_power_dbm) {
+void Phy::rx_end(const Transmission& tx, double rx_power_dbm) {
   auto it = incoming_.begin();
-  while (it != incoming_.end() && it->tx_id != tx->id) ++it;
+  while (it != incoming_.end() && it->tx_id != tx.id) ++it;
   HYDRA_ASSERT_MSG(it != incoming_.end(), "rx_end without rx_start");
   const bool doomed = it->doomed || transmitting_;
   incoming_.erase(it);
   update_cca();
 
-  if (rx_power_dbm < medium_.config().cca_threshold_dbm) {
-    return;  // below sensitivity: inaudible
-  }
   if (doomed) ++collisions_;
-
-  const auto& report = evaluate(*tx, rx_power_dbm, doomed);
+  const auto& report = evaluate(tx, rx_power_dbm, doomed);
   ++frames_received_;
   if (on_rx) on_rx(report);
 }
@@ -93,10 +77,11 @@ const RxReport& Phy::evaluate(const Transmission& tx, double rx_power_dbm,
                               bool collided) {
   // Reuse the scratch report: every assignment below lands in storage
   // retained from the previous reception, so the per-delivery path is
-  // allocation-free once warm. The reference stays valid through the
-  // synchronous on_rx call that consumes it.
+  // allocation-free once warm. The report points at the in-flight frame,
+  // which the medium's run keeps alive through the synchronous on_rx
+  // call that consumes it.
   RxReport& report = scratch_report_;
-  report.frame = tx.frame;
+  report.frame = &tx.frame;
   report.broadcast_ok.clear();
   report.unicast_ok.clear();
   report.snr_db = rx_power_dbm - medium_.config().noise_floor_dbm;

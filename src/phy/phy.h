@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "phy/frame.h"
@@ -35,15 +34,21 @@ class Phy {
 
   // --- MAC-facing interface -------------------------------------------
   // Starts transmitting; the PHY must be idle (not already transmitting).
-  // on_tx_complete fires when the frame leaves the air.
+  // on_tx_complete fires when the frame leaves the air. `timing` must be
+  // the frame's frame_timing under this PHY's timings; the one-argument
+  // form computes it.
   void transmit(PhyFrame frame);
+  void transmit(PhyFrame frame, FrameTiming timing);
 
   bool transmitting() const { return transmitting_; }
   // Clear-channel assessment: busy while transmitting or while any
-  // incoming energy exceeds the CCA threshold.
-  bool cca_busy() const;
+  // reception is in progress (the medium starts only those at or above
+  // the CCA threshold).
+  bool cca_busy() const { return transmitting_ || !incoming_.empty(); }
 
   // A decodable frame finished arriving (possibly with bad subframes).
+  // The report, and the frame it points at, are valid only during the
+  // call.
   std::function<void(const RxReport&)> on_rx;
   // Our own transmission left the air.
   std::function<void()> on_tx_complete;
@@ -64,28 +69,27 @@ class Phy {
   // Diagnostics.
   std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t collisions_seen() const { return collisions_; }
-  // Deliveries the medium started at this PHY (audible or not). The
-  // medium never delivers to a receiver below the cull floor, so this
-  // stays 0 on an out-of-reach PHY — the cull-correctness tests pin that.
+  // Deliveries the medium started at this PHY (audible or not; one below
+  // the CCA threshold counts here and nowhere else). The medium never
+  // delivers to a receiver below the cull floor, so this stays 0 on an
+  // out-of-reach PHY — the cull-correctness tests pin that.
   std::uint64_t rx_starts() const { return rx_starts_; }
 
  private:
   // The medium manages attachment state and key, the position (via
-  // move_node), and is the only caller of the rx_* entry points.
+  // move_node), counts sub-CCA arrivals in rx_starts_, and is the only
+  // caller of the rx_* entry points.
   friend class Medium;
 
   struct Incoming {
     std::uint64_t tx_id;
-    double power_dbm;
     bool doomed;  // overlapped another reception or our own transmission
   };
 
-  // A delivery's arrival and departure, called by the medium only while
-  // the delivery's key is still this PHY's.
-  void rx_start(const std::shared_ptr<const Transmission>& tx,
-                double rx_power_dbm);
-  void rx_end(const std::shared_ptr<const Transmission>& tx,
-              double rx_power_dbm);
+  // An audible delivery's arrival and departure, called by the medium
+  // only while the delivery's key is still this PHY's.
+  void rx_start(const Transmission& tx);
+  void rx_end(const Transmission& tx, double rx_power_dbm);
   void update_cca();
   // Detach path: drops every in-progress reception and re-evaluates CCA
   // (the matching rx_end events can no longer find this PHY, so nothing
@@ -104,9 +108,10 @@ class Phy {
   bool last_cca_busy_ = false;
   bool attached_ = false;
   std::uint32_t key_ = 0;
-  // In-progress receptions, ordered by arrival. A handful at most, so a
-  // flat vector beats a node-per-entry map on the per-delivery path:
-  // push_back/erase reuse the same capacity for the whole run.
+  // In-progress audible receptions, ordered by arrival. A handful at
+  // most, so a flat vector beats a node-per-entry map on the
+  // per-delivery path: push_back/erase reuse the same capacity for the
+  // whole run.
   std::vector<Incoming> incoming_;
   // Reused across receptions so steady-state delivery evaluation
   // allocates nothing (the contained vectors keep their capacity).

@@ -1,8 +1,12 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <memory>
+#include <new>
+#include <utility>
 
 #include "util/assert.h"
+#include "util/pool.h"
 
 namespace hydra::sim {
 
@@ -14,6 +18,14 @@ constexpr std::uint64_t pack_id(std::uint32_t generation,
 }
 
 }  // namespace
+
+Scheduler::~Scheduler() {
+  // A slot's callback dies with slots_; a queued run's block is ours to
+  // free.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (Run* run = std::exchange(slots_[i].run, nullptr)) release(run);
+  }
+}
 
 std::uint32_t Scheduler::acquire_slot() {
   std::uint32_t slot;
@@ -34,7 +46,6 @@ EventId Scheduler::schedule_at(TimePoint at, Callback cb) {
   HYDRA_ASSERT(cb != nullptr);
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
-  slots_[slot].next.slot = kEndOfRun;  // a run of one
   heap_.push_back(Entry{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   // generation >= 1 always, so a packed id is never 0 (the invalid id).
@@ -46,27 +57,25 @@ EventId Scheduler::schedule_in(Duration delay, Callback cb) {
   return schedule_at(now_ + delay, std::move(cb));
 }
 
-void Scheduler::schedule_batch(std::vector<BatchEvent>& events) {
-  if (events.empty()) return;
-  const std::size_t existing = heap_.size();
-  for (auto& event : events) {
-    HYDRA_ASSERT_MSG(event.at >= now_, "cannot schedule into the past");
-    HYDRA_ASSERT(event.cb != nullptr);
-    const std::uint32_t slot = acquire_slot();
-    slots_[slot].cb = std::move(event.cb);
-    heap_.push_back(Entry{event.at, next_seq_++, slot});
-  }
-  events.clear();
-  // Sort the batch's keys in the heap's tail into one run, chain each
-  // event to its successor, and keep only the earliest in the heap.
-  const auto run = heap_.begin() + static_cast<std::ptrdiff_t>(existing);
-  std::sort(run, heap_.end(),
-            [](const Entry& a, const Entry& b) { return Later{}(b, a); });
-  for (auto it = run; it + 1 != heap_.end(); ++it) {
-    slots_[it->slot].next = *(it + 1);
-  }
-  slots_[heap_.back().slot].next.slot = kEndOfRun;
-  heap_.resize(existing + 1);
+void Scheduler::schedule_run(const TimePoint* times, std::size_t count,
+                             Callback cb) {
+  HYDRA_ASSERT(cb != nullptr);
+  if (count == 0) return;
+  HYDRA_ASSERT_MSG(times[0] >= now_, "cannot schedule into the past");
+  HYDRA_ASSERT_MSG(std::is_sorted(times, times + count),
+                   "run times must be nondecreasing");
+  HYDRA_ASSERT(count <= UINT32_MAX);
+  void* block =
+      util::BufferPool::allocate(sizeof(Run) + count * sizeof(TimePoint));
+  Run* run = ::new (block) Run{std::move(cb), 0,
+                               static_cast<std::uint32_t>(count)};
+  std::uninitialized_copy_n(times, count, run->times());
+  // One slot keys the whole run; every event counts as pending.
+  const std::uint32_t slot = acquire_slot();
+  pending_count_ += count - 1;
+  slots_[slot].run = run;
+  heap_.push_back(Entry{times[0], next_seq_, slot});
+  next_seq_ += count;
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -100,6 +109,7 @@ Scheduler::Callback Scheduler::vacate(std::uint32_t slot) {
   // schedule or cancel events as they die, or the callback is about to
   // run and may grow slots_, so it must leave the slot vector first.
   Callback cb = std::move(s.cb);
+  s.run = nullptr;
   s.pending = false;
   // Bumping the generation invalidates every id handed out for this
   // occupancy. Wrap-around after 2^32 reuses of one slot is accepted:
@@ -109,6 +119,13 @@ Scheduler::Callback Scheduler::vacate(std::uint32_t slot) {
   if (s.generation == 0) s.generation = 1;  // keep packed ids non-zero
   free_slots_.push_back(slot);
   return cb;
+}
+
+void Scheduler::release(Run* run) {
+  // The callback's captures may schedule or cancel events as they die;
+  // the block has left its slot by now.
+  run->~Run();
+  util::BufferPool::deallocate(run);
 }
 
 void Scheduler::sift_down(Entry entry) {
@@ -124,29 +141,21 @@ void Scheduler::sift_down(Entry entry) {
   heap_[hole] = entry;
 }
 
-void Scheduler::pop_head() {
-  // The run's next event takes the root's place; a finished run leaves
-  // the heap.
-  const Entry next = slots_[heap_.front().slot].next;
-  if (next.slot != kEndOfRun) {
-    sift_down(next);
-  } else {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
+void Scheduler::pop_root() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
 }
 
 void Scheduler::sweep() {
-  // A dead head is a cancelled run of one, so it drops out whole, and
-  // its `next`, which ended the run, links it into the swept_ list.
+  // A dead head is a cancelled run of one, so it drops out whole.
+  swept_.reserve(heap_.size());
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const Entry entry = heap_[i];
     if (slots_[entry.slot].pending) {
       heap_[kept++] = entry;
     } else {
-      slots_[entry.slot].next.slot = swept_;
-      swept_ = entry.slot;
+      swept_.push_back(entry.slot);
     }
   }
   heap_.resize(kept);
@@ -154,9 +163,9 @@ void Scheduler::sweep() {
   // Only now, with the heap whole, free the tombstones' slots and destroy
   // their callbacks, whose captures may cancel or schedule as they die.
   // A sweep nested in that drains the same list.
-  while (swept_ != kEndOfRun) {
-    const std::uint32_t slot = swept_;
-    swept_ = slots_[slot].next.slot;
+  while (!swept_.empty()) {
+    const std::uint32_t slot = swept_.back();
+    swept_.pop_back();
     vacate(slot);
   }
 }
@@ -165,7 +174,7 @@ std::optional<TimePoint> Scheduler::peek_next_time() {
   while (!heap_.empty()) {
     const Entry head = heap_.front();
     if (slots_[head.slot].pending) return head.at;
-    pop_head();
+    pop_root();
     vacate(head.slot);  // the dropped callback dies here, heap whole
   }
   return std::nullopt;
@@ -174,13 +183,29 @@ std::optional<TimePoint> Scheduler::peek_next_time() {
 void Scheduler::pop_and_run() {
   // peek_next_time() has just found the root live.
   const Entry entry = heap_.front();
-  pop_head();
-  --pending_count_;
-  Callback cb = vacate(entry.slot);
   HYDRA_ASSERT(entry.at >= now_);
   now_ = entry.at;
   ++executed_;
-  cb();
+  --pending_count_;
+  Run* run = slots_[entry.slot].run;
+  if (run == nullptr) {
+    pop_root();
+    Callback cb = vacate(entry.slot);
+    cb();
+    return;
+  }
+  // A run's next event takes the root's place, and the callback runs in
+  // its block, which no growth of slots_ moves. After the last event the
+  // slot is free before the call and the block after it.
+  if (++run->head < run->count) {
+    sift_down(Entry{run->times()[run->head], entry.seq + 1, entry.slot});
+    run->cb();
+    return;
+  }
+  pop_root();
+  vacate(entry.slot);
+  run->cb();
+  release(run);
 }
 
 std::size_t Scheduler::run() {

@@ -37,10 +37,12 @@ class Scheduler {
   // BufferPool past 48 bytes), so scheduling an event allocates nothing
   // from the system heap in steady state. Accepts any void() callable,
   // like std::function, but is never copied: it moves into its event's
-  // slot once and out once to run.
+  // slot once and out once to run, or into its run's block for good.
   using Callback = util::SmallFn;
 
   Scheduler() = default;
+  // Destroys every queued callback, a run's included.
+  ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -51,19 +53,17 @@ class Scheduler {
   // Schedules `cb` to run `delay` from now.
   EventId schedule_in(Duration delay, Callback cb);
 
-  // One event of a batch commit.
-  struct BatchEvent {
-    TimePoint at;
-    Callback cb;
-  };
-  // Commits every event of `events` (in order — the sequence numbers are
-  // assigned contiguously, so same-instant FIFO semantics match N
-  // schedule_at calls exactly) as one sorted run that enters the heap
-  // through its earliest event: one push, whatever the batch's size. The
-  // medium uses this to commit a whole transmission's delivery fan-out
-  // at once. Fire-and-forget: a batch event has no EventId and cannot be
-  // cancelled. `events` is left cleared for reuse.
-  void schedule_batch(std::vector<BatchEvent>& events);
+  // Commits `count` events at `times`, which must be nondecreasing and
+  // not in the past, under `count` contiguous sequence numbers, so they
+  // order exactly like `count` schedule_at calls in time order. `cb`
+  // runs once per event, in that order, and the run waits as one heap
+  // entry, its next event, whatever its size. The medium commits each
+  // transmission's delivery fan-out this way. `cb` and a copy of `times`
+  // live in one pooled block that never moves, so `cb` runs in place and
+  // keeps its state between events; it dies after the last event.
+  // Fire-and-forget: a run's events have no EventId and cannot be
+  // cancelled.
+  void schedule_run(const TimePoint* times, std::size_t count, Callback cb);
 
   // Cancels a pending event. Returns false if the event already ran, was
   // already cancelled, or the id is invalid.
@@ -89,8 +89,9 @@ class Scheduler {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
-  // An event's key. The callback waits in slots_[slot], so sifting moves
-  // 24 plain bytes rather than a type-erased callable.
+  // An event's key. The callback waits in slots_[slot] (or in the block
+  // of the run the slot keys), so sifting moves 24 plain bytes rather
+  // than a type-erased callable.
   struct Entry {
     TimePoint at;
     std::uint64_t seq;   // tie-breaker: FIFO among same-time events
@@ -103,50 +104,60 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
-  // The slot of `Slot::next` after a run's last event.
-  static constexpr std::uint32_t kEndOfRun = UINT32_MAX;
-  // One queued event's slot: it holds the callback until the event
-  // surfaces, and `next`, the key of the following event of its run
-  // (slot kEndOfRun after the last). `generation` stamps the EventId
-  // handed out for the slot's current occupant; vacating the slot bumps
-  // it, so cancel() can tell "still pending" from "already ran / already
-  // cancelled / slot reused" with two array loads instead of hash-set
-  // lookups.
+  // A queued run's block, from the BufferPool: the callback, the index
+  // of the event at the run's head, the event count, and then the
+  // events' times. The slot holds a pointer to it, so the callback stays
+  // put while slots_ grows under it.
+  struct Run {
+    Callback cb;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+    TimePoint* times() { return reinterpret_cast<TimePoint*>(this + 1); }
+  };
+  static_assert(std::is_trivially_copyable_v<TimePoint>);
+  static_assert(sizeof(Run) % alignof(TimePoint) == 0);
+  // One queued event's slot: a schedule_at event's callback, or the
+  // block of the run whose head this slot keys. `generation` stamps the
+  // EventId handed out for the slot's current occupant; vacating the
+  // slot bumps it, so cancel() can tell "still pending" from "already
+  // ran / already cancelled / slot reused" with two array loads instead
+  // of hash-set lookups.
   struct Slot {
     Callback cb;
-    Entry next{};
+    Run* run = nullptr;
     std::uint32_t generation = 1;
     bool pending = false;
   };
+  static_assert(sizeof(Slot) <= 80);
 
   void pop_and_run();
-  void pop_head();
+  void pop_root();
   void sift_down(Entry entry);
   void sweep();
   std::uint32_t acquire_slot();
   Callback vacate(std::uint32_t slot);
+  static void release(Run* run);
 
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t pending_count_ = 0;
-  // The head of every queued run, in heap order. A run is a batch sorted
-  // by (time, seq) and chained through Slot::next, or one schedule_at
-  // event; its head is its earliest event, so the heap's root is the
-  // earliest queued event. Popping a head puts its run's next event in
-  // its place. Cancelling is lazy: a cancelled event stays queued as a
-  // tombstone, and is dropped when it surfaces at the root or when
-  // cancel() sweeps the heap, once its heads outnumber twice the live
-  // events. Only a schedule_at event can be cancelled, so every
-  // tombstone is a run of one and leaves the heap whole.
+  // The head of every queued run, in heap order. A run is the events of
+  // one schedule_run call, or one schedule_at event; its head is its
+  // earliest event, so the heap's root is the earliest queued event.
+  // Running a run's head puts its next event in its place. Cancelling is
+  // lazy: a cancelled event stays queued as a tombstone, and is dropped
+  // when it surfaces at the root or when cancel() sweeps the heap, once
+  // its heads outnumber twice the live events. Only a schedule_at event
+  // can be cancelled, so every tombstone is a run of one and leaves the
+  // heap whole.
   std::vector<Entry> heap_;
   // Slot storage grows to the high-water mark of concurrently scheduled
   // events and is then recycled through the free list.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  // The slot of the last tombstone a sweep has unlinked but not yet
-  // freed, chained to the earlier ones through Slot::next.
-  std::uint32_t swept_ = kEndOfRun;
+  // The slots of the tombstones a sweep has unlinked but not yet freed.
+  std::vector<std::uint32_t> swept_;
 };
 
 }  // namespace hydra::sim

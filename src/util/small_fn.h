@@ -1,7 +1,7 @@
 // Move-only type-erased `void()` callable for the scheduler hot path.
 //
 // std::function costs a heap allocation for any capture over ~16 bytes
-// (libstdc++), and the medium's per-delivery rx callbacks capture 40.
+// (libstdc++), and the medium's fan-out callback captures 24.
 // SmallFn stores captures up to 48 bytes inline — enough for every
 // callback the simulator schedules today — and boxes larger ones
 // through the BufferPool (the calling thread's free lists), so
@@ -9,7 +9,8 @@
 // Move-only (no copy), matching how the scheduler actually handles
 // callbacks: constructed once, moved into its event's slot, moved out
 // once when the event runs or, cancelled, leaves the queue, invoked if it
-// runs, destroyed.
+// runs, destroyed. A run's callback moves into the run's block instead,
+// runs there once per event and is destroyed after the last.
 #pragma once
 
 #include <cstddef>

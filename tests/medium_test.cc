@@ -12,6 +12,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/flood.h"
@@ -211,6 +212,56 @@ TEST(MediumDelivery, LateAttachRebuildsTheDeliveryLists) {
   s.run();
   EXPECT_EQ(late.rx_starts(), 1u);
   EXPECT_EQ(b.rx_starts(), 2u);
+}
+
+TEST(MediumDelivery, FanOutInterleavesArrivalsAndDeparturesInTimeOrder) {
+  // A fan-out runs as one scheduler run in (time, event) order, so a far
+  // receiver's arrival comes after a near one's departure when the
+  // propagation spread exceeds the airtime: about 667 us to 200 km
+  // against about 443 us for 100 bytes at the top rate. Without path
+  // loss (exponent 0) the far receiver stays audible, and the full-mesh
+  // reference delivers to it. The far receiver holds the lower key, so
+  // its events come first in delivery-list order.
+  sim::Simulation s(1);
+  phy::MediumConfig config;
+  config.cull_margin_db = kFullMeshMargin;
+  config.path_loss_exponent = 0.0;
+  phy::Medium medium(s, config);
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
+  phy::Phy far(s, medium, {.position = {200'000, 0}}, 1);
+  phy::Phy near(s, medium, {.position = {2.5, 0}}, 2);
+
+  std::vector<std::pair<std::string, sim::Duration>> log;
+  const auto watch = [&](phy::Phy& phy, const std::string& name) {
+    phy.on_cca_change = [&log, &s, name](bool busy) {
+      log.emplace_back(name + (busy ? " busy" : " idle"),
+                       s.now().since_origin());
+    };
+    phy.on_rx = [&log, &s, name](const phy::RxReport& report) {
+      EXPECT_FALSE(report.collided) << name;
+      log.emplace_back(name + " rx", s.now().since_origin());
+    };
+  };
+  watch(far, "far");
+  watch(near, "near");
+
+  phy::PhyFrame frame;
+  frame.unicast.mode = proto::mode_by_index(7);
+  frame.unicast.subframe_bytes = {100};
+  frame.payload = std::make_shared<phy::Payload>();
+  const auto airtime = phy::frame_timing(frame.broadcast, frame.unicast).total;
+  const auto near_at = phy::propagation_delay(config, 2.5);
+  const auto far_at = phy::propagation_delay(config, 200'000);
+  ASSERT_LT(near_at + airtime, far_at);
+  a.transmit(std::move(frame));
+  s.run();
+
+  const std::vector<std::pair<std::string, sim::Duration>> expected = {
+      {"near busy", near_at}, {"near idle", near_at + airtime},
+      {"near rx", near_at + airtime}, {"far busy", far_at},
+      {"far idle", far_at + airtime}, {"far rx", far_at + airtime}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(s.scheduler().executed_events(), 5u);  // 2 x 2 + tx complete
 }
 
 // ---------------------------------------------------------------------

@@ -276,6 +276,43 @@ TEST(Phy, OverlappingTransmissionsCollide) {
   EXPECT_EQ(c.collisions_seen(), 2u);
 }
 
+TEST(Phy, SubCcaFrameNeitherDoomsAnAudibleOneNorAssertsCca) {
+  // c sits 20 m from b: below the CCA threshold there, but inside the
+  // cull floor's reach, so the medium still delivers c's frames to b.
+  sim::Simulation s(1);
+  Medium medium(s);
+  Phy a(s, medium, {.position = {0, 0}}, 0);
+  Phy b(s, medium, {.position = {2.5, 0}}, 1);
+  Phy c(s, medium, {.position = {22.5, 0}}, 2);
+  ASSERT_LT(medium.rx_power_dbm(c, b), medium.config().cca_threshold_dbm);
+  ASSERT_GE(medium.rx_power_dbm(c, b), cull_floor_dbm(medium.config()));
+
+  int busy_edges = 0, idle_edges = 0;
+  b.on_cca_change = [&](bool busy) { busy ? ++busy_edges : ++idle_edges; };
+  int clean = 0, collided = 0;
+  b.on_rx = [&](const RxReport& r) { r.collided ? ++collided : ++clean; };
+
+  // a's first frame (0-12.6 ms) is on the air when c's (1-26 ms) starts;
+  // a's second (15-27.6 ms) starts while c's is still arriving.
+  const auto mode = proto::mode_by_index(0);
+  a.transmit(test_frame(1000, mode));
+  s.scheduler().schedule_in(sim::Duration::millis(1),
+                            [&] { c.transmit(test_frame(2000, mode)); });
+  s.scheduler().schedule_in(sim::Duration::millis(15),
+                            [&] { a.transmit(test_frame(1000, mode)); });
+  s.run_until(sim::TimePoint::at(sim::Duration::millis(14)));
+  EXPECT_FALSE(b.cca_busy()) << "c's frame is mid-air at b, below CCA";
+  s.run();
+
+  EXPECT_EQ(clean, 2);
+  EXPECT_EQ(collided, 0);
+  EXPECT_EQ(b.collisions_seen(), 0u);
+  EXPECT_EQ(busy_edges, 2);  // a's two frames, and nothing of c's
+  EXPECT_EQ(idle_edges, 2);
+  EXPECT_EQ(b.frames_received(), 2u);
+  EXPECT_EQ(b.rx_starts(), 3u);  // c's frame still counts
+}
+
 TEST(Phy, TransmitterMissesFramesWhileTransmitting) {
   sim::Simulation s(1);
   Medium medium(s);

@@ -71,7 +71,7 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
 }
 
 // The same model under the medium's and the timers' patterns: batches of
-// 1-90 events (queued as sorted runs, fire-and-forget), cancels of
+// 1-90 events (sorted into one run each, fire-and-forget), cancels of
 // schedule_at events queued or long gone, callbacks that schedule and
 // cancel in turn, and run_until slices. Every event that is never
 // cancelled runs once, at its time, in (time, scheduling order) order;
@@ -97,18 +97,22 @@ class FuzzWorld {
     schedule_one();
   }
 
-  void schedule_batch() {
-    // Half the batches are the size of a paper_tcp fan-out (5.6 events
+  void schedule_run() {
+    // Half the runs are the size of a paper_tcp fan-out (5.6 events
     // on average), half up to a flood_10k one (85).
     const auto count = rng_.uniform_int(1, rng_.bernoulli(0.5) ? 6 : 90);
-    std::vector<sim::Scheduler::BatchEvent> batch;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto at = draw_time();
-      const auto label = add(at);
-      batch.push_back({at, [this, label] { on_run(label); }});
-    }
-    sched_.schedule_batch(batch);
-    EXPECT_TRUE(batch.empty());
+    std::vector<sim::TimePoint> times;
+    for (std::uint64_t i = 0; i < count; ++i) times.push_back(draw_time());
+    // A run takes its times in order; the labels follow them, so the
+    // model sees the same events scheduled one by one in time order.
+    std::sort(times.begin(), times.end());
+    std::vector<std::size_t> labels;
+    for (const auto at : times) labels.push_back(add(at));
+    sched_.schedule_run(times.data(), times.size(),
+                        [this, labels = std::move(labels),
+                         next = std::size_t{0}]() mutable {
+                          on_run(labels[next++]);
+                        });
   }
 
   // Cancels each queued schedule_at event with probability `p`.
@@ -167,7 +171,7 @@ class FuzzWorld {
   };
 
   // Times fall on a coarse grid, so events tie with each other within
-  // batches and across runs.
+  // runs and across them.
   sim::TimePoint draw_time() {
     return sched_.now() + sim::Duration::micros(static_cast<std::int64_t>(
                               50 * rng_.uniform_int(0, 200)));
@@ -196,7 +200,7 @@ class FuzzWorld {
     executed_.push_back(label);
     if (events_.size() >= kMaxEvents) return;
     if (rng_.bernoulli(0.2)) schedule_one();
-    if (rng_.bernoulli(0.02)) schedule_batch();
+    if (rng_.bernoulli(0.02)) schedule_run();
     if (rng_.bernoulli(0.2)) cancel_one();
     if (rng_.bernoulli(0.2)) rearm();
   }
@@ -225,7 +229,7 @@ TEST_P(SchedulerFuzz, BatchesCancelsAndSlicesMatchReferenceModel) {
       if (action < 2) {
         world.schedule_one();
       } else if (action < 4) {
-        world.schedule_batch();
+        world.schedule_run();
       } else if (action < 6) {
         world.cancel_one();
       } else if (action < 8) {
@@ -236,7 +240,7 @@ TEST_P(SchedulerFuzz, BatchesCancelsAndSlicesMatchReferenceModel) {
     }
     // Half the cancellable queued events cancelled, then a storm of
     // re-arms: the timers' tombstones soon outnumber the live events, so
-    // the queue is swept while batch runs still wait in it.
+    // the queue is swept while runs of many events still wait in it.
     world.cancel_some(0.5);
     for (int i = 0; i < 400; ++i) world.rearm();
     world.run_slice();

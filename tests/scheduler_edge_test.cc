@@ -1,9 +1,9 @@
 // Edge cases of the discrete-event scheduler: cancellation semantics,
 // FIFO ordering at one instant, run_until clock handling, pending-event
-// accounting under cancellations, peek_next_time, schedule_batch (the
-// medium's delivery fan-out path) against N schedule_at calls, batches
-// queued as sorted runs under cancels and sweeps, and the ownership of
-// callbacks parked in the scheduler's slots.
+// accounting under cancellations, peek_next_time, schedule_run (the
+// medium's delivery fan-out path) against N schedule_at calls, runs
+// queued under cancels and sweeps, and the ownership of callbacks parked
+// in the scheduler's slots and runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,45 +112,62 @@ TEST(SchedulerEdge, PeekNextTimeSkipsCancelledHeads) {
 }
 
 // ---------------------------------------------------------------------
-// schedule_batch. Every transmission's delivery fan-out commits through
-// it, so it must be indistinguishable from N schedule_at calls.
+// schedule_run. Every transmission's delivery fan-out commits through
+// it, so it must be indistinguishable from N schedule_at calls in time
+// order.
 // ---------------------------------------------------------------------
 
+// A run callback that records the next of `labels` at each event.
+auto record_run(std::vector<int>& order, std::vector<int> labels) {
+  return [&order, labels = std::move(labels), next = std::size_t{0}]() mutable {
+    order.push_back(labels[next++]);
+  };
+}
+
 // Event times for the order tests: a scrambled spread with many
-// repeats, so batch events tie with queued ones and with each other.
+// repeats, so run events tie with queued ones and with each other.
 TimePoint spread_time(std::size_t i) {
   return TimePoint::at(
       Duration::micros(static_cast<std::int64_t>((i * 11) % 37)));
 }
 
-// Queues `queued` labelled events through schedule_at, then `batched`
-// more either through one schedule_batch call or through schedule_at
-// one by one, and returns the labels in execution order.
-std::vector<int> run_order(std::size_t queued, std::size_t batched,
-                           bool use_batch) {
+// Queues `before` labelled events through schedule_at, then `run_size`
+// more either as one run or through schedule_at one by one in time
+// order, then `after` more through schedule_at, and returns the labels
+// in execution order. Every time is drawn from spread_time, so the run
+// ties with events scheduled before and after it.
+std::vector<int> run_order(std::size_t before, std::size_t run_size,
+                           std::size_t after, bool use_run) {
   Scheduler sched;
   std::vector<int> order;
-  // Queued events start at 1 us, so the batch's time-0 event is the
-  // strict minimum: a batch entry left out of heap order would not run
-  // first. (Pops re-sift the heap's tail, which hides any misplaced
-  // entry that is not the minimum.)
-  for (std::size_t i = 0; i < queued; ++i) {
-    sched.schedule_at(spread_time(i) + Duration::micros(1),
-                      [&order, i] { order.push_back(static_cast<int>(i)); });
+  int label = 0;
+  const auto schedule_one = [&](TimePoint at) {
+    sched.schedule_at(at, [&order, l = label] { order.push_back(l); });
+    ++label;
+  };
+  // Queued events start at 1 us, so the run's time-0 event is the strict
+  // minimum: a run entry left out of heap order would not run first.
+  // (Pops re-sift the heap's tail, which hides any misplaced entry that
+  // is not the minimum.)
+  for (std::size_t i = 0; i < before; ++i) {
+    schedule_one(spread_time(i) + Duration::micros(1));
   }
-  std::vector<Scheduler::BatchEvent> batch;
-  for (std::size_t j = 0; j < batched; ++j) {
-    const int label = static_cast<int>(queued + j);
-    const TimePoint at = spread_time(j * 3);
-    auto cb = [&order, label] { order.push_back(label); };
-    if (use_batch) {
-      batch.push_back({at, std::move(cb)});
-    } else {
-      sched.schedule_at(at, std::move(cb));
-    }
+  std::vector<TimePoint> times;
+  for (std::size_t j = 0; j < run_size; ++j) {
+    times.push_back(spread_time(j * 3));
   }
-  if (use_batch) sched.schedule_batch(batch);
-  EXPECT_EQ(sched.run(), queued + batched);
+  std::sort(times.begin(), times.end());
+  if (use_run) {
+    std::vector<int> labels(run_size);
+    std::iota(labels.begin(), labels.end(), label);
+    label += static_cast<int>(run_size);
+    sched.schedule_run(times.data(), times.size(),
+                       record_run(order, std::move(labels)));
+  } else {
+    for (const auto at : times) schedule_one(at);
+  }
+  for (std::size_t i = 0; i < after; ++i) schedule_one(spread_time(i * 5));
+  EXPECT_EQ(sched.run(), before + run_size + after);
   return order;
 }
 
@@ -160,52 +177,69 @@ TEST(SchedulerEdge, BatchAtABusyInstantRunsAfterQueuedEventsInBatchOrder) {
   const auto at = TimePoint::at(Duration::millis(5));
   sched.schedule_at(at, [&] { order.push_back(0); });
   sched.schedule_at(at, [&] { order.push_back(1); });
-  std::vector<Scheduler::BatchEvent> batch;
-  for (int i = 2; i < 6; ++i) {
-    batch.push_back({at, [&order, i] { order.push_back(i); }});
-  }
-  sched.schedule_batch(batch);
-  // Scheduled after the batch, so it runs after every batch event too.
+  const std::vector<TimePoint> times(4, at);
+  sched.schedule_run(times.data(), times.size(),
+                     record_run(order, {2, 3, 4, 5}));
+  // Scheduled after the run, so it runs after every run event too.
   sched.schedule_at(at, [&] { order.push_back(6); });
   EXPECT_EQ(sched.run(), 7u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
 }
 
+TEST(SchedulerEdge, RunOrdersLikeScheduleAtCallsAmidTies) {
+  // Events before and after the run tie with its events at many
+  // instants; the run's block of sequence numbers must sit between them.
+  const auto ran = run_order(40, 30, 40, true);
+  EXPECT_EQ(ran, run_order(40, 30, 40, false));
+  EXPECT_EQ(ran.size(), 110u);
+  EXPECT_EQ(run_order(0, 30, 40, true), run_order(0, 30, 40, false));
+}
+
 TEST(SchedulerEdge, SmallBatchMatchesScheduleAtOrder) {
-  // 10 events into a heap of 800: the batch's run merges with many
-  // queued runs of one.
-  const auto batched = run_order(800, 10, true);
-  EXPECT_EQ(batched, run_order(800, 10, false));
-  EXPECT_EQ(batched.size(), 810u);
+  // 10 events into a heap of 800: the run merges with many queued runs
+  // of one.
+  const auto ran = run_order(800, 10, 0, true);
+  EXPECT_EQ(ran, run_order(800, 10, 0, false));
+  EXPECT_EQ(ran.size(), 810u);
 }
 
 TEST(SchedulerEdge, LargeBatchMatchesScheduleAtOrder) {
   // 300 events into a heap of 800, and into an empty heap, where the
-  // batch's run is the whole queue.
-  const auto batched = run_order(800, 300, true);
-  EXPECT_EQ(batched, run_order(800, 300, false));
-  EXPECT_EQ(batched.size(), 1100u);
-  EXPECT_EQ(run_order(0, 300, true), run_order(0, 300, false));
+  // run is the whole queue.
+  const auto ran = run_order(800, 300, 0, true);
+  EXPECT_EQ(ran, run_order(800, 300, 0, false));
+  EXPECT_EQ(ran.size(), 1100u);
+  EXPECT_EQ(run_order(0, 300, 0, true), run_order(0, 300, 0, false));
 }
 
-TEST(SchedulerEdge, BatchClearsEventsAndAppendsIds) {
+TEST(SchedulerEdge, RunCountsEveryEventAsPending) {
   Scheduler sched;
   sched.schedule_in(Duration::millis(1), [] {});
-  std::vector<Scheduler::BatchEvent> batch;
-  batch.push_back({TimePoint::at(Duration::millis(2)), [] {}});
-  batch.push_back({TimePoint::at(Duration::millis(3)), [] {}});
-  sched.schedule_batch(batch);
-  EXPECT_TRUE(batch.empty());
+  const std::array<TimePoint, 2> times{TimePoint::at(Duration::millis(2)),
+                                       TimePoint::at(Duration::millis(3))};
+  sched.schedule_run(times.data(), times.size(), [] {});
   EXPECT_EQ(sched.pending_events(), 3u);
 
-  sched.schedule_batch(batch);
+  sched.schedule_run(times.data(), 0, [] {});  // an empty run: nothing
   EXPECT_EQ(sched.pending_events(), 3u);
-  EXPECT_EQ(sched.run(), 3u);
+  EXPECT_EQ(sched.run_until(TimePoint::at(Duration::millis(2))), 2u);
+  EXPECT_EQ(sched.pending_events(), 1u);
+  EXPECT_EQ(sched.run(), 1u);
+  EXPECT_EQ(sched.executed_events(), 3u);
+}
+
+TEST(SchedulerEdgeDeathTest, RunWithOutOfOrderTimesAborts) {
+  Scheduler sched;
+  const std::array<TimePoint, 3> times{TimePoint::at(Duration::millis(1)),
+                                       TimePoint::at(Duration::millis(3)),
+                                       TimePoint::at(Duration::millis(2))};
+  EXPECT_DEATH(sched.schedule_run(times.data(), times.size(), [] {}),
+               "nondecreasing");
 }
 
 // ---------------------------------------------------------------------
-// Runs and the sweep. A batch waits as one sorted run whose earliest
-// event is its only heap entry. Only a schedule_at event can be
+// Runs and the sweep. A run waits as one heap entry, its earliest
+// event. Only a schedule_at event can be
 // cancelled, so a tombstone is a run of one: it drops out whole, whether
 // it surfaces at the front of the queue or is swept once tombstones
 // outnumber live events, and every run stays whole.
@@ -227,15 +261,17 @@ TEST(SchedulerEdge, SweepDropsCancelledSingletonsAndKeepsARunWhole) {
         TimePoint::at(Duration::micros(i)), record(i)));
     queued.emplace_back(i, i);
   }
-  // A run of five, given out of time order; its head is the 10 us event.
-  const std::array<std::int64_t, 5> times{40, 10, 55, 20, 33};
-  std::vector<Scheduler::BatchEvent> batch;
-  for (std::size_t j = 0; j < times.size(); ++j) {
-    const int label = 100 + static_cast<int>(j);
-    batch.push_back({TimePoint::at(Duration::micros(times[j])), record(label)});
-    queued.emplace_back(times[j], label);
+  // A run of five; its head is the 10 us event.
+  const std::array<std::int64_t, 5> micros{10, 20, 33, 40, 55};
+  std::vector<TimePoint> times;
+  std::vector<int> labels;
+  for (std::size_t j = 0; j < micros.size(); ++j) {
+    times.push_back(TimePoint::at(Duration::micros(micros[j])));
+    labels.push_back(100 + static_cast<int>(j));
+    queued.emplace_back(micros[j], labels.back());
   }
-  sched.schedule_batch(batch);
+  sched.schedule_run(times.data(), times.size(),
+                     record_run(order, std::move(labels)));
   std::vector<int> cancelled;
   for (int i = 0; i < 64; ++i) {
     if (i % 8 == 0) continue;
@@ -318,12 +354,11 @@ TEST(SchedulerEdge, SweepSurvivesACancelFromADestroyedCapture) {
 TEST(SchedulerEdge, RunUntilStopsInsideARun) {
   Scheduler sched;
   int runs = 0;
-  std::vector<Scheduler::BatchEvent> batch;
+  std::vector<TimePoint> times;
   for (int i = 0; i < 4; ++i) {
-    batch.push_back({TimePoint::at(Duration::millis(10 * (i + 1))),
-                     [&runs] { ++runs; }});
+    times.push_back(TimePoint::at(Duration::millis(10 * (i + 1))));
   }
-  sched.schedule_batch(batch);
+  sched.schedule_run(times.data(), times.size(), [&runs] { ++runs; });
   const auto deadline = TimePoint::at(Duration::millis(25));
   EXPECT_EQ(sched.run_until(deadline), 2u);
   EXPECT_EQ(runs, 2);
@@ -339,7 +374,9 @@ TEST(SchedulerEdge, RunUntilStopsInsideARun) {
 // the slot vector grows while callbacks run, so a running callback must
 // not live in it. Under ASan, an inline callback run in place reads its
 // captures from freed storage once it has grown the scheduler; a boxed
-// callback's captures never move, so its test covers the boxed path.
+// callback's captures never move, so its test covers the boxed path. A
+// run's callback runs in place in the run's own block, which no growth
+// moves, and dies after the run's last event or with the scheduler.
 // ---------------------------------------------------------------------
 
 constexpr int kGrowth = 4096;
@@ -373,6 +410,49 @@ TEST(SchedulerEdge, BoxedCallbackThatGrowsTheSchedulerKeepsItsCaptures) {
   std::array<std::uint64_t, 16> values{};  // 128 bytes
   std::iota(values.begin(), values.end(), std::uint64_t{1});
   EXPECT_EQ(sum_after_growth<false>(values), 136u);
+}
+
+TEST(SchedulerEdge, RunCallbackThatGrowsTheSchedulerKeepsItsCaptures) {
+  Scheduler sched;
+  const std::array<std::uint64_t, 3> values{1, 2, 3};
+  std::vector<std::uint64_t> sums;
+  auto grow = [&sched, &sums, values] {
+    for (int i = 0; i < kGrowth; ++i) {
+      sched.schedule_in(Duration::millis(1), [] {});
+    }
+    sums.push_back(
+        std::accumulate(values.begin(), values.end(), std::uint64_t{0}));
+  };
+  static_assert(sizeof(grow) <= util::SmallFn::kInlineBytes);
+  const std::array<TimePoint, 3> times{TimePoint::at(Duration::millis(1)),
+                                       TimePoint::at(Duration::millis(1)),
+                                       TimePoint::at(Duration::millis(2))};
+  sched.schedule_run(times.data(), times.size(), std::move(grow));
+  EXPECT_EQ(sched.run(), 3u * kGrowth + 3u);
+  EXPECT_EQ(sums, (std::vector<std::uint64_t>{6, 6, 6}));
+}
+
+TEST(SchedulerEdge, DestroyingTheSchedulerReleasesQueuedRunsOnce) {
+  auto token = std::make_shared<int>(0);
+  const auto at = [](int ms) { return TimePoint::at(Duration::millis(ms)); };
+  {
+    Scheduler sched;
+    const std::array<TimePoint, 2> finished{at(1), at(2)};
+    const std::array<TimePoint, 3> started{at(1), at(2), at(3)};
+    const std::array<TimePoint, 2> waiting{at(5), at(6)};
+    sched.schedule_run(finished.data(), finished.size(), [token] { ++*token; });
+    sched.schedule_run(started.data(), started.size(), [token] { ++*token; });
+    sched.schedule_run(waiting.data(), waiting.size(), [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 4);
+
+    EXPECT_EQ(sched.run_until(at(2)), 4u);
+    EXPECT_EQ(*token, 4);
+    // The finished run's captures die after its last event; the started
+    // and the waiting run keep theirs.
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 4);
 }
 
 TEST(SchedulerEdge, EveryCallbackIsDestroyedExactlyOnce) {
