@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "app/experiment.h"
@@ -11,6 +12,7 @@
 #include "proto/frames.h"
 #include "proto/packet.h"
 #include "sim/scheduler.h"
+#include "sim/timer.h"
 #include "topo/experiment.h"
 #include "topo/scenario.h"
 #include "util/crc32.h"
@@ -37,27 +39,27 @@ void BM_SchedulerScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleRun)->Arg(1000)->Arg(10000);
 
-// The timer-heavy protocol pattern (MAC retries, TCP RTO): arm, cancel
-// most before they fire, re-arm into the recycled slots, then drain.
-// Exercises the scheduler's generation-stamped slot vector.
+// The timer-heavy protocol pattern (MAC retries, TCP RTO): n timers
+// armed, most cancelled before they fire, a quarter re-armed at new
+// times (earlier or later than the queued entries they left), then
+// drained. Scheduler and timers are built afresh each iteration.
 void BM_SchedulerCancelChurn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::EventId> ids(n);
   for (auto _ : state) {
     sim::Scheduler sched;
     std::uint64_t sum = 0;
+    std::deque<sim::Timer> timers;
     for (std::size_t i = 0; i < n; ++i) {
-      ids[i] = sched.schedule_in(sim::Duration::micros(static_cast<
-                                     std::int64_t>((i * 7919) % 100000)),
-                                 [&sum, i] { sum += i; });
+      timers.emplace_back(sched, [&sum] { ++sum; });
+      timers.back().arm(sim::Duration::micros(
+          static_cast<std::int64_t>((i * 7919) % 100000)));
     }
     for (std::size_t i = 0; i < n; i += 2) {
-      benchmark::DoNotOptimize(sched.cancel(ids[i]));
+      benchmark::DoNotOptimize(timers[i].cancel());
     }
     for (std::size_t i = 0; i < n; i += 4) {
-      sched.schedule_in(sim::Duration::micros(static_cast<std::int64_t>(
-                            (i * 104729) % 100000)),
-                        [&sum, i] { sum += i; });
+      timers[i].arm(sim::Duration::micros(
+          static_cast<std::int64_t>((i * 104729) % 100000)));
     }
     sched.run();
     benchmark::DoNotOptimize(sum);
@@ -105,34 +107,30 @@ void BM_SchedulerFanout(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerFanout)->Args({6, 8})->Args({85, 10000});
 
-// sim::Timer::arm's pattern behind paper_tcp's tombstones: after every
-// short event, a few timers are cancelled and re-armed far ahead, so
-// each event cancels that many queued timers.
+// paper_tcp's re-arm pattern: after every short event, a few timers
+// (NAV, response timeout, RTO) are re-armed further ahead while their
+// firings are still pending, so each event re-keys that many timers.
 void BM_SchedulerRearm(benchmark::State& state) {
-  const auto timers = static_cast<std::size_t>(state.range(0));
+  const auto count = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kEvents = 1000;
-  std::vector<sim::EventId> ids(timers);
   for (auto _ : state) {
     sim::Scheduler sched;
-    std::fill(ids.begin(), ids.end(), sim::EventId{});
     std::uint64_t fired = 0;
+    std::deque<sim::Timer> timers;
+    for (std::size_t i = 0; i < count; ++i) {
+      timers.emplace_back(sched, [&fired] { ++fired; });
+    }
     std::size_t left = kEvents;
     struct Tick {
       sim::Scheduler* sched;
-      std::vector<sim::EventId>* ids;
+      std::deque<sim::Timer>* timers;
       std::size_t* left;
-      std::uint64_t* fired;
       void operator()() const {
-        for (auto& id : *ids) {
-          sched->cancel(id);
-          id = sched->schedule_in(sim::Duration::millis(200),
-                                  [f = fired] { ++*f; });
-        }
+        for (auto& timer : *timers) timer.arm(sim::Duration::millis(200));
         if (--*left > 0) sched->schedule_in(sim::Duration::micros(10), *this);
       }
     };
-    sched.schedule_in(sim::Duration::micros(10),
-                      Tick{&sched, &ids, &left, &fired});
+    sched.schedule_in(sim::Duration::micros(10), Tick{&sched, &timers, &left});
     benchmark::DoNotOptimize(sched.run());
     benchmark::DoNotOptimize(fired);
   }

@@ -18,6 +18,7 @@ Mac::Mac(sim::Simulation& simulation, phy::Phy& phy, MacConfig config)
       nav_timer_(simulation.scheduler(), [this] { kick(); }),
       dba_timer_(simulation.scheduler(), [this] { kick(); }),
       response_timer_(simulation.scheduler(), [this] { response_timeout(); }),
+      data_timer_(simulation.scheduler(), [this] { send_data(); }),
       respond_timer_(simulation.scheduler(), [this] {
         HYDRA_ASSERT(pending_response_.has_value());
         auto [frame, kind] = *pending_response_;
@@ -114,8 +115,7 @@ void Mac::resume_backoff() {
 }
 
 void Mac::pause_backoff() {
-  if (!access_timer_.pending()) return;
-  access_timer_.cancel();
+  if (!access_timer_.cancel()) return;
   const auto elapsed = sim_.now() - countdown_start_;
   const auto difs = config_.timings.difs();
   // Attribute the idle time we actually waited (Table 4 accounting) and
@@ -401,8 +401,7 @@ void Mac::handle_control(const proto::ControlFrame& frame,
       stats_.time.ifs += 2 * config_.timings.sifs;  // before CTS and data
       phase_ = Phase::kTxData;
       // Data goes out SIFS after the CTS.
-      sim_.scheduler().schedule_in(config_.timings.sifs,
-                                   [this] { send_data(); });
+      data_timer_.arm(config_.timings.sifs);
       return;
     }
     case proto::FrameType::kAck: {

@@ -157,6 +157,8 @@ class Mac {
   proto::AggregateFrame::SubframeVec inflight_unicast_;
   unsigned retries_ = 0;
   sim::Timer response_timer_;
+  // Sends the data frame SIFS after its CTS arrived.
+  sim::Timer data_timer_;
 
   // Pending SIFS response (CTS or ACK we owe a peer).
   sim::Timer respond_timer_;

@@ -6,14 +6,19 @@ namespace hydra::phy {
 
 Phy::Phy(sim::Simulation& simulation, Medium& medium, PhyConfig config,
          std::uint32_t id)
-    : sim_(simulation), medium_(medium), config_(config), id_(id) {
+    : sim_(simulation),
+      medium_(medium),
+      config_(config),
+      id_(id),
+      tx_complete_timer_(simulation.scheduler(), [this] {
+        transmitting_ = false;
+        update_cca();
+        if (on_tx_complete) on_tx_complete();
+      }) {
   medium_.attach(*this);
 }
 
-Phy::~Phy() {
-  sim_.scheduler().cancel(tx_complete_event_);
-  medium_.on_phy_destroyed(*this);
-}
+Phy::~Phy() { medium_.on_phy_destroyed(*this); }
 
 void Phy::transmit(PhyFrame frame) {
   auto timing = frame_timing(frame.broadcast, frame.unicast, config_.timings);
@@ -30,11 +35,7 @@ void Phy::transmit(PhyFrame frame, FrameTiming timing) {
 
   const auto airtime = timing.total;
   medium_.start_transmission(*this, std::move(frame), std::move(timing));
-  tx_complete_event_ = sim_.scheduler().schedule_in(airtime, [this] {
-    transmitting_ = false;
-    update_cca();
-    if (on_tx_complete) on_tx_complete();
-  });
+  tx_complete_timer_.arm(airtime);
 }
 
 void Phy::update_cca() {

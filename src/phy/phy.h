@@ -8,6 +8,7 @@
 #include "phy/frame.h"
 #include "phy/medium.h"
 #include "sim/simulation.h"
+#include "sim/timer.h"
 
 namespace hydra::phy {
 
@@ -25,8 +26,9 @@ class Phy {
   Phy(sim::Simulation& simulation, Medium& medium, PhyConfig config,
       std::uint32_t id);
   // Detaches from the medium, whose in-flight deliveries to this PHY then
-  // land nowhere, and cancels the tx-complete timer, so a node may be
-  // destroyed mid-simulation without leaving dangling callbacks.
+  // land nowhere; the tx-complete timer dies disarmed with the PHY, so a
+  // node may be destroyed mid-simulation without leaving dangling
+  // callbacks.
   ~Phy();
 
   Phy(const Phy&) = delete;
@@ -116,8 +118,8 @@ class Phy {
   // Reused across receptions so steady-state delivery evaluation
   // allocates nothing (the contained vectors keep their capacity).
   RxReport scratch_report_;
-  // The tx-complete timer, the one event that captures `this`.
-  sim::EventId tx_complete_event_;
+  // Fires when our own transmission leaves the air.
+  sim::Timer tx_complete_timer_;
 
   std::uint64_t frames_received_ = 0;
   std::uint64_t collisions_ = 0;

@@ -5,56 +5,65 @@
 #include <new>
 #include <utility>
 
+#include "sim/timer.h"
 #include "util/assert.h"
 #include "util/pool.h"
 
 namespace hydra::sim {
 
-namespace {
-
-constexpr std::uint64_t pack_id(std::uint32_t generation,
-                                std::uint32_t slot) {
-  return (std::uint64_t{generation} << 32) | slot;
-}
-
-}  // namespace
-
 Scheduler::~Scheduler() {
   // A slot's callback dies with slots_; a queued run's block is ours to
   // free.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (Run* run = std::exchange(slots_[i].run, nullptr)) release(run);
+  for (auto& slot : slots_) {
+    if (Run* run = std::exchange(slot.run, nullptr)) release(run);
   }
 }
 
 std::uint32_t Scheduler::acquire_slot() {
-  std::uint32_t slot;
   if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
+    HYDRA_ASSERT(slots_.size() < kTimerRef);
     slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
   }
-  slots_[slot].pending = true;
-  ++pending_count_;
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
   return slot;
 }
 
-EventId Scheduler::schedule_at(TimePoint at, Callback cb) {
+Scheduler::Callback Scheduler::release_slot(std::uint32_t slot) {
+  auto& s = slots_[slot];
+  // Handed back rather than destroyed here: the callback is about to run
+  // and may grow slots_, so it must leave the slot vector first.
+  Callback cb = std::move(s.cb);
+  s.run = nullptr;
+  free_slots_.push_back(slot);
+  return cb;
+}
+
+void Scheduler::release(Run* run) {
+  // The callback's captures may schedule events as they die; the block
+  // has left its slot by now.
+  run->~Run();
+  util::BufferPool::deallocate(run);
+}
+
+void Scheduler::push(Entry entry) {
+  heap_.push_back(entry);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Scheduler::schedule_at(TimePoint at, Callback cb) {
   HYDRA_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   HYDRA_ASSERT(cb != nullptr);
   const std::uint32_t slot = acquire_slot();
   slots_[slot].cb = std::move(cb);
-  heap_.push_back(Entry{at, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  // generation >= 1 always, so a packed id is never 0 (the invalid id).
-  return EventId(pack_id(slots_[slot].generation, slot));
+  ++pending_count_;
+  push(Entry{at, next_seq_++, slot});
 }
 
-EventId Scheduler::schedule_in(Duration delay, Callback cb) {
+void Scheduler::schedule_in(Duration delay, Callback cb) {
   HYDRA_ASSERT_MSG(!delay.is_negative(), "negative delay");
-  return schedule_at(now_ + delay, std::move(cb));
+  schedule_at(now_ + delay, std::move(cb));
 }
 
 void Scheduler::schedule_run(const TimePoint* times, std::size_t count,
@@ -72,60 +81,63 @@ void Scheduler::schedule_run(const TimePoint* times, std::size_t count,
   std::uninitialized_copy_n(times, count, run->times());
   // One slot keys the whole run; every event counts as pending.
   const std::uint32_t slot = acquire_slot();
-  pending_count_ += count - 1;
   slots_[slot].run = run;
-  heap_.push_back(Entry{times[0], next_seq_, slot});
+  pending_count_ += count;
+  push(Entry{times[0], next_seq_, slot});
   next_seq_ += count;
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-bool Scheduler::cancel(EventId id) {
-  // A stale generation means the event already ran (or was already
-  // cancelled) and the slot moved on; cancelling it is a no-op that must
-  // report failure.
-  if (!pending(id)) return false;
-  // Lazy deletion: clear the pending flag and leave the tombstone queued.
-  slots_[static_cast<std::uint32_t>(id.id_)].pending = false;
-  --pending_count_;
+std::uint32_t Scheduler::add_timer(Timer* timer) {
+  if (free_timers_.empty()) {
+    HYDRA_ASSERT(timers_.size() < kTimerRef);
+    timers_.push_back(timer);
+    return static_cast<std::uint32_t>(timers_.size() - 1);
+  }
+  const std::uint32_t index = free_timers_.back();
+  free_timers_.pop_back();
+  timers_[index] = timer;
+  return index;
+}
+
+void Scheduler::remove_timer(std::uint32_t index) {
+  // Entries of the timer still queued find no timer, or a later one
+  // whose queued sequence number never matches theirs, and are dropped.
+  timers_[index] = nullptr;
+  free_timers_.push_back(index);
+}
+
+void Scheduler::arm(Timer& timer, TimePoint at) {
+  HYDRA_ASSERT_MSG(at >= now_, "cannot schedule into the past");
+  if (!timer.armed_) {
+    timer.armed_ = true;
+    ++pending_count_;
+  }
+  timer.deadline_ = at;
+  timer.seq_ = next_seq_++;
+  // A queued entry at or before `at` has an earlier key, (at' <= at,
+  // seq' < seq), so it reaches the root before the firing is due and
+  // re-keys itself there.
+  if (timer.queued_seq_ != 0 && timer.queued_at_ <= at) return;
+  // Re-armed earlier, or nothing queued: queue the firing itself. An
+  // entry queued later is left behind and dropped when it surfaces.
+  if (timer.index_ == Timer::kUnindexed) timer.index_ = add_timer(&timer);
+  timer.queued_at_ = at;
+  timer.queued_seq_ = timer.seq_;
+  push(Entry{at, timer.seq_, kTimerRef | timer.index_});
   // Sweeping every heap entry costs O(heap), and a sweep leaves at most
-  // pending_count_ heads, so the next one is due only after about as many
-  // cancels again: O(1) per cancel.
+  // one entry per live event, so the next one is due only after about as
+  // many stale entries again: O(1) per arm.
   if (heap_.size() > 2 * pending_count_) sweep();
-  return true;
 }
 
-bool Scheduler::pending(EventId id) const {
-  if (!id.valid()) return false;
-  const auto slot = static_cast<std::uint32_t>(id.id_);
-  const auto generation = static_cast<std::uint32_t>(id.id_ >> 32);
-  if (slot >= slots_.size()) return false;
-  const auto& s = slots_[slot];
-  return s.generation == generation && s.pending;
-}
-
-Scheduler::Callback Scheduler::vacate(std::uint32_t slot) {
-  auto& s = slots_[slot];
-  // Handed back rather than destroyed here: a callback's captures may
-  // schedule or cancel events as they die, or the callback is about to
-  // run and may grow slots_, so it must leave the slot vector first.
-  Callback cb = std::move(s.cb);
-  s.run = nullptr;
-  s.pending = false;
-  // Bumping the generation invalidates every id handed out for this
-  // occupancy. Wrap-around after 2^32 reuses of one slot is accepted:
-  // a handle would have to be held across four billion rearms of the
-  // same slot to alias.
-  ++s.generation;
-  if (s.generation == 0) s.generation = 1;  // keep packed ids non-zero
-  free_slots_.push_back(slot);
-  return cb;
-}
-
-void Scheduler::release(Run* run) {
-  // The callback's captures may schedule or cancel events as they die;
-  // the block has left its slot by now.
-  run->~Run();
-  util::BufferPool::deallocate(run);
+Timer* Scheduler::live_timer(const Entry& entry) {
+  Timer* timer = timers_[entry.ref & ~kTimerRef];
+  // Left behind by a re-arm earlier, or by a destroyed timer.
+  if (timer == nullptr || timer->queued_seq_ != entry.seq) return nullptr;
+  if (timer->armed_) return timer;
+  // A cancelled timer's entry: the timer forgets it as it is dropped.
+  timer->queued_seq_ = 0;
+  return nullptr;
 }
 
 void Scheduler::sift_down(Entry entry) {
@@ -147,50 +159,62 @@ void Scheduler::pop_root() {
 }
 
 void Scheduler::sweep() {
-  // A dead head is a cancelled run of one, so it drops out whole.
-  swept_.reserve(heap_.size());
+  // Only timer entries go stale, and each is a single event, so every
+  // run stays whole.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const Entry entry = heap_[i];
-    if (slots_[entry.slot].pending) {
+    if ((entry.ref & kTimerRef) == 0 || live_timer(entry) != nullptr) {
       heap_[kept++] = entry;
-    } else {
-      swept_.push_back(entry.slot);
     }
   }
   heap_.resize(kept);
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-  // Only now, with the heap whole, free the tombstones' slots and destroy
-  // their callbacks, whose captures may cancel or schedule as they die.
-  // A sweep nested in that drains the same list.
-  while (!swept_.empty()) {
-    const std::uint32_t slot = swept_.back();
-    swept_.pop_back();
-    vacate(slot);
-  }
 }
 
 std::optional<TimePoint> Scheduler::peek_next_time() {
   while (!heap_.empty()) {
     const Entry head = heap_.front();
-    if (slots_[head.slot].pending) return head.at;
-    pop_root();
-    vacate(head.slot);  // the dropped callback dies here, heap whole
+    // schedule_at and run events always run.
+    if ((head.ref & kTimerRef) == 0) return head.at;
+    Timer* timer = live_timer(head);
+    if (timer == nullptr) {
+      pop_root();
+    } else if (head.seq == timer->seq_) {
+      return head.at;
+    } else {
+      // Queued before the timer was re-armed later: take the firing's
+      // key in place.
+      timer->queued_at_ = timer->deadline_;
+      timer->queued_seq_ = timer->seq_;
+      sift_down(Entry{timer->deadline_, timer->seq_, head.ref});
+    }
   }
   return std::nullopt;
 }
 
 void Scheduler::pop_and_run() {
-  // peek_next_time() has just found the root live.
+  // peek_next_time() has just found the root live and keyed for its
+  // event.
   const Entry entry = heap_.front();
   HYDRA_ASSERT(entry.at >= now_);
   now_ = entry.at;
   ++executed_;
   --pending_count_;
-  Run* run = slots_[entry.slot].run;
+  if ((entry.ref & kTimerRef) != 0) {
+    Timer& timer = *timers_[entry.ref & ~kTimerRef];
+    pop_root();
+    timer.queued_seq_ = 0;
+    timer.armed_ = false;
+    // Runs in place: the callback may re-arm the timer, or destroy it
+    // with its owner, and nothing here touches the timer after the call.
+    timer.on_fire_();
+    return;
+  }
+  Run* run = slots_[entry.ref].run;
   if (run == nullptr) {
     pop_root();
-    Callback cb = vacate(entry.slot);
+    Callback cb = release_slot(entry.ref);
     cb();
     return;
   }
@@ -198,12 +222,12 @@ void Scheduler::pop_and_run() {
   // its block, which no growth of slots_ moves. After the last event the
   // slot is free before the call and the block after it.
   if (++run->head < run->count) {
-    sift_down(Entry{run->times()[run->head], entry.seq + 1, entry.slot});
+    sift_down(Entry{run->times()[run->head], entry.seq + 1, entry.ref});
     run->cb();
     return;
   }
   pop_root();
-  vacate(entry.slot);
+  release_slot(entry.ref);
   run->cb();
   release(run);
 }

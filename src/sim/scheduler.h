@@ -2,6 +2,12 @@
 // order on the calling thread. A simulation lives wholly on one thread —
 // its scheduler, medium and nodes, and the BufferPool free lists their
 // packets and callbacks recycle through.
+//
+// Two kinds of event share the one heap. schedule_at, schedule_in and
+// schedule_run are fire-and-forget: their events always run. An event
+// that may be cancelled or moved belongs to a sim::Timer (timer.h), which
+// keeps its own callback and key and re-uses its queued heap entry
+// across re-arms.
 #pragma once
 
 #include <cstdint>
@@ -14,20 +20,7 @@
 
 namespace hydra::sim {
 
-// Opaque handle for cancelling a scheduled event: a slot index stamped
-// with the slot's generation, so a handle goes stale the moment its
-// event runs or is cancelled and the slot is reused. Id 0 is "invalid".
-class EventId {
- public:
-  constexpr EventId() = default;
-  constexpr bool valid() const { return id_ != 0; }
-  friend constexpr auto operator<=>(EventId, EventId) = default;
-
- private:
-  friend class Scheduler;
-  constexpr explicit EventId(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;
-};
+class Timer;
 
 // Single-threaded event loop. Events scheduled for the same instant run
 // in scheduling order (FIFO), which keeps protocol traces deterministic.
@@ -41,7 +34,8 @@ class Scheduler {
   using Callback = util::SmallFn;
 
   Scheduler() = default;
-  // Destroys every queued callback, a run's included.
+  // Destroys every queued callback, a run's included. Every Timer bound
+  // to the scheduler must be gone by then.
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -49,9 +43,9 @@ class Scheduler {
   TimePoint now() const { return now_; }
 
   // Schedules `cb` to run at absolute time `at` (must not be in the past).
-  EventId schedule_at(TimePoint at, Callback cb);
+  void schedule_at(TimePoint at, Callback cb);
   // Schedules `cb` to run `delay` from now.
-  EventId schedule_in(Duration delay, Callback cb);
+  void schedule_in(Duration delay, Callback cb);
 
   // Commits `count` events at `times`, which must be nondecreasing and
   // not in the past, under `count` contiguous sequence numbers, so they
@@ -61,20 +55,11 @@ class Scheduler {
   // transmission's delivery fan-out this way. `cb` and a copy of `times`
   // live in one pooled block that never moves, so `cb` runs in place and
   // keeps its state between events; it dies after the last event.
-  // Fire-and-forget: a run's events have no EventId and cannot be
-  // cancelled.
   void schedule_run(const TimePoint* times, std::size_t count, Callback cb);
 
-  // Cancels a pending event. Returns false if the event already ran, was
-  // already cancelled, or the id is invalid.
-  bool cancel(EventId id);
-
-  // True while the event is still queued (not yet run, not cancelled).
-  // Stale-handle-safe, like cancel(): a reused slot reports false.
-  bool pending(EventId id) const;
-
-  // The time of the next live event, dropping any cancelled events off
-  // the front of the queue on the way; nullopt when the queue is empty.
+  // The time of the next live event, dropping the entries that timers
+  // left behind off the front of the queue on the way; nullopt when no
+  // live event is left.
   std::optional<TimePoint> peek_next_time();
 
   // Runs events until the queue is empty. Returns the number executed.
@@ -85,19 +70,25 @@ class Scheduler {
   // Executes at most one event. Returns false if the queue is empty.
   bool step();
 
+  // Live events: queued schedule_at and run events plus armed timers.
   std::size_t pending_events() const { return pending_count_; }
   std::uint64_t executed_events() const { return executed_; }
 
  private:
-  // An event's key. The callback waits in slots_[slot] (or in the block
-  // of the run the slot keys), so sifting moves 24 plain bytes rather
-  // than a type-erased callable.
+  // A Timer arms and disarms itself through the private members below, and
+  // the scheduler reads and re-keys the timer's state at the root.
+  friend class Timer;
+
+  // An event's key. `ref` is a slot index, whose slot holds a schedule_at
+  // callback or a run's block, or kTimerRef | the index of a timer in
+  // timers_. Sifting moves 24 plain bytes, never a callable.
   struct Entry {
     TimePoint at;
-    std::uint64_t seq;   // tie-breaker: FIFO among same-time events
-    std::uint32_t slot;  // index into slots_
+    std::uint64_t seq;  // tie-breaker: FIFO among same-time events
+    std::uint32_t ref;
   };
   static_assert(std::is_trivially_copyable_v<Entry>);
+  static constexpr std::uint32_t kTimerRef = std::uint32_t{1} << 31;
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
@@ -116,48 +107,54 @@ class Scheduler {
   };
   static_assert(std::is_trivially_copyable_v<TimePoint>);
   static_assert(sizeof(Run) % alignof(TimePoint) == 0);
-  // One queued event's slot: a schedule_at event's callback, or the
-  // block of the run whose head this slot keys. `generation` stamps the
-  // EventId handed out for the slot's current occupant; vacating the
-  // slot bumps it, so cancel() can tell "still pending" from "already
-  // ran / already cancelled / slot reused" with two array loads instead
-  // of hash-set lookups.
+  // One queued fire-and-forget entry: a schedule_at event's callback, or
+  // the block of the run whose head this slot keys.
   struct Slot {
     Callback cb;
     Run* run = nullptr;
-    std::uint32_t generation = 1;
-    bool pending = false;
   };
   static_assert(sizeof(Slot) <= 80);
 
+  // Timer hooks. A timer takes an index into timers_ when it first
+  // queues an entry and keeps it for life; a destroyed timer's index
+  // goes to the next timer that needs one.
+  std::uint32_t add_timer(Timer* timer);
+  void remove_timer(std::uint32_t index);
+  void arm(Timer& timer, TimePoint at);
+
+  void push(Entry entry);
   void pop_and_run();
   void pop_root();
   void sift_down(Entry entry);
+  // The timer whose live queued entry a timer entry is; null for a
+  // stale entry, which the caller drops.
+  Timer* live_timer(const Entry& entry);
   void sweep();
   std::uint32_t acquire_slot();
-  Callback vacate(std::uint32_t slot);
+  Callback release_slot(std::uint32_t slot);
   static void release(Run* run);
 
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t pending_count_ = 0;
-  // The head of every queued run, in heap order. A run is the events of
-  // one schedule_run call, or one schedule_at event; its head is its
-  // earliest event, so the heap's root is the earliest queued event.
-  // Running a run's head puts its next event in its place. Cancelling is
-  // lazy: a cancelled event stays queued as a tombstone, and is dropped
-  // when it surfaces at the root or when cancel() sweeps the heap, once
-  // its heads outnumber twice the live events. Only a schedule_at event
-  // can be cancelled, so every tombstone is a run of one and leaves the
-  // heap whole.
+  // The head of every queued run, in heap order, and each timer's queued
+  // entry. A run is the events of one schedule_run call, or one
+  // schedule_at event; its head is its earliest event. Running a run's
+  // head puts its next event in its place. A timer's entry may carry an
+  // older, earlier key than the timer's firing: it re-keys itself at the
+  // root. Entries a timer left behind (it was cancelled, re-armed
+  // earlier or destroyed) are dropped at the root, or by a sweep once
+  // the heap holds more than twice as many entries as live events.
   std::vector<Entry> heap_;
-  // Slot storage grows to the high-water mark of concurrently scheduled
-  // events and is then recycled through the free list.
+  // Slot storage grows to the high-water mark of concurrently queued
+  // fire-and-forget entries and is then recycled through the free list.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  // The slots of the tombstones a sweep has unlinked but not yet freed.
-  std::vector<std::uint32_t> swept_;
+  // Every live timer that has queued an entry, by index: eight bytes of
+  // scheduler state per timer.
+  std::vector<Timer*> timers_;
+  std::vector<std::uint32_t> free_timers_;
 };
 
 }  // namespace hydra::sim

@@ -1,16 +1,20 @@
-// Move-only type-erased `void()` callable for the scheduler hot path.
+// Move-only type-erased `void()` callables for the scheduler hot path.
 //
 // std::function costs a heap allocation for any capture over ~16 bytes
 // (libstdc++), and the medium's fan-out callback captures 24.
-// SmallFn stores captures up to 48 bytes inline — enough for every
-// callback the simulator schedules today — and boxes larger ones
-// through the BufferPool (the calling thread's free lists), so
-// steady-state event scheduling allocates nothing from the system heap.
-// Move-only (no copy), matching how the scheduler actually handles
-// callbacks: constructed once, moved into its event's slot, moved out
-// once when the event runs or, cancelled, leaves the queue, invoked if it
-// runs, destroyed. A run's callback moves into the run's block instead,
-// runs there once per event and is destroyed after the last.
+// BasicSmallFn stores captures up to a fixed size inline and boxes
+// larger ones through the BufferPool (the calling thread's free lists),
+// so steady-state event scheduling allocates nothing from the system
+// heap. Two sizes are in use:
+//   - SmallFn, 48 inline bytes (64 in all), enough for every callback the
+//     simulator schedules today. Constructed once, moved into its
+//     event's slot, moved out once when the event runs, invoked,
+//     destroyed; a run's callback moves into the run's block instead,
+//     runs there once per event and is destroyed after the last.
+//   - sim::Timer's callback, one pointer inline (16 bytes in all): a
+//     protocol object's `[this]` lambda. It stays in its timer for the
+//     timer's life, and a simulation holds tens of thousands of timers.
+// Move-only (no copy), matching how both are used.
 #pragma once
 
 #include <cstddef>
@@ -23,32 +27,37 @@
 
 namespace hydra::util {
 
-class SmallFn {
- public:
-  static constexpr std::size_t kInlineBytes = 48;
+// `kBytes` of inline capture storage aligned to `kAlign`; a boxed
+// capture's pointer takes its place.
+template <std::size_t kBytes, std::size_t kAlign>
+class BasicSmallFn {
+  static_assert(kBytes >= sizeof(void*) && kAlign >= alignof(void*));
 
-  SmallFn() noexcept = default;
-  SmallFn(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
+ public:
+  static constexpr std::size_t kInlineBytes = kBytes;
+
+  BasicSmallFn() noexcept = default;
+  BasicSmallFn(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
 
   template <class F,
             class = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFn> &&
+                !std::is_same_v<std::decay_t<F>, BasicSmallFn> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  SmallFn(F&& fn) {  // NOLINT(runtime/explicit): drop-in for std::function
+  BasicSmallFn(F&& fn) {  // NOLINT(runtime/explicit): drop-in for std::function
     emplace<std::decay_t<F>>(std::forward<F>(fn));
   }
 
-  SmallFn(SmallFn&& other) noexcept { move_from(other); }
-  SmallFn& operator=(SmallFn&& other) noexcept {
+  BasicSmallFn(BasicSmallFn&& other) noexcept { move_from(other); }
+  BasicSmallFn& operator=(BasicSmallFn&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
     }
     return *this;
   }
-  SmallFn(const SmallFn&) = delete;
-  SmallFn& operator=(const SmallFn&) = delete;
-  ~SmallFn() { reset(); }
+  BasicSmallFn(const BasicSmallFn&) = delete;
+  BasicSmallFn& operator=(const BasicSmallFn&) = delete;
+  ~BasicSmallFn() { reset(); }
 
   void operator()() {
     HYDRA_ASSERT_MSG(ops_ != nullptr, "invoking an empty SmallFn");
@@ -56,10 +65,10 @@ class SmallFn {
   }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
-  friend bool operator==(const SmallFn& f, std::nullptr_t) noexcept {
+  friend bool operator==(const BasicSmallFn& f, std::nullptr_t) noexcept {
     return f.ops_ == nullptr;
   }
-  friend bool operator!=(const SmallFn& f, std::nullptr_t) noexcept {
+  friend bool operator!=(const BasicSmallFn& f, std::nullptr_t) noexcept {
     return f.ops_ != nullptr;
   }
 
@@ -72,11 +81,12 @@ class SmallFn {
   };
 
   // Inline iff it fits, is sufficiently aligned, and relocates without
-  // throwing (the move constructor must be noexcept for SmallFn's own
-  // noexcept moves); everything else is boxed through the BufferPool.
+  // throwing (the move constructor must be noexcept for BasicSmallFn's
+  // own noexcept moves); everything else is boxed through the
+  // BufferPool.
   template <class F>
   static constexpr bool kInline =
-      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
+      sizeof(F) <= kInlineBytes && alignof(F) <= kAlign &&
       std::is_nothrow_move_constructible_v<F>;
 
   template <class F>
@@ -117,7 +127,7 @@ class SmallFn {
     }
   }
 
-  void move_from(SmallFn& other) noexcept {
+  void move_from(BasicSmallFn& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(storage(), other.storage());
@@ -135,7 +145,10 @@ class SmallFn {
   void* storage() noexcept { return buf_; }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  alignas(kAlign) unsigned char buf_[kInlineBytes];
 };
+
+using SmallFn = BasicSmallFn<48, alignof(std::max_align_t)>;
+static_assert(sizeof(SmallFn) == 64);
 
 }  // namespace hydra::util

@@ -109,6 +109,27 @@ TEST(MacDcf, RtsCtsCanBeDisabled) {
   EXPECT_EQ(m1.stats().ack_tx, 1u);  // data still acknowledged
 }
 
+TEST(MacDcf, SenderDestroyedBetweenCtsAndDataIsNotCalledBack) {
+  // The sender owes its data frame SIFS after the CTS, and dies in that
+  // gap. Under ASan, a data send left queued without the sender would be
+  // a heap-use-after-free in Mac::send_data.
+  Harness h(2);
+  h[0].mac.enqueue(udp_pkt(), proto::MacAddress::for_node(1),
+                   proto::MacAddress::for_node(0));
+  // The sender's first received frame is the CTS; once it has left the
+  // air, the data send is due one SIFS later.
+  while (h[0].phy.frames_received() == 0) {
+    ASSERT_TRUE(h.sim.scheduler().step());
+  }
+  EXPECT_EQ(h[1].mac.stats().cts_tx, 1u);
+  h.nodes[0].reset();
+  h.run_ms(200);
+
+  EXPECT_TRUE(h[1].delivered.empty());
+  EXPECT_EQ(h[1].mac.stats().ack_tx, 0u);
+  EXPECT_EQ(h.sim.scheduler().pending_events(), 0u);
+}
+
 TEST(MacDcf, BroadcastNeedsNoControlFrames) {
   Harness h(3);
   h[0].mac.enqueue(proto::make_flood_packet(proto::Ipv4Address::for_node(0), 40),

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
+#include "sim/timer.h"
 #include "stats/timeseries.h"
 #include "transport/mux.h"
 
@@ -20,8 +23,8 @@ namespace hydra {
 namespace {
 
 // ---------------------------------------------------------------------
-// Scheduler fuzz: random schedule/cancel interleavings must execute in
-// exact (time, insertion) order and never run cancelled events.
+// Scheduler fuzz: random arm/cancel interleavings must execute in exact
+// (time, insertion) order and never run cancelled firings.
 // ---------------------------------------------------------------------
 
 class SchedulerFuzz : public ::testing::TestWithParam<int> {};
@@ -36,21 +39,21 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
     bool cancelled = false;
   };
   std::vector<Ref> reference;
-  std::vector<sim::EventId> ids;
   std::vector<std::uint64_t> executed;
+  std::vector<std::unique_ptr<sim::Timer>> timers;
 
   for (int i = 0; i < 400; ++i) {
     const auto at = sim::Duration::micros(
         static_cast<std::int64_t>(rng.uniform_int(0, 10'000)));
     const auto seq = static_cast<std::uint64_t>(i);
-    ids.push_back(sched.schedule_at(sim::TimePoint::at(at), [&executed, seq] {
-      executed.push_back(seq);
-    }));
+    timers.push_back(std::make_unique<sim::Timer>(
+        sched, [&executed, seq] { executed.push_back(seq); }));
+    timers.back()->arm(at);
     reference.push_back({at.ns(), seq});
-    // Randomly cancel an earlier (possibly already recorded) event.
+    // Randomly cancel an earlier (possibly already cancelled) firing.
     if (rng.bernoulli(0.25)) {
-      const auto victim = rng.uniform_int(0, ids.size() - 1);
-      if (sched.cancel(ids[victim])) {
+      const auto victim = rng.uniform_int(0, timers.size() - 1);
+      if (timers[victim]->cancel()) {
         reference[victim].cancelled = true;
       }
     }
@@ -71,30 +74,35 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
 }
 
 // The same model under the medium's and the timers' patterns: batches of
-// 1-90 events (sorted into one run each, fire-and-forget), cancels of
-// schedule_at events queued or long gone, callbacks that schedule and
-// cancel in turn, and run_until slices. Every event that is never
-// cancelled runs once, at its time, in (time, scheduling order) order;
-// cancel() succeeds exactly on events that have neither run nor been
-// cancelled.
+// 1-90 events (sorted into one run each), fire-and-forget schedule_at
+// events, and 8 real timers that are re-armed earlier and later,
+// cancelled and destroyed (a fresh timer takes a dead one's place, and
+// often its table index), from outside and from callbacks, their own
+// included; and run_until slices. A timer's arm is an event scheduled at
+// the arm, and a re-arm, cancel or death cancels its pending firing.
+// Every event that is never cancelled runs once, at its time, in (time,
+// scheduling order) order; cancel() succeeds exactly on timers whose
+// firing has neither run nor been cancelled.
 class FuzzWorld {
  public:
-  explicit FuzzWorld(std::uint64_t seed) : rng_(seed) {}
+  explicit FuzzWorld(std::uint64_t seed) : rng_(seed) {
+    for (std::size_t t = 0; t < kTimers; ++t) build(t);
+  }
 
   void schedule_one() {
     const auto at = draw_time();
     const auto label = add(at);
-    ids_.push_back(sched_.schedule_at(at, [this, label] { on_run(label); }));
-    tracked_.push_back(label);
+    sched_.schedule_at(at, [this, label] { on_run(label); });
   }
 
-  // Re-arms one of a few timers the way sim::Timer::arm does: cancel the
-  // pending firing, if any, and schedule a new one.
+  // Re-arms a random timer for a random time, earlier or later than its
+  // pending firing, if any.
   void rearm() {
-    auto& timer = timers_[rng_.uniform_int(0, timers_.size() - 1)];
-    if (timer != kNoTimer) cancel(timer);
-    timer = ids_.size();
-    schedule_one();
+    const auto t = draw_timer();
+    retire(t);
+    const auto at = draw_time();
+    firing_[t] = add(at);
+    timers_[t]->arm(at - sched_.now());
   }
 
   void schedule_run() {
@@ -115,19 +123,23 @@ class FuzzWorld {
                         });
   }
 
-  // Cancels each queued schedule_at event with probability `p`.
+  // Cancels each timer with probability `p`.
   void cancel_some(double p) {
-    for (std::size_t i = 0; i < ids_.size(); ++i) {
-      auto& event = events_[tracked_[i]];
-      if (event.ran || event.cancelled || !rng_.bernoulli(p)) continue;
-      EXPECT_TRUE(sched_.cancel(ids_[i]));
-      event.cancelled = true;
+    for (std::size_t t = 0; t < kTimers; ++t) {
+      if (rng_.bernoulli(p)) cancel(t);
     }
   }
 
-  // Cancels a random schedule_at event: queued or not.
-  void cancel_one() {
-    if (!ids_.empty()) cancel(rng_.uniform_int(0, ids_.size() - 1));
+  // Cancels a random timer: armed or not.
+  void cancel_one() { cancel(draw_timer()); }
+
+  // Destroys a random timer, armed or not, and builds a fresh one in its
+  // place.
+  void kill_one() {
+    const auto t = draw_timer();
+    retire(t);
+    timers_[t].reset();
+    build(t);
   }
 
   void run_slice() {
@@ -142,9 +154,8 @@ class FuzzWorld {
       queued += !event.ran && !event.cancelled;
     }
     EXPECT_EQ(sched_.pending_events(), queued);
-    for (std::size_t i = 0; i < ids_.size(); ++i) {
-      const auto& event = events_[tracked_[i]];
-      EXPECT_EQ(sched_.pending(ids_[i]), !event.ran && !event.cancelled);
+    for (std::size_t t = 0; t < kTimers; ++t) {
+      EXPECT_EQ(timers_[t]->pending(), firing_[t] != kNone);
     }
   }
 
@@ -177,18 +188,38 @@ class FuzzWorld {
                               50 * rng_.uniform_int(0, 200)));
   }
 
-  // Cancels the event of ids_[i], checking the result against the model.
-  void cancel(std::size_t i) {
-    auto& event = events_[tracked_[i]];
-    const bool live = !event.ran && !event.cancelled;
-    EXPECT_EQ(sched_.pending(ids_[i]), live);
-    EXPECT_EQ(sched_.cancel(ids_[i]), live);
-    if (live) event.cancelled = true;
+  std::size_t draw_timer() { return rng_.uniform_int(0, kTimers - 1); }
+
+  void build(std::size_t t) {
+    timers_[t] =
+        std::make_unique<sim::Timer>(sched_, [this, t] { on_fire(t); });
+  }
+
+  // Cancels timer t's pending firing, if any, in the model.
+  void retire(std::size_t t) {
+    if (firing_[t] == kNone) return;
+    events_[firing_[t]].cancelled = true;
+    firing_[t] = kNone;
+  }
+
+  // Cancels timer t, checking the result against the model.
+  void cancel(std::size_t t) {
+    EXPECT_EQ(timers_[t]->cancel(), firing_[t] != kNone);
+    retire(t);
   }
 
   std::size_t add(sim::TimePoint at) {
     events_.push_back({at});
     return events_.size() - 1;
+  }
+
+  // Timer t fired. Its callback may re-arm it or destroy it (the draws
+  // in on_run may pick t), and touches neither afterwards.
+  void on_fire(std::size_t t) {
+    const auto label = firing_[t];
+    ASSERT_NE(label, kNone);
+    firing_[t] = kNone;
+    on_run(label);
   }
 
   void on_run(std::size_t label) {
@@ -203,21 +234,25 @@ class FuzzWorld {
     if (rng_.bernoulli(0.02)) schedule_run();
     if (rng_.bernoulli(0.2)) cancel_one();
     if (rng_.bernoulli(0.2)) rearm();
+    if (rng_.bernoulli(0.05)) kill_one();
   }
 
   static constexpr std::size_t kMaxEvents = 6'000;
-  static constexpr std::size_t kNoTimer = SIZE_MAX;
+  static constexpr std::size_t kTimers = 8;
+  static constexpr std::size_t kNone = SIZE_MAX;
 
   sim::Rng rng_;
   sim::Scheduler sched_;
   std::vector<Event> events_;  // by label, in scheduling order
   std::vector<std::size_t> executed_;
-  // The schedule_at events, the only ones with ids: ids_[i] is
-  // events_[tracked_[i]]'s.
-  std::vector<sim::EventId> ids_;
-  std::vector<std::size_t> tracked_;
-  // Each of 8 timers' latest firing, as an index into ids_.
-  std::vector<std::size_t> timers_ = std::vector<std::size_t>(8, kNoTimer);
+  // Each timer and the label of its pending firing, if any. Declared
+  // after the scheduler, so they die first.
+  std::array<std::unique_ptr<sim::Timer>, kTimers> timers_;
+  std::array<std::size_t, kTimers> firing_ = [] {
+    std::array<std::size_t, kTimers> none;
+    none.fill(kNone);
+    return none;
+  }();
 };
 
 TEST_P(SchedulerFuzz, BatchesCancelsAndSlicesMatchReferenceModel) {
@@ -225,7 +260,7 @@ TEST_P(SchedulerFuzz, BatchesCancelsAndSlicesMatchReferenceModel) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()) + 1000);
   for (int round = 0; round < 8; ++round) {
     for (int i = 0; i < 60; ++i) {
-      const auto action = rng.uniform_int(0, 9);
+      const auto action = rng.uniform_int(0, 10);
       if (action < 2) {
         world.schedule_one();
       } else if (action < 4) {
@@ -234,13 +269,15 @@ TEST_P(SchedulerFuzz, BatchesCancelsAndSlicesMatchReferenceModel) {
         world.cancel_one();
       } else if (action < 8) {
         world.rearm();
+      } else if (action < 9) {
+        world.kill_one();
       } else {
         world.run_slice();
       }
     }
-    // Half the cancellable queued events cancelled, then a storm of
-    // re-arms: the timers' tombstones soon outnumber the live events, so
-    // the queue is swept while runs of many events still wait in it.
+    // Half the timers cancelled, then a storm of re-arms: the entries
+    // that re-arms earlier leave behind soon outnumber the live events,
+    // so the queue is swept while runs of many events still wait in it.
     world.cancel_some(0.5);
     for (int i = 0; i < 400; ++i) world.rearm();
     world.run_slice();

@@ -1,9 +1,10 @@
-// Edge cases of the discrete-event scheduler: cancellation semantics,
+// Edge cases of the discrete-event scheduler: timer cancellation,
+// re-arms later and earlier and the entries they re-key or leave behind,
 // FIFO ordering at one instant, run_until clock handling, pending-event
 // accounting under cancellations, peek_next_time, schedule_run (the
 // medium's delivery fan-out path) against N schedule_at calls, runs
-// queued under cancels and sweeps, and the ownership of callbacks parked
-// in the scheduler's slots and runs.
+// queued beside stale timer entries and sweeps, and the ownership of
+// callbacks parked in the scheduler's slots and runs and in timers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,35 +12,53 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sim/scheduler.h"
+#include "sim/timer.h"
+#include "util/alloc_stats.h"
 #include "util/small_fn.h"
 
 namespace hydra::sim {
 namespace {
 
+TimePoint at_ms(std::int64_t ms) { return TimePoint::at(Duration::millis(ms)); }
+
+// Only a timer's firing can be cancelled; schedule_at events always run.
 TEST(SchedulerEdge, CancelAfterRunReturnsFalse) {
   Scheduler sched;
   int runs = 0;
-  const auto id = sched.schedule_in(Duration::millis(1), [&] { ++runs; });
+  Timer t(sched, [&] { ++runs; });
+  t.arm(Duration::millis(1));
   EXPECT_EQ(sched.run(), 1u);
   EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(sched.cancel(id));  // already executed
+  EXPECT_FALSE(t.cancel());  // already fired
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(SchedulerEdge, CancelTwiceReturnsFalseTheSecondTime) {
   Scheduler sched;
-  const auto id = sched.schedule_in(Duration::millis(1), [] {});
-  EXPECT_TRUE(sched.cancel(id));
-  EXPECT_FALSE(sched.cancel(id));
+  Timer t(sched, [] {});
+  t.arm(Duration::millis(1));
+  EXPECT_TRUE(t.cancel());
+  EXPECT_FALSE(t.cancel());
+  EXPECT_EQ(sched.pending_events(), 0u);
   EXPECT_EQ(sched.run(), 0u);
 }
 
 TEST(SchedulerEdge, InvalidIdCancelReturnsFalse) {
+  // Nothing to cancel before the first arm, nor once a cancelled
+  // firing's entry has surfaced and been dropped.
   Scheduler sched;
-  EXPECT_FALSE(sched.cancel(EventId{}));
+  Timer t(sched, [] {});
+  EXPECT_FALSE(t.cancel());
+  t.arm(Duration::millis(1));
+  EXPECT_TRUE(t.cancel());
+  EXPECT_EQ(sched.run(), 0u);
+  EXPECT_FALSE(t.cancel());
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(SchedulerEdge, SameInstantEventsRunInSchedulingOrder) {
@@ -84,31 +103,247 @@ TEST(SchedulerEdge, RunUntilAdvancesNowAndKeepsLaterEventsQueued) {
 
 TEST(SchedulerEdge, PendingEventsExcludesCancellations) {
   Scheduler sched;
-  const auto a = sched.schedule_in(Duration::millis(1), [] {});
-  sched.schedule_in(Duration::millis(2), [] {});
-  const auto c = sched.schedule_in(Duration::millis(3), [] {});
+  Timer a(sched, [] {});
+  Timer b(sched, [] {});
+  Timer c(sched, [] {});
+  a.arm(Duration::millis(1));
+  b.arm(Duration::millis(2));
+  c.arm(Duration::millis(3));
   EXPECT_EQ(sched.pending_events(), 3u);
-  EXPECT_TRUE(sched.cancel(a));
-  EXPECT_TRUE(sched.cancel(c));
+  EXPECT_TRUE(a.cancel());
+  EXPECT_TRUE(c.cancel());
   EXPECT_EQ(sched.pending_events(), 1u);
-  // Only the surviving event executes and the counters settle.
-  EXPECT_EQ(sched.run(), 1u);
+  // A re-armed timer counts once, however often it is re-armed.
+  c.arm(Duration::millis(4));
+  c.arm(Duration::millis(5));
+  EXPECT_EQ(sched.pending_events(), 2u);
+  // Only the live firings execute and the counters settle.
+  EXPECT_EQ(sched.run(), 2u);
   EXPECT_EQ(sched.pending_events(), 0u);
-  EXPECT_EQ(sched.executed_events(), 1u);
+  EXPECT_EQ(sched.executed_events(), 2u);
 }
 
 TEST(SchedulerEdge, PeekNextTimeSkipsCancelledHeads) {
   Scheduler sched;
   EXPECT_EQ(sched.peek_next_time(), std::nullopt);
-  const auto a = sched.schedule_in(Duration::millis(1), [] {});
+  Timer a(sched, [] {});
+  a.arm(Duration::millis(1));
   sched.schedule_in(Duration::millis(2), [] {});
-  EXPECT_EQ(sched.peek_next_time(), TimePoint::at(Duration::millis(1)));
-  // Cancelling the head must not leave a stale peek: the tombstone is
+  EXPECT_EQ(sched.peek_next_time(), at_ms(1));
+  // Cancelling the head must not leave a stale peek: its entry is
   // dropped and the next live event surfaces.
-  EXPECT_TRUE(sched.cancel(a));
-  EXPECT_EQ(sched.peek_next_time(), TimePoint::at(Duration::millis(2)));
-  EXPECT_EQ(sched.run(), 1u);
+  EXPECT_TRUE(a.cancel());
+  EXPECT_EQ(sched.peek_next_time(), at_ms(2));
+  // Nor may a timer re-armed later be peeked at its queued entry's time.
+  Timer b(sched, [] {});
+  b.arm(Duration::micros(500));
+  b.arm(Duration::micros(1500));
+  EXPECT_EQ(sched.peek_next_time(), TimePoint::at(Duration::micros(1500)));
+  EXPECT_EQ(sched.run(), 2u);
   EXPECT_EQ(sched.peek_next_time(), std::nullopt);
+}
+
+// ---------------------------------------------------------------------
+// Timers. A timer keeps its key, (deadline, the sequence number its arm
+// drew), and at most one queued entry it counts as its own, at or
+// before that key. A re-arm later leaves the entry to re-key itself at
+// the root; a re-arm earlier queues a new entry and leaves the old one
+// behind; the scheduler finds the timer through a table index that a
+// destroyed timer gives up for the next one.
+// ---------------------------------------------------------------------
+
+// Records (label, time) when it runs.
+using Log = std::vector<std::pair<int, TimePoint>>;
+auto record(Log& log, const Scheduler& sched, int label) {
+  return [&log, &sched, label] { log.emplace_back(label, sched.now()); };
+}
+
+TEST(SchedulerEdge, TimerReArmedLaterFiresOnceAtTheLaterTime) {
+  Scheduler sched;
+  Log log;
+  Timer t(sched, record(log, sched, 0));
+  t.arm(Duration::millis(5));
+  // Queued between the two arms, so its sequence number is lower than
+  // the firing's: it runs first at 10 ms.
+  sched.schedule_at(at_ms(10), record(log, sched, 1));
+  t.arm(Duration::millis(10));
+  // Queued after the re-arm: it runs after the firing.
+  sched.schedule_at(at_ms(10), record(log, sched, 2));
+  // Re-armed to the very instant of its queued entry: the same entry
+  // must still wait for the event queued between.
+  Timer u(sched, record(log, sched, 3));
+  u.arm(Duration::millis(12));
+  sched.schedule_at(at_ms(12), record(log, sched, 4));
+  u.arm(Duration::millis(12));
+  EXPECT_EQ(sched.pending_events(), 5u);
+
+  EXPECT_EQ(sched.run_until(at_ms(9)), 0u);  // nothing at 5 ms
+  EXPECT_EQ(sched.run(), 5u);
+  EXPECT_EQ(log, (Log{{1, at_ms(10)},
+                      {0, at_ms(10)},
+                      {2, at_ms(10)},
+                      {4, at_ms(12)},
+                      {3, at_ms(12)}}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerEdge, TimerReArmedEarlierFiresOnceAtTheEarlierTime) {
+  Scheduler sched;
+  Log log;
+  Timer t(sched, record(log, sched, 0));
+  t.arm(Duration::millis(10));
+  t.arm(Duration::millis(5));  // leaves the 10 ms entry behind
+  // Between the two deadlines, so the firing must not wait for the old
+  // entry to surface. It arms the timer again for 10 ms, after the event
+  // queued there: the entry left behind at 10 ms surfaces first and must
+  // not fire it.
+  sched.schedule_at(at_ms(7), [&] {
+    log.emplace_back(1, sched.now());
+    t.arm(Duration::millis(3));
+  });
+  sched.schedule_at(at_ms(10), record(log, sched, 2));
+  EXPECT_EQ(sched.pending_events(), 3u);
+
+  EXPECT_EQ(sched.run(), 4u);
+  EXPECT_EQ(log, (Log{{0, at_ms(5)}, {1, at_ms(7)}, {2, at_ms(10)},
+                      {0, at_ms(10)}}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerEdge, DestroyedTimersEntryNeverFiresTheTimerReusingItsIndex) {
+  Scheduler sched;
+  Log log;
+  auto old_timer = std::make_unique<Timer>(sched, record(log, sched, 0));
+  old_timer->arm(Duration::millis(10));
+  old_timer.reset();  // destroyed with its entry queued
+  EXPECT_EQ(sched.pending_events(), 0u);
+  sched.schedule_at(at_ms(10), record(log, sched, 1));
+  // Takes the freed table index and fires at the old entry's instant,
+  // after the event queued before it.
+  Timer fresh(sched, record(log, sched, 2));
+  fresh.arm(Duration::millis(10));
+  // A destroyed timer whose index nobody takes: its entry is dropped
+  // without reading the timer.
+  auto lone = std::make_unique<Timer>(sched, record(log, sched, 3));
+  lone->arm(Duration::millis(20));
+  lone.reset();
+
+  EXPECT_EQ(sched.run(), 2u);
+  EXPECT_EQ(log, (Log{{1, at_ms(10)}, {2, at_ms(10)}}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerEdge, TimerReArmsFromItsOwnCallback) {
+  Scheduler sched;
+  Log log;
+  Timer* self = nullptr;
+  int fires = 0;
+  Timer t(sched, [&] {
+    log.emplace_back(0, sched.now());
+    ++fires;
+    // The first firing, at 5 ms, re-arms for 10 ms, where the entry a
+    // re-arm earlier left behind still waits; the second re-arms for the
+    // same instant, behind the event queued there meanwhile.
+    if (fires == 1) self->arm(Duration::millis(5));
+    if (fires == 2) {
+      sched.schedule_in(Duration::zero(), record(log, sched, 2));
+      self->arm(Duration::zero());
+    }
+  });
+  self = &t;
+  t.arm(Duration::millis(10));
+  t.arm(Duration::millis(5));
+  sched.schedule_at(at_ms(10), record(log, sched, 1));
+
+  EXPECT_EQ(sched.run(), 5u);
+  EXPECT_EQ(fires, 3);
+  EXPECT_EQ(log, (Log{{0, at_ms(5)},
+                      {1, at_ms(10)},
+                      {0, at_ms(10)},
+                      {2, at_ms(10)},
+                      {0, at_ms(10)}}));
+}
+
+TEST(SchedulerEdge, TimerCallbackThatDestroysItsOwner) {
+  // Run under ASan: the scheduler must not touch the timer after its
+  // callback, which frees the timer, the callback's box and the entry's
+  // table index.
+  struct Owner {
+    Owner(Scheduler& sched, std::unique_ptr<Owner>& self, int& fires)
+        : timer(sched, [&self, &fires] {
+            ++fires;
+            self.reset();
+          }) {}
+    Timer timer;
+  };
+  Scheduler sched;
+  int fires = 0;
+  std::unique_ptr<Owner> owner;
+  owner = std::make_unique<Owner>(sched, owner, fires);
+  // Re-armed earlier and then later: one entry to re-key and one left
+  // behind, both still queued when the owner dies.
+  owner->timer.arm(Duration::millis(10));
+  owner->timer.arm(Duration::millis(2));
+  owner->timer.arm(Duration::millis(4));
+  Log log;
+  sched.schedule_at(at_ms(4), record(log, sched, 1));
+  sched.schedule_at(at_ms(12), record(log, sched, 2));
+
+  EXPECT_EQ(sched.run(), 3u);
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(owner, nullptr);
+  EXPECT_EQ(log, (Log{{1, at_ms(4)}, {2, at_ms(12)}}));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+TEST(SchedulerEdge, TimerWhoseEntryWasDroppedQueuesAFreshOne) {
+  // A cancelled timer forgets its entry as the entry is dropped, at the
+  // root or by a sweep, so a later re-arm queues a new one.
+  Scheduler sched;
+  int fires = 0;
+  Timer t(sched, [&] { ++fires; });
+  t.arm(Duration::millis(1));
+  t.cancel();
+  EXPECT_EQ(sched.run_until(at_ms(2)), 0u);  // dropped at the root
+  t.arm(Duration::millis(1));
+  EXPECT_EQ(sched.run(), 1u);
+  EXPECT_EQ(fires, 1);
+
+  Timer w(sched, [] {});
+  t.arm(Duration::millis(1));
+  w.arm(Duration::millis(1));
+  t.cancel();
+  w.cancel();
+  // u's firing is the only live event, so its arm finds two stale
+  // entries beside its own and sweeps t's and w's out.
+  Timer u(sched, [] {});
+  u.arm(Duration::millis(5));
+  t.arm(Duration::millis(3));
+  EXPECT_EQ(sched.run(), 2u);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(sched.now(), TimePoint::at(Duration::millis(8)));
+}
+
+TEST(SchedulerEdge, TenThousandReArmsEachEarlierFireOnceInABoundedQueue) {
+  Scheduler sched;
+  std::vector<TimePoint> fired;
+  Timer t(sched, [&] { fired.push_back(sched.now()); });
+  constexpr int kReArms = 10'000;
+  const auto before = util::alloc_snapshot();
+  for (int i = 0; i < kReArms; ++i) {
+    t.arm(Duration::micros(kReArms - i));
+  }
+  const auto after = util::alloc_snapshot();
+  EXPECT_EQ(sched.pending_events(), 1u);
+  // Every re-arm queues an entry and leaves the last behind; the sweep
+  // drops them once they outnumber the live events, so the heap stays a
+  // few entries deep. Unswept, its 10k 24-byte keys would allocate more
+  // than 240 kB.
+  EXPECT_LT(after.bytes - before.bytes, 4096u);
+  EXPECT_EQ(sched.run(), 1u);
+  EXPECT_EQ(fired,
+            (std::vector<TimePoint>{TimePoint::at(Duration::micros(1))}));
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -239,27 +474,28 @@ TEST(SchedulerEdgeDeathTest, RunWithOutOfOrderTimesAborts) {
 
 // ---------------------------------------------------------------------
 // Runs and the sweep. A run waits as one heap entry, its earliest
-// event. Only a schedule_at event can be
-// cancelled, so a tombstone is a run of one: it drops out whole, whether
-// it surfaces at the front of the queue or is swept once tombstones
-// outnumber live events, and every run stays whole.
+// event. Only a timer's entry goes stale, and a timer's entry is a
+// single event: it drops out whole, whether it surfaces at the front of
+// the queue or is swept once stale entries outnumber live events, and
+// every run stays whole.
 // ---------------------------------------------------------------------
 
 TEST(SchedulerEdge, SweepDropsCancelledSingletonsAndKeepsARunWhole) {
   Scheduler sched;
   std::vector<int> order;
-  // Labels in scheduling order with their times, for the expected order.
-  std::vector<std::pair<std::int64_t, int>> queued;
-  auto record = [&order](int label) {
+  // (time, label, live) in scheduling order, for the expected order.
+  std::vector<std::tuple<std::int64_t, int, bool>> queued;
+  auto push_label = [&order](int label) {
     return [&order, label] { order.push_back(label); };
   };
-  // 64 runs of one, every 8th left live: cancelling the other 56 leaves
-  // tombstones far outnumbering live events, so a sweep must run.
-  std::vector<EventId> singles;
+  // 64 timers, every 8th left armed: cancelling the other 56 leaves
+  // their entries far outnumbering live events, so the next arm that
+  // queues an entry sweeps.
+  std::vector<std::unique_ptr<Timer>> timers;
   for (int i = 0; i < 64; ++i) {
-    singles.push_back(sched.schedule_at(
-        TimePoint::at(Duration::micros(i)), record(i)));
-    queued.emplace_back(i, i);
+    timers.push_back(std::make_unique<Timer>(sched, push_label(i)));
+    timers.back()->arm(Duration::micros(i));
+    queued.emplace_back(i, i, true);
   }
   // A run of five; its head is the 10 us event.
   const std::array<std::int64_t, 5> micros{10, 20, 33, 40, 55};
@@ -268,76 +504,97 @@ TEST(SchedulerEdge, SweepDropsCancelledSingletonsAndKeepsARunWhole) {
   for (std::size_t j = 0; j < micros.size(); ++j) {
     times.push_back(TimePoint::at(Duration::micros(micros[j])));
     labels.push_back(100 + static_cast<int>(j));
-    queued.emplace_back(micros[j], labels.back());
+    queued.emplace_back(micros[j], labels.back(), true);
   }
   sched.schedule_run(times.data(), times.size(),
                      record_run(order, std::move(labels)));
-  std::vector<int> cancelled;
   for (int i = 0; i < 64; ++i) {
     if (i % 8 == 0) continue;
-    EXPECT_TRUE(sched.cancel(singles[static_cast<std::size_t>(i)]));
-    cancelled.push_back(i);
+    EXPECT_TRUE(timers[static_cast<std::size_t>(i)]->cancel());
+    std::get<2>(queued[static_cast<std::size_t>(i)]) = false;
   }
   EXPECT_EQ(sched.pending_events(), 8u + 5u);
+  // Re-armed later than its queued entry, timer 9 keeps that entry
+  // through the sweep; re-armed earlier, timer 17 queues a new entry,
+  // and that push sweeps the old one out with the cancelled ones.
+  timers[9]->arm(Duration::micros(70));
+  queued.emplace_back(70, 9, true);
+  timers[17]->arm(Duration::micros(3));
+  queued.emplace_back(3, 17, true);
+  EXPECT_EQ(sched.pending_events(), 8u + 5u + 2u);
 
   std::stable_sort(queued.begin(), queued.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+                   [](const auto& a, const auto& b) {
+                     return std::get<0>(a) < std::get<0>(b);
+                   });
   std::vector<int> expected;
-  for (const auto& [at, label] : queued) {
-    if (std::find(cancelled.begin(), cancelled.end(), label) ==
-        cancelled.end()) {
-      expected.push_back(label);
-    }
+  for (const auto& [at, label, live] : queued) {
+    if (live) expected.push_back(label);
   }
-  EXPECT_EQ(sched.run(), 13u);
+  EXPECT_EQ(sched.run(), 15u);
   EXPECT_EQ(order, expected);
   EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 // Cancels its target when destroyed (and not when moved from, since a
-// moved-from unique_ptr is null), recording whether the cancel took.
+// moved-from unique_ptr is null), recording whether the cancel took, and
+// re-arms `echo` earlier than before, queueing an entry that may sweep.
 struct CancelOnDestroy {
-  Scheduler& sched;
-  EventId target;
+  Timer& target;
   int& cancels;
+  Timer& echo;
+  int& echo_delay_ms;
   ~CancelOnDestroy() {
-    if (sched.cancel(target)) ++cancels;
+    if (target.cancel()) ++cancels;
+    echo.arm(Duration::millis(--echo_delay_ms));
   }
 };
 
 TEST(SchedulerEdge, SweepSurvivesACancelFromADestroyedCapture) {
   Scheduler sched;
-  // Four victims, each the target of two killers, whose captures cancel
-  // it as they die. Cancelling every killer forces sweeps, and each dying
-  // capture's cancel may start another sweep while one is under way.
+  // Four victim timers, each the target of two killers whose captures
+  // cancel it as they die: a timer destroyed with its entry queued, and
+  // a schedule_at event whose capture dies after it runs, inside the
+  // loop. Each dying capture also re-arms the echo timer earlier, so
+  // stale entries pile up and sweeps run among the dead killers' entries.
   constexpr int kVictims = 4;
   std::array<int, kVictims> runs{};
   std::array<int, kVictims> cancels{};
-  std::array<EventId, kVictims> victims;
+  std::vector<std::unique_ptr<Timer>> victims;
   for (int v = 0; v < kVictims; ++v) {
-    victims[static_cast<std::size_t>(v)] =
-        sched.schedule_at(TimePoint::at(Duration::millis(1 + 2 * v)),
-                          [&runs, v] { ++runs[static_cast<std::size_t>(v)]; });
+    victims.push_back(std::make_unique<Timer>(
+        sched, [&runs, v] { ++runs[static_cast<std::size_t>(v)]; }));
+    victims.back()->arm(Duration::millis(20 + 2 * v));
   }
+  int echoes = 0;
+  int echo_delay_ms = 100;
+  Timer echo(sched, [&echoes] { ++echoes; });
   int killer_runs = 0;
-  std::vector<EventId> killers;
-  for (int k = 0; k < 2 * kVictims; ++k) {
-    const auto v = static_cast<std::size_t>(k % kVictims);
-    auto guard =
-        std::make_unique<CancelOnDestroy>(sched, victims[v], cancels[v]);
-    killers.push_back(sched.schedule_at(
-        TimePoint::at(Duration::millis(k)),
-        [&killer_runs, guard = std::move(guard)] { ++killer_runs; }));
+  std::vector<std::unique_ptr<Timer>> killers;
+  for (int k = 0; k < kVictims; ++k) {
+    const auto v = static_cast<std::size_t>(k);
+    killers.push_back(std::make_unique<Timer>(
+        sched, [&killer_runs, guard = std::make_unique<CancelOnDestroy>(
+                                  *victims[v], cancels[v], echo,
+                                  echo_delay_ms)] { ++killer_runs; }));
+    killers.back()->arm(Duration::millis(k));
+    sched.schedule_at(at_ms(10 + k),
+                      [guard = std::make_unique<CancelOnDestroy>(
+                           *victims[(v + 1) % kVictims],
+                           cancels[(v + 1) % kVictims], echo,
+                           echo_delay_ms)] {});
   }
-  for (const auto id : killers) EXPECT_TRUE(sched.cancel(id));
-  // Fresh events reuse every freed slot: a slot freed twice would give
-  // two of them one slot, and one would never run.
+  killers.clear();
+  // Fresh timers reuse every freed table index: an index freed twice
+  // would give two of them one index, and one would never fire.
   constexpr int kProbes = 16;
   std::array<int, kProbes> probe_runs{};
+  std::vector<std::unique_ptr<Timer>> probes;
   for (int p = 0; p < kProbes; ++p) {
-    sched.schedule_at(TimePoint::at(Duration::millis(p)), [&probe_runs, p] {
+    probes.push_back(std::make_unique<Timer>(sched, [&probe_runs, p] {
       ++probe_runs[static_cast<std::size_t>(p)];
-    });
+    }));
+    probes.back()->arm(Duration::millis(p));
   }
 
   sched.run();
@@ -348,6 +605,7 @@ TEST(SchedulerEdge, SweepSurvivesACancelFromADestroyedCapture) {
   for (std::size_t p = 0; p < kProbes; ++p) {
     EXPECT_EQ(probe_runs[p], 1) << "probe " << p;
   }
+  EXPECT_EQ(echoes, 1);
   EXPECT_EQ(sched.pending_events(), 0u);
 }
 
@@ -460,20 +718,26 @@ TEST(SchedulerEdge, EveryCallbackIsDestroyedExactlyOnce) {
   {
     Scheduler sched;
     sched.schedule_in(Duration::millis(1), [token] { ++*token; });
-    const auto cancelled =
-        sched.schedule_in(Duration::millis(2), [token] { ++*token; });
+    auto cancelled =
+        std::make_unique<Timer>(sched, [token] { ++*token; });
+    cancelled->arm(Duration::millis(2));
     sched.schedule_in(Duration::millis(10), [token] { ++*token; });
-    EXPECT_EQ(token.use_count(), 4);
-    EXPECT_TRUE(sched.cancel(cancelled));
+    Timer late(sched, [token] { ++*token; });
+    late.arm(Duration::millis(10));
+    EXPECT_EQ(token.use_count(), 5);
+    EXPECT_TRUE(cancelled->cancel());
 
     EXPECT_EQ(sched.run_until(TimePoint::at(Duration::millis(5))), 1u);
     EXPECT_EQ(*token, 1);
-    // The run event's captures die after its call, the cancelled
-    // event's when its tombstone surfaces or is swept; the later event
-    // keeps its.
-    EXPECT_EQ(token.use_count(), 2);
+    // The event that ran loses its captures after its call. A timer's
+    // callback lives as long as the timer, cancelled or not, and the
+    // timer's entry holds none of it.
+    EXPECT_EQ(token.use_count(), 4);
+    cancelled.reset();
+    EXPECT_EQ(token.use_count(), 3);
   }
-  // Destroying the scheduler destroys the still-pending callback.
+  // Destroying the scheduler destroys the still-queued event's callback,
+  // and the timer destroyed its own first.
   EXPECT_EQ(token.use_count(), 1);
   EXPECT_EQ(*token, 1);
 }

@@ -82,19 +82,24 @@ TEST(Scheduler, ScheduleInUsesCurrentTime) {
   EXPECT_EQ(fired, TimePoint::at(Duration::millis(12)));
 }
 
+// Only a timer's firing can be cancelled; schedule_at events always run.
 TEST(Scheduler, CancelPreventsExecution) {
   Scheduler sched;
   bool ran = false;
-  const auto id = sched.schedule_in(Duration::millis(1), [&] { ran = true; });
-  EXPECT_TRUE(sched.cancel(id));
-  EXPECT_FALSE(sched.cancel(id));  // double cancel reports failure
-  sched.run();
+  Timer t(sched, [&] { ran = true; });
+  t.arm(Duration::millis(1));
+  EXPECT_TRUE(t.cancel());
+  EXPECT_FALSE(t.cancel());  // double cancel reports failure
+  EXPECT_EQ(sched.run(), 0u);
   EXPECT_FALSE(ran);
 }
 
 TEST(Scheduler, CancelInvalidIdIsRejected) {
+  // A timer never armed has no firing to cancel.
   Scheduler sched;
-  EXPECT_FALSE(sched.cancel(EventId()));
+  Timer t(sched, [] {});
+  EXPECT_FALSE(t.cancel());
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 TEST(Scheduler, RunUntilStopsAtDeadline) {
@@ -131,11 +136,13 @@ TEST(Scheduler, StepExecutesExactlyOneEvent) {
 TEST(Scheduler, StepSkipsCancelledEvents) {
   Scheduler sched;
   bool ran = false;
-  const auto id = sched.schedule_in(Duration::millis(1), [] {});
+  Timer t(sched, [] {});
+  t.arm(Duration::millis(1));
   sched.schedule_in(Duration::millis(2), [&] { ran = true; });
-  sched.cancel(id);
+  t.cancel();
   EXPECT_TRUE(sched.step());
   EXPECT_TRUE(ran);
+  EXPECT_EQ(sched.executed_events(), 1u);
 }
 
 TEST(Scheduler, EventsScheduledDuringRunExecute) {
