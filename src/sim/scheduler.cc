@@ -12,37 +12,13 @@
 namespace hydra::sim {
 
 Scheduler::~Scheduler() {
-  // A slot's callback dies with slots_; a queued run's block is ours to
-  // free.
-  for (auto& slot : slots_) {
-    if (Run* run = std::exchange(slot.run, nullptr)) release(run);
+  // A queued run's one entry owns its block; a timer entry owns nothing.
+  for (const Entry& entry : heap_) {
+    if (!is_timer(entry)) release(run_of(entry));
   }
-}
-
-std::uint32_t Scheduler::acquire_slot() {
-  if (free_slots_.empty()) {
-    HYDRA_ASSERT(slots_.size() < kTimerRef);
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  return slot;
-}
-
-Scheduler::Callback Scheduler::release_slot(std::uint32_t slot) {
-  auto& s = slots_[slot];
-  // Handed back rather than destroyed here: the callback is about to run
-  // and may grow slots_, so it must leave the slot vector first.
-  Callback cb = std::move(s.cb);
-  s.run = nullptr;
-  free_slots_.push_back(slot);
-  return cb;
 }
 
 void Scheduler::release(Run* run) {
-  // The callback's captures may schedule events as they die; the block
-  // has left its slot by now.
   run->~Run();
   util::BufferPool::deallocate(run);
 }
@@ -53,12 +29,7 @@ void Scheduler::push(Entry entry) {
 }
 
 void Scheduler::schedule_at(TimePoint at, Callback cb) {
-  HYDRA_ASSERT_MSG(at >= now_, "cannot schedule into the past");
-  HYDRA_ASSERT(cb != nullptr);
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].cb = std::move(cb);
-  ++pending_count_;
-  push(Entry{at, next_seq_++, slot});
+  schedule_run(&at, 1, std::move(cb));
 }
 
 void Scheduler::schedule_in(Duration delay, Callback cb) {
@@ -79,17 +50,15 @@ void Scheduler::schedule_run(const TimePoint* times, std::size_t count,
   Run* run = ::new (block) Run{std::move(cb), 0,
                                static_cast<std::uint32_t>(count)};
   std::uninitialized_copy_n(times, count, run->times());
-  // One slot keys the whole run; every event counts as pending.
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].run = run;
+  // One entry keys the whole run; every event counts as pending.
   pending_count_ += count;
-  push(Entry{times[0], next_seq_, slot});
+  push(Entry{times[0], next_seq_, reinterpret_cast<std::uintptr_t>(run)});
   next_seq_ += count;
 }
 
 std::uint32_t Scheduler::add_timer(Timer* timer) {
   if (free_timers_.empty()) {
-    HYDRA_ASSERT(timers_.size() < kTimerRef);
+    HYDRA_ASSERT(timers_.size() < Timer::kUnindexed);
     timers_.push_back(timer);
     return static_cast<std::uint32_t>(timers_.size() - 1);
   }
@@ -123,7 +92,7 @@ void Scheduler::arm(Timer& timer, TimePoint at) {
   if (timer.index_ == Timer::kUnindexed) timer.index_ = add_timer(&timer);
   timer.queued_at_ = at;
   timer.queued_seq_ = timer.seq_;
-  push(Entry{at, timer.seq_, kTimerRef | timer.index_});
+  push(Entry{at, timer.seq_, (std::uintptr_t{timer.index_} << 1) | 1});
   // Sweeping every heap entry costs O(heap), and a sweep leaves at most
   // one entry per live event, so the next one is due only after about as
   // many stale entries again: O(1) per arm.
@@ -131,7 +100,7 @@ void Scheduler::arm(Timer& timer, TimePoint at) {
 }
 
 Timer* Scheduler::live_timer(const Entry& entry) {
-  Timer* timer = timers_[entry.ref & ~kTimerRef];
+  Timer* timer = timers_[entry.ref >> 1];
   // Left behind by a re-arm earlier, or by a destroyed timer.
   if (timer == nullptr || timer->queued_seq_ != entry.seq) return nullptr;
   if (timer->armed_) return timer;
@@ -164,7 +133,7 @@ void Scheduler::sweep() {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const Entry entry = heap_[i];
-    if ((entry.ref & kTimerRef) == 0 || live_timer(entry) != nullptr) {
+    if (!is_timer(entry) || live_timer(entry) != nullptr) {
       heap_[kept++] = entry;
     }
   }
@@ -175,8 +144,8 @@ void Scheduler::sweep() {
 std::optional<TimePoint> Scheduler::peek_next_time() {
   while (!heap_.empty()) {
     const Entry head = heap_.front();
-    // schedule_at and run events always run.
-    if ((head.ref & kTimerRef) == 0) return head.at;
+    // A run's events always run.
+    if (!is_timer(head)) return head.at;
     Timer* timer = live_timer(head);
     if (timer == nullptr) {
       pop_root();
@@ -201,8 +170,8 @@ void Scheduler::pop_and_run() {
   now_ = entry.at;
   ++executed_;
   --pending_count_;
-  if ((entry.ref & kTimerRef) != 0) {
-    Timer& timer = *timers_[entry.ref & ~kTimerRef];
+  if (is_timer(entry)) {
+    Timer& timer = *timers_[entry.ref >> 1];
     pop_root();
     timer.queued_seq_ = 0;
     timer.armed_ = false;
@@ -211,23 +180,16 @@ void Scheduler::pop_and_run() {
     timer.on_fire_();
     return;
   }
-  Run* run = slots_[entry.ref].run;
-  if (run == nullptr) {
-    pop_root();
-    Callback cb = release_slot(entry.ref);
-    cb();
-    return;
-  }
   // A run's next event takes the root's place, and the callback runs in
-  // its block, which no growth of slots_ moves. After the last event the
-  // slot is free before the call and the block after it.
+  // its block, which nothing moves. After the last event the entry
+  // leaves the heap before the call and the block after it.
+  Run* run = run_of(entry);
   if (++run->head < run->count) {
     sift_down(Entry{run->times()[run->head], entry.seq + 1, entry.ref});
     run->cb();
     return;
   }
   pop_root();
-  release_slot(entry.ref);
   run->cb();
   release(run);
 }

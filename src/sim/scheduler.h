@@ -3,11 +3,12 @@
 // its scheduler, medium and nodes, and the BufferPool free lists their
 // packets and callbacks recycle through.
 //
-// Two kinds of event share the one heap. schedule_at, schedule_in and
-// schedule_run are fire-and-forget: their events always run. An event
-// that may be cancelled or moved belongs to a sim::Timer (timer.h), which
-// keeps its own callback and key and re-uses its queued heap entry
-// across re-arms.
+// Two kinds of event share the one heap. A run, the events of one
+// schedule_run call or of one schedule_at or schedule_in call, is
+// fire-and-forget: its events always run. An event that may be
+// cancelled or moved belongs to a sim::Timer (timer.h), which keeps its
+// own callback and key and re-uses its queued heap entry across
+// re-arms.
 #pragma once
 
 #include <cstdint>
@@ -29,20 +30,21 @@ class Scheduler {
   // Move-only with inline capture storage (boxed through the
   // BufferPool past 48 bytes), so scheduling an event allocates nothing
   // from the system heap in steady state. Accepts any void() callable,
-  // like std::function, but is never copied: it moves into its event's
-  // slot once and out once to run, or into its run's block for good.
+  // like std::function, but is never copied: it moves into its run's
+  // block once and runs there.
   using Callback = util::SmallFn;
 
   Scheduler() = default;
-  // Destroys every queued callback, a run's included. Every Timer bound
-  // to the scheduler must be gone by then.
+  // Destroys every queued run's callback. Every Timer bound to the
+  // scheduler must be gone by then.
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   TimePoint now() const { return now_; }
 
-  // Schedules `cb` to run at absolute time `at` (must not be in the past).
+  // Schedules `cb` to run at absolute time `at` (must not be in the
+  // past): a run of one.
   void schedule_at(TimePoint at, Callback cb);
   // Schedules `cb` to run `delay` from now.
   void schedule_in(Duration delay, Callback cb);
@@ -70,7 +72,7 @@ class Scheduler {
   // Executes at most one event. Returns false if the queue is empty.
   bool step();
 
-  // Live events: queued schedule_at and run events plus armed timers.
+  // Live events: the queued runs' events plus armed timers.
   std::size_t pending_events() const { return pending_count_; }
   std::uint64_t executed_events() const { return executed_; }
 
@@ -79,16 +81,16 @@ class Scheduler {
   // the scheduler reads and re-keys the timer's state at the root.
   friend class Timer;
 
-  // An event's key. `ref` is a slot index, whose slot holds a schedule_at
-  // callback or a run's block, or kTimerRef | the index of a timer in
-  // timers_. Sifting moves 24 plain bytes, never a callable.
+  // An event's key. `ref` is the address of a run's block, whose bit 0
+  // is clear, or (the index of a timer in timers_ << 1) | 1. Sifting
+  // moves 24 plain bytes, never a callable.
   struct Entry {
     TimePoint at;
     std::uint64_t seq;  // tie-breaker: FIFO among same-time events
-    std::uint32_t ref;
+    std::uintptr_t ref;
   };
   static_assert(std::is_trivially_copyable_v<Entry>);
-  static constexpr std::uint32_t kTimerRef = std::uint32_t{1} << 31;
+  static_assert(sizeof(Entry) == 24);
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
@@ -97,8 +99,8 @@ class Scheduler {
   };
   // A queued run's block, from the BufferPool: the callback, the index
   // of the event at the run's head, the event count, and then the
-  // events' times. The slot holds a pointer to it, so the callback stays
-  // put while slots_ grows under it.
+  // events' times. The block never moves, so the callback runs in place
+  // while the scheduler grows under it.
   struct Run {
     Callback cb;
     std::uint32_t head = 0;
@@ -107,13 +109,12 @@ class Scheduler {
   };
   static_assert(std::is_trivially_copyable_v<TimePoint>);
   static_assert(sizeof(Run) % alignof(TimePoint) == 0);
-  // One queued fire-and-forget entry: a schedule_at event's callback, or
-  // the block of the run whose head this slot keys.
-  struct Slot {
-    Callback cb;
-    Run* run = nullptr;
-  };
-  static_assert(sizeof(Slot) <= 80);
+  static_assert(alignof(Run) > 1);  // a block's address leaves bit 0 clear
+  static bool is_timer(const Entry& entry) { return (entry.ref & 1) != 0; }
+  static Run* run_of(const Entry& entry) {
+    // NOLINTNEXTLINE(performance-no-int-to-ptr): the block's own address
+    return reinterpret_cast<Run*>(entry.ref);
+  }
 
   // Timer hooks. A timer takes an index into timers_ when it first
   // queues an entry and keeps it for life; a destroyed timer's index
@@ -130,8 +131,6 @@ class Scheduler {
   // stale entry, which the caller drops.
   Timer* live_timer(const Entry& entry);
   void sweep();
-  std::uint32_t acquire_slot();
-  Callback release_slot(std::uint32_t slot);
   static void release(Run* run);
 
   TimePoint now_;
@@ -140,17 +139,14 @@ class Scheduler {
   std::size_t pending_count_ = 0;
   // The head of every queued run, in heap order, and each timer's queued
   // entry. A run is the events of one schedule_run call, or one
-  // schedule_at event; its head is its earliest event. Running a run's
-  // head puts its next event in its place. A timer's entry may carry an
-  // older, earlier key than the timer's firing: it re-keys itself at the
-  // root. Entries a timer left behind (it was cancelled, re-armed
-  // earlier or destroyed) are dropped at the root, or by a sweep once
-  // the heap holds more than twice as many entries as live events.
+  // schedule_at event; its head is its earliest event, and its one
+  // entry owns its block. Running a run's head puts its next event in
+  // its place. A timer's entry may carry an older, earlier key than the
+  // timer's firing: it re-keys itself at the root. Entries a timer left
+  // behind (it was cancelled, re-armed earlier or destroyed) are dropped
+  // at the root, or by a sweep once the heap holds more than twice as
+  // many entries as live events.
   std::vector<Entry> heap_;
-  // Slot storage grows to the high-water mark of concurrently queued
-  // fire-and-forget entries and is then recycled through the free list.
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
   // Every live timer that has queued an entry, by index: eight bytes of
   // scheduler state per timer.
   std::vector<Timer*> timers_;

@@ -7,10 +7,9 @@
 // so steady-state event scheduling allocates nothing from the system
 // heap. Two sizes are in use:
 //   - SmallFn, 48 inline bytes (64 in all), enough for every callback the
-//     simulator schedules today. Constructed once, moved into its
-//     event's slot, moved out once when the event runs, invoked,
-//     destroyed; a run's callback moves into the run's block instead,
-//     runs there once per event and is destroyed after the last.
+//     simulator schedules today. Constructed once, moved into its run's
+//     block (a schedule_at event is a run of one), invoked there once
+//     per event and destroyed after the last.
 //   - sim::Timer's callback, one pointer inline (16 bytes in all): a
 //     protocol object's `[this]` lambda. It stays in its timer for the
 //     timer's life, and a simulation holds tens of thousands of timers.

@@ -4,7 +4,7 @@
 // accounting under cancellations, peek_next_time, schedule_run (the
 // medium's delivery fan-out path) against N schedule_at calls, runs
 // queued beside stale timer entries and sweeps, and the ownership of
-// callbacks parked in the scheduler's slots and runs and in timers.
+// callbacks parked in the scheduler's run blocks and in timers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -628,21 +628,21 @@ TEST(SchedulerEdge, RunUntilStopsInsideARun) {
 }
 
 // ---------------------------------------------------------------------
-// Callback ownership. A queued event's callback waits in its slot, and
-// the slot vector grows while callbacks run, so a running callback must
-// not live in it. Under ASan, an inline callback run in place reads its
-// captures from freed storage once it has grown the scheduler; a boxed
-// callback's captures never move, so its test covers the boxed path. A
-// run's callback runs in place in the run's own block, which no growth
-// moves, and dies after the run's last event or with the scheduler.
+// Callback ownership. A queued event's callback waits in its run's
+// block from the BufferPool (a schedule_at event's in a block of one
+// event) and runs there, in place, while it schedules events into
+// blocks of their own; the block is freed only after the call. A boxed
+// callback's captures live in a box of their own, so its test covers
+// the boxed path. A callback dies after its run's last event, or when
+// the scheduler dies and releases the blocks still queued.
 // ---------------------------------------------------------------------
 
 constexpr int kGrowth = 4096;
 
 // Runs one callback that captures `values`, schedules kGrowth events
-// (growing the heap and the slot vector under itself) and only then
-// reads its captures; returns their sum. `kInline` states whether the
-// captures fit SmallFn's inline buffer.
+// (growing the heap and taking kGrowth blocks under itself) and only
+// then reads its captures; returns their sum. `kInline` states whether
+// the captures fit SmallFn's inline buffer.
 template <bool kInline, std::size_t N>
 std::uint64_t sum_after_growth(const std::array<std::uint64_t, N>& values) {
   Scheduler sched;
@@ -724,7 +724,12 @@ TEST(SchedulerEdge, EveryCallbackIsDestroyedExactlyOnce) {
     sched.schedule_in(Duration::millis(10), [token] { ++*token; });
     Timer late(sched, [token] { ++*token; });
     late.arm(Duration::millis(10));
-    EXPECT_EQ(token.use_count(), 5);
+    // Past SmallFn's inline buffer, so the capture is boxed.
+    const std::array<std::uint64_t, 8> pad{};
+    auto boxed = [token, pad] { *token += 1 + static_cast<int>(pad[0]); };
+    static_assert(sizeof(boxed) > util::SmallFn::kInlineBytes);
+    sched.schedule_in(Duration::millis(20), std::move(boxed));
+    EXPECT_EQ(token.use_count(), 6);
     EXPECT_TRUE(cancelled->cancel());
 
     EXPECT_EQ(sched.run_until(TimePoint::at(Duration::millis(5))), 1u);
@@ -732,12 +737,13 @@ TEST(SchedulerEdge, EveryCallbackIsDestroyedExactlyOnce) {
     // The event that ran loses its captures after its call. A timer's
     // callback lives as long as the timer, cancelled or not, and the
     // timer's entry holds none of it.
-    EXPECT_EQ(token.use_count(), 4);
+    EXPECT_EQ(token.use_count(), 5);
     cancelled.reset();
-    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_EQ(token.use_count(), 4);
   }
-  // Destroying the scheduler destroys the still-queued event's callback,
-  // and the timer destroyed its own first.
+  // Destroying the scheduler releases the still-queued events' blocks,
+  // which destroys their callbacks, the boxed one's box included; the
+  // timer destroyed its own callback first.
   EXPECT_EQ(token.use_count(), 1);
   EXPECT_EQ(*token, 1);
 }
