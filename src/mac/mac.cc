@@ -13,6 +13,8 @@ Mac::Mac(sim::Simulation& simulation, phy::Phy& phy, MacConfig config)
       classifier_(config.policy.tcp_ack_as_broadcast),
       queues_(config.queue_limit),
       aggregator_(config.policy),
+      rate_adapter_(config.rate_adaptation,
+                    proto::mode_index_of(config.unicast_mode)),
       cw_(config.timings.cw_min),
       access_timer_(simulation.scheduler(), [this] { access_won(); }),
       nav_timer_(simulation.scheduler(), [this] { kick(); }),
@@ -25,8 +27,6 @@ Mac::Mac(sim::Simulation& simulation, phy::Phy& phy, MacConfig config)
         pending_response_.reset();
         transmit_control(frame, kind);
       }) {
-  rate_adapter_ = make_rate_adapter(config_.rate_adaptation,
-                                    proto::mode_index_of(config_.unicast_mode));
   aggregator_.set_modes(config_.broadcast_mode, config_.unicast_mode);
   phy_.on_rx = [this](const phy::RxReport& report) { on_rx(report); };
   phy_.on_tx_complete = [this] { on_tx_complete(); };
@@ -160,9 +160,9 @@ sim::Duration Mac::ack_duration() const {
 }
 
 void Mac::begin_sequence() {
-  if (rate_adapter_) {
+  if (rate_adapter_.adapting()) {
     // Both portions adopt the adapter's current choice for this sequence.
-    config_.unicast_mode = rate_adapter_->current_mode();
+    config_.unicast_mode = rate_adapter_.current_mode();
     config_.broadcast_mode = config_.unicast_mode;
     aggregator_.set_modes(config_.broadcast_mode, config_.unicast_mode);
   }
@@ -295,9 +295,7 @@ void Mac::response_timeout() {
 }
 
 void Mac::sequence_succeeded() {
-  if (rate_adapter_ && !inflight_unicast_.empty()) {
-    rate_adapter_->on_tx_result(true);
-  }
+  if (!inflight_unicast_.empty()) rate_adapter_.on_tx_result(true);
   inflight_unicast_.clear();
   retries_ = 0;
   cw_ = config_.timings.cw_min;
@@ -305,7 +303,7 @@ void Mac::sequence_succeeded() {
 }
 
 void Mac::sequence_failed() {
-  if (rate_adapter_) rate_adapter_->on_tx_result(false);
+  rate_adapter_.on_tx_result(false);
   ++stats_.retries;
   ++retries_;
   cw_ = std::min(cw_ * 2 + 1, config_.timings.cw_max);
@@ -395,7 +393,7 @@ void Mac::handle_control(const proto::ControlFrame& frame,
         return;
       }
       if (phase_ != Phase::kWaitCts) return;
-      if (rate_adapter_) rate_adapter_->on_feedback_snr(report.snr_db);
+      rate_adapter_.on_feedback_snr(report.snr_db);
       response_timer_.cancel();
       stats_.time.control += control_airtime(proto::kCtsBytes);
       stats_.time.ifs += 2 * config_.timings.sifs;  // before CTS and data
@@ -406,7 +404,7 @@ void Mac::handle_control(const proto::ControlFrame& frame,
     }
     case proto::FrameType::kAck: {
       if (!for_me || phase_ != Phase::kWaitAck) return;
-      if (rate_adapter_) rate_adapter_->on_feedback_snr(report.snr_db);
+      rate_adapter_.on_feedback_snr(report.snr_db);
       response_timer_.cancel();
       ++stats_.acks_rx;
       stats_.time.control += ack_duration();

@@ -78,8 +78,8 @@ class Mac {
   std::function<void(proto::PacketPtr, proto::MacAddress transmitter)> on_deliver;
 
   proto::MacAddress address() const { return config_.address; }
-  // The rate adapter, if adaptation is enabled (for tests/benches).
-  const RateAdapter* rate_adapter() const { return rate_adapter_.get(); }
+  // The unicast rate adapter; under kNone it keeps the configured rate.
+  const RateAdapter& rate_adapter() const { return rate_adapter_; }
   const MacConfig& config() const { return config_; }
   const MacStats& stats() const { return stats_; }
   const core::DualQueue& queues() const { return queues_; }
@@ -132,7 +132,7 @@ class Mac {
   core::TcpAckClassifier classifier_;
   core::DualQueue queues_;
   core::Aggregator aggregator_;
-  std::unique_ptr<RateAdapter> rate_adapter_;
+  RateAdapter rate_adapter_;
   MacStats stats_;
 
   Phase phase_ = Phase::kIdle;

@@ -1,78 +1,60 @@
 #include "mac/rate_adaptation.h"
 
-#include <algorithm>
-
 #include "util/assert.h"
 
 namespace hydra::mac {
 
-ArfAdapter::ArfAdapter(ArfConfig config, std::size_t initial_index)
-    : config_(config), index_(initial_index) {
-  HYDRA_ASSERT(config.min_index <= config.max_index);
-  HYDRA_ASSERT(config.max_index < proto::hydra_modes().size());
-  index_ = std::clamp(index_, config_.min_index, config_.max_index);
+static_assert(kArfRaiseAfter <= UINT8_MAX && kArfFallAfter <= UINT8_MAX,
+              "ARF's byte counters must reach their thresholds");
+
+RateAdapter::RateAdapter(RateAdaptationScheme scheme,
+                         std::size_t initial_index)
+    : scheme_(scheme), index_(static_cast<std::uint8_t>(initial_index)) {
+  HYDRA_ASSERT(initial_index < proto::hydra_modes().size());
+  HYDRA_ASSERT(proto::hydra_modes().size() <= UINT8_MAX);
 }
 
-void ArfAdapter::on_tx_result(bool success) {
+void RateAdapter::on_tx_result(bool success) {
+  if (scheme_ != RateAdaptationScheme::kArf) return;
+  const std::size_t top = proto::hydra_modes().size() - 1;
   if (success) {
     probing_ = false;
     failures_ = 0;
-    if (++successes_ >= config_.success_threshold &&
-        index_ < config_.max_index) {
+    // At the top there is nothing to raise to, so the run stops counting.
+    if (index_ < top && ++successes_ >= kArfRaiseAfter) {
       ++index_;
-      ++raises_;
       successes_ = 0;
       probing_ = true;  // next failure falls back immediately
     }
     return;
   }
   successes_ = 0;
-  ++failures_;
-  const bool fall = probing_ || failures_ >= config_.failure_threshold;
+  // At the bottom there is nothing to fall to, so failures stop counting.
+  const bool fall =
+      index_ > 0 && (probing_ || ++failures_ >= kArfFallAfter);
   probing_ = false;
-  if (fall && index_ > config_.min_index) {
+  if (fall) {
     --index_;
-    ++falls_;
     failures_ = 0;
   }
 }
 
-SnrAdapter::SnrAdapter(SnrConfig config, std::size_t initial_index)
-    : config_(config), index_(initial_index) {
-  HYDRA_ASSERT(config.min_index <= config.max_index);
-  HYDRA_ASSERT(config.max_index < proto::hydra_modes().size());
-  index_ = std::clamp(index_, config_.min_index, config_.max_index);
-}
-
-void SnrAdapter::on_feedback_snr(double snr_db) {
-  last_snr_db_ = snr_db;
+void RateAdapter::on_feedback_snr(double snr_db) {
+  if (scheme_ != RateAdaptationScheme::kSnr) return;
   // Fastest mode whose required SNR clears the feedback by the margin,
   // selected by *rate*, not by table position: the mode table happens to
   // be rate-sorted today, but a reordered or extended table must never
-  // make the adapter pick a slower qualifying mode. Falls back to
-  // min_index when nothing qualifies.
-  std::size_t best = config_.min_index;
+  // make the adapter pick a slower qualifying mode. Falls back to the
+  // table's first mode when nothing qualifies.
+  const auto modes = proto::hydra_modes();
+  std::size_t best = 0;
   bool found = false;
-  for (std::size_t i = config_.min_index; i <= config_.max_index; ++i) {
-    const auto& mode = proto::mode_by_index(i);
-    if (mode.required_snr_db + config_.margin_db > snr_db) continue;
-    if (!found || mode.rate > proto::mode_by_index(best).rate) best = i;
+  for (std::size_t i = 0; i < modes.size(); ++i) {
+    if (modes[i].required_snr_db + kSnrMarginDb > snr_db) continue;
+    if (!found || modes[i].rate > modes[best].rate) best = i;
     found = true;
   }
-  index_ = best;
-}
-
-std::unique_ptr<RateAdapter> make_rate_adapter(RateAdaptationScheme scheme,
-                                               std::size_t initial_index) {
-  switch (scheme) {
-    case RateAdaptationScheme::kNone:
-      return nullptr;
-    case RateAdaptationScheme::kArf:
-      return std::make_unique<ArfAdapter>(ArfConfig{}, initial_index);
-    case RateAdaptationScheme::kSnr:
-      return std::make_unique<SnrAdapter>(SnrConfig{}, initial_index);
-  }
-  HYDRA_UNREACHABLE("bad rate adaptation scheme");
+  index_ = static_cast<std::uint8_t>(best);
 }
 
 }  // namespace hydra::mac

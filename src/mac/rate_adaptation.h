@@ -1,102 +1,67 @@
 // Link rate adaptation, as supported by the Hydra prototype (paper
 // §4.1.2: "rate adaptation schemes including receiver based auto rate
 // (RBAR) and auto rate fallback (ARF)"). The paper's experiments pin the
-// rate; these adapters make the dimension available and are exercised by
+// rate; the adapter makes the dimension available and is exercised by
 // the rate-adaptation extension bench.
 //
-// Two schemes:
-//  - ArfAdapter: Kamerman & Monteban's ARF — climb one rate after a run
-//    of link-ACKed transmissions, fall one after consecutive failures
-//    (with the classic immediate fallback if the probe transmission
-//    right after a raise fails).
-//  - SnrAdapter: RBAR-style explicit feedback — pick the fastest mode
-//    whose required SNR clears the last measured feedback SNR by a
-//    configured margin (Hydra measures this on the RTS/CTS exchange).
+// One concrete class runs one scheme over the whole rate table:
+//  - kNone (the default): the rate stays where it started.
+//  - kArf: Kamerman & Monteban's ARF — climb one rate after a run of
+//    kArfRaiseAfter link-ACKed transmissions, fall one after
+//    kArfFallAfter consecutive failures (with the classic immediate
+//    fallback if the probe transmission right after a raise fails).
+//  - kSnr: RBAR-style explicit feedback — pick the fastest mode whose
+//    required SNR clears the last measured feedback SNR by kSnrMarginDb
+//    (Hydra measures this on the RTS/CTS exchange).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "proto/mode.h"
 
 namespace hydra::mac {
 
-// Interface consulted by the MAC around every unicast transmit sequence.
-class RateAdapter {
- public:
-  virtual ~RateAdapter() = default;
-
-  // Outcome of a unicast sequence (link ACK received / retry exhausted a
-  // transmission attempt).
-  virtual void on_tx_result(bool success) = 0;
-  // SNR observed on a frame from the peer (CTS/ACK), i.e. explicit
-  // feedback about the reverse channel (assumed symmetric, as on the
-  // prototype).
-  virtual void on_feedback_snr(double snr_db) = 0;
-
-  // Index into proto::hydra_modes() to use for the next unicast portion.
-  virtual std::size_t mode_index() const = 0;
-
-  const proto::PhyMode& current_mode() const {
-    return proto::mode_by_index(mode_index());
-  }
-};
-
-struct ArfConfig {
-  unsigned success_threshold = 10;  // raise after this many successes
-  unsigned failure_threshold = 2;   // fall after this many failures
-  std::size_t min_index = 0;
-  std::size_t max_index = 7;
-};
-
-class ArfAdapter final : public RateAdapter {
- public:
-  ArfAdapter(ArfConfig config, std::size_t initial_index);
-
-  void on_tx_result(bool success) override;
-  void on_feedback_snr(double) override {}  // ARF ignores SNR
-  std::size_t mode_index() const override { return index_; }
-
-  std::uint64_t raises() const { return raises_; }
-  std::uint64_t falls() const { return falls_; }
-
- private:
-  ArfConfig config_;
-  std::size_t index_;
-  unsigned successes_ = 0;
-  unsigned failures_ = 0;
-  bool probing_ = false;  // the transmission right after a raise
-  std::uint64_t raises_ = 0;
-  std::uint64_t falls_ = 0;
-};
-
-struct SnrConfig {
-  // Required-SNR clearance before a mode is considered usable.
-  double margin_db = 2.0;
-  std::size_t min_index = 0;
-  std::size_t max_index = 7;
-};
-
-class SnrAdapter final : public RateAdapter {
- public:
-  SnrAdapter(SnrConfig config, std::size_t initial_index);
-
-  void on_tx_result(bool) override {}  // purely feedback-driven
-  void on_feedback_snr(double snr_db) override;
-  std::size_t mode_index() const override { return index_; }
-
-  double last_snr_db() const { return last_snr_db_; }
-
- private:
-  SnrConfig config_;
-  std::size_t index_;
-  double last_snr_db_ = 0.0;
-};
-
 enum class RateAdaptationScheme { kNone, kArf, kSnr };
 
-// Factory; returns nullptr for kNone.
-std::unique_ptr<RateAdapter> make_rate_adapter(RateAdaptationScheme scheme,
-                                               std::size_t initial_index);
+// ARF raises after this many successes in a row.
+inline constexpr unsigned kArfRaiseAfter = 10;
+// ARF falls after this many failures in a row.
+inline constexpr unsigned kArfFallAfter = 2;
+// Required-SNR clearance before the SNR scheme considers a mode usable.
+inline constexpr double kSnrMarginDb = 2.0;
+
+// Consulted by the MAC around every unicast transmit sequence.
+class RateAdapter {
+ public:
+  // `initial_index` is the starting index into proto::hydra_modes().
+  RateAdapter(RateAdaptationScheme scheme, std::size_t initial_index);
+
+  // Whether the scheme moves the rate at all (false under kNone).
+  bool adapting() const { return scheme_ != RateAdaptationScheme::kNone; }
+
+  // Outcome of a unicast sequence (link ACK received / a transmission
+  // attempt failed). Only ARF reacts.
+  void on_tx_result(bool success);
+  // SNR observed on a frame from the peer (CTS/ACK), i.e. explicit
+  // feedback about the reverse channel (assumed symmetric, as on the
+  // prototype). Only the SNR scheme reacts.
+  void on_feedback_snr(double snr_db);
+
+  // Index into proto::hydra_modes() to use for the next unicast portion.
+  std::size_t mode_index() const { return index_; }
+  const proto::PhyMode& current_mode() const {
+    return proto::mode_by_index(index_);
+  }
+
+ private:
+  RateAdaptationScheme scheme_;
+  // The rate table has eight modes, and ARF's counters stop at their
+  // thresholds, so a byte holds each.
+  std::uint8_t index_;
+  std::uint8_t successes_ = 0;
+  std::uint8_t failures_ = 0;
+  bool probing_ = false;  // ARF: the transmission right after a raise
+};
 
 }  // namespace hydra::mac

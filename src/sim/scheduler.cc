@@ -57,22 +57,14 @@ void Scheduler::schedule_run(const TimePoint* times, std::size_t count,
 }
 
 std::uint32_t Scheduler::add_timer(Timer* timer) {
-  if (free_timers_.empty()) {
-    HYDRA_ASSERT(timers_.size() < Timer::kUnindexed);
-    timers_.push_back(timer);
-    return static_cast<std::uint32_t>(timers_.size() - 1);
-  }
-  const std::uint32_t index = free_timers_.back();
-  free_timers_.pop_back();
-  timers_[index] = timer;
-  return index;
+  HYDRA_ASSERT(timers_.size() < Timer::kUnindexed);
+  timers_.push_back(timer);
+  return static_cast<std::uint32_t>(timers_.size() - 1);
 }
 
 void Scheduler::remove_timer(std::uint32_t index) {
-  // Entries of the timer still queued find no timer, or a later one
-  // whose queued sequence number never matches theirs, and are dropped.
+  // Entries of the timer still queued find no timer and are dropped.
   timers_[index] = nullptr;
-  free_timers_.push_back(index);
 }
 
 void Scheduler::arm(Timer& timer, TimePoint at) {

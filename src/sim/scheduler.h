@@ -116,9 +116,9 @@ class Scheduler {
     return reinterpret_cast<Run*>(entry.ref);
   }
 
-  // Timer hooks. A timer takes an index into timers_ when it first
-  // queues an entry and keeps it for life; a destroyed timer's index
-  // goes to the next timer that needs one.
+  // Timer hooks. A timer takes the next index into timers_ when it
+  // first queues an entry and keeps it for life; a destroyed timer's
+  // index is never handed out again.
   std::uint32_t add_timer(Timer* timer);
   void remove_timer(std::uint32_t index);
   void arm(Timer& timer, TimePoint at);
@@ -147,10 +147,10 @@ class Scheduler {
   // at the root, or by a sweep once the heap holds more than twice as
   // many entries as live events.
   std::vector<Entry> heap_;
-  // Every live timer that has queued an entry, by index: eight bytes of
-  // scheduler state per timer.
+  // Every timer that has queued an entry, by index, null once the timer
+  // is destroyed: eight bytes of scheduler state per timer the world
+  // ever indexed.
   std::vector<Timer*> timers_;
-  std::vector<std::uint32_t> free_timers_;
 };
 
 }  // namespace hydra::sim

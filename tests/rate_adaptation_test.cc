@@ -1,5 +1,5 @@
-// Rate adaptation: ARF and SNR-feedback adapters, plus end-to-end
-// behaviour over links of varying quality.
+// Rate adaptation: the ARF and SNR-feedback schemes of mac::RateAdapter,
+// plus end-to-end behaviour over links of varying quality.
 #include <gtest/gtest.h>
 
 #include "app/udp_sink.h"
@@ -11,26 +11,30 @@
 namespace hydra::mac {
 namespace {
 
+// The rate table's last index: the adapter's ceiling, as 0 is its floor.
+std::size_t top_index() { return proto::hydra_modes().size() - 1; }
+
 TEST(Arf, ClimbsAfterSuccessRun) {
-  ArfAdapter arf({.success_threshold = 10}, 0);
+  static_assert(kArfRaiseAfter == 10);
+  RateAdapter arf(RateAdaptationScheme::kArf, 0);
   for (int i = 0; i < 9; ++i) arf.on_tx_result(true);
   EXPECT_EQ(arf.mode_index(), 0u);
   arf.on_tx_result(true);  // 10th
   EXPECT_EQ(arf.mode_index(), 1u);
-  EXPECT_EQ(arf.raises(), 1u);
 }
 
 TEST(Arf, FallsAfterConsecutiveFailures) {
-  ArfAdapter arf({.failure_threshold = 2}, 3);
+  static_assert(kArfFallAfter == 2);
+  RateAdapter arf(RateAdaptationScheme::kArf, 3);
   arf.on_tx_result(false);
   EXPECT_EQ(arf.mode_index(), 3u);  // one failure: hold
   arf.on_tx_result(false);
   EXPECT_EQ(arf.mode_index(), 2u);
-  EXPECT_EQ(arf.falls(), 1u);
 }
 
 TEST(Arf, SuccessResetsFailureCount) {
-  ArfAdapter arf({.failure_threshold = 2}, 3);
+  static_assert(kArfFallAfter == 2);
+  RateAdapter arf(RateAdaptationScheme::kArf, 3);
   arf.on_tx_result(false);
   arf.on_tx_result(true);
   arf.on_tx_result(false);
@@ -38,29 +42,32 @@ TEST(Arf, SuccessResetsFailureCount) {
 }
 
 TEST(Arf, ProbeFailureFallsBackImmediately) {
-  ArfAdapter arf({.success_threshold = 2, .failure_threshold = 2}, 0);
-  arf.on_tx_result(true);
-  arf.on_tx_result(true);  // raise to 1, probing
-  ASSERT_EQ(arf.mode_index(), 1u);
+  static_assert(kArfFallAfter > 1);  // else any failure falls
+  RateAdapter arf(RateAdaptationScheme::kArf, 0);
+  for (unsigned i = 0; i < kArfRaiseAfter; ++i) arf.on_tx_result(true);
+  ASSERT_EQ(arf.mode_index(), 1u);  // raised, probing
   arf.on_tx_result(false);  // single probe failure is enough
   EXPECT_EQ(arf.mode_index(), 0u);
 }
 
 TEST(Arf, RespectsBounds) {
-  ArfAdapter arf({.success_threshold = 1, .failure_threshold = 1,
-                  .min_index = 1, .max_index = 2},
-                 1);
-  arf.on_tx_result(false);
-  EXPECT_EQ(arf.mode_index(), 1u);  // already at min
-  arf.on_tx_result(true);
-  arf.on_tx_result(true);
-  EXPECT_EQ(arf.mode_index(), 2u);
-  arf.on_tx_result(true);
-  EXPECT_EQ(arf.mode_index(), 2u);  // capped at max
+  // The bounds are the rate table's own ends.
+  RateAdapter arf(RateAdaptationScheme::kArf, 0);
+  for (unsigned i = 0; i < 3 * kArfFallAfter; ++i) arf.on_tx_result(false);
+  EXPECT_EQ(arf.mode_index(), 0u);  // already at the bottom
+  for (unsigned i = 0; i < kArfRaiseAfter; ++i) arf.on_tx_result(true);
+  EXPECT_EQ(arf.mode_index(), 1u);  // the failures left no debt
+
+  RateAdapter top(RateAdaptationScheme::kArf, top_index() - 1);
+  for (unsigned i = 0; i < kArfRaiseAfter; ++i) top.on_tx_result(true);
+  EXPECT_EQ(top.mode_index(), top_index());
+  for (unsigned i = 0; i < 3 * kArfRaiseAfter; ++i) top.on_tx_result(true);
+  EXPECT_EQ(top.mode_index(), top_index());  // capped at the top
 }
 
 TEST(Snr, PicksFastestClearingMode) {
-  SnrAdapter snr({.margin_db = 2.0}, 0);
+  static_assert(kSnrMarginDb == 2.0);
+  RateAdapter snr(RateAdaptationScheme::kSnr, 0);
   // 25 dB clears everything except the 64-QAM rates (required 25.5+).
   snr.on_feedback_snr(25.0);
   EXPECT_EQ(snr.mode_index(), 4u);  // 16-QAM 3/4 (req 17 + 2 <= 25)
@@ -73,29 +80,32 @@ TEST(Snr, PicksFastestClearingMode) {
 }
 
 TEST(Snr, HonoursMaxIndex) {
-  SnrAdapter snr({.margin_db = 2.0, .max_index = 3}, 0);
-  snr.on_feedback_snr(40.0);
-  EXPECT_EQ(snr.mode_index(), 3u);
+  // The ceiling is the rate table's last mode.
+  RateAdapter snr(RateAdaptationScheme::kSnr, 0);
+  snr.on_feedback_snr(1000.0);  // clears every mode
+  EXPECT_EQ(snr.mode_index(), top_index());
 }
 
 TEST(Snr, FallsToMinIndexWhenNothingQualifies) {
-  SnrAdapter snr({.margin_db = 2.0, .min_index = 2}, 5);
-  snr.on_feedback_snr(-10.0);  // nothing clears: floor at min_index
-  EXPECT_EQ(snr.mode_index(), 2u);
+  RateAdapter snr(RateAdaptationScheme::kSnr, 5);
+  snr.on_feedback_snr(-10.0);  // nothing clears: floor at the table's first
+  EXPECT_EQ(snr.mode_index(), 0u);
 }
 
 TEST(Snr, SelectsByRateNotTablePosition) {
   // Regression: selection used to keep the *last* qualifying table
   // index, which silently assumed the mode table is rate-sorted. The
   // adapter must pick the maximum-rate qualifying mode whatever the
-  // order, so restricting the window anywhere in the table still yields
-  // the fastest qualifying entry of that window.
-  SnrAdapter snr({.margin_db = 2.0, .min_index = 1, .max_index = 6}, 1);
-  snr.on_feedback_snr(40.0);  // everything qualifies
-  const auto& chosen = proto::mode_by_index(snr.mode_index());
-  for (std::size_t i = 1; i <= 6; ++i) {
-    EXPECT_LE(proto::mode_by_index(i).rate.bits_per_second(),
-              chosen.rate.bits_per_second());
+  // order: no qualifying mode outruns the chosen one.
+  RateAdapter snr(RateAdaptationScheme::kSnr, 0);
+  for (const double feedback : {40.0, 25.0, 12.0}) {
+    snr.on_feedback_snr(feedback);
+    const auto& chosen = snr.current_mode();
+    for (const auto& mode : proto::hydra_modes()) {
+      if (mode.required_snr_db + kSnrMarginDb > feedback) continue;
+      EXPECT_LE(mode.rate.bits_per_second(), chosen.rate.bits_per_second())
+          << "at " << feedback << " dB";
+    }
   }
 }
 
@@ -113,13 +123,20 @@ TEST(ModeTable, SortedByRateAndRequiredSnr) {
 }
 
 TEST(Factory, SchemeSelection) {
-  EXPECT_EQ(make_rate_adapter(RateAdaptationScheme::kNone, 0), nullptr);
-  auto arf = make_rate_adapter(RateAdaptationScheme::kArf, 2);
-  ASSERT_NE(arf, nullptr);
-  EXPECT_EQ(arf->mode_index(), 2u);
-  auto snr = make_rate_adapter(RateAdaptationScheme::kSnr, 1);
-  ASSERT_NE(snr, nullptr);
-  EXPECT_EQ(snr->mode_index(), 1u);
+  // Each scheme reacts only to its own input, and kNone to neither.
+  RateAdapter none(RateAdaptationScheme::kNone, 2);
+  RateAdapter arf(RateAdaptationScheme::kArf, 2);
+  RateAdapter snr(RateAdaptationScheme::kSnr, 2);
+  EXPECT_FALSE(none.adapting());
+  EXPECT_TRUE(arf.adapting());
+  EXPECT_TRUE(snr.adapting());
+  for (RateAdapter* adapter : {&none, &arf, &snr}) {
+    adapter->on_feedback_snr(-10.0);  // the SNR scheme's floor
+    for (unsigned i = 0; i < kArfRaiseAfter; ++i) adapter->on_tx_result(true);
+  }
+  EXPECT_EQ(none.mode_index(), 2u);
+  EXPECT_EQ(arf.mode_index(), 3u);  // one raise, deaf to the feedback
+  EXPECT_EQ(snr.mode_index(), 0u);  // the feedback, deaf to the successes
 }
 
 // --- end-to-end ------------------------------------------------------------
@@ -146,8 +163,7 @@ TEST(RateAdaptationE2E, SnrAdapterSettlesBelow64QamAtPaperSnr) {
   link.run_for(sim::Duration::seconds(10));
 
   EXPECT_EQ(sink.packets(), 30u);
-  ASSERT_NE(link.node(0).mac().rate_adapter(), nullptr);
-  EXPECT_LE(link.node(0).mac().rate_adapter()->mode_index(), 4u);
+  EXPECT_LE(link.node(0).mac().rate_adapter().mode_index(), 4u);
 }
 
 TEST(RateAdaptationE2E, ArfEscapesAHopelessStartingRate) {
@@ -160,7 +176,7 @@ TEST(RateAdaptationE2E, ArfEscapesAHopelessStartingRate) {
   link.run_for(sim::Duration::seconds(30));
 
   EXPECT_EQ(sink.packets(), 10u);
-  EXPECT_LT(link.node(0).mac().rate_adapter()->mode_index(), 7u);
+  EXPECT_LT(link.node(0).mac().rate_adapter().mode_index(), 7u);
 }
 
 TEST(RateAdaptationE2E, WeakLinkForcesRobustModes) {
@@ -173,7 +189,7 @@ TEST(RateAdaptationE2E, WeakLinkForcesRobustModes) {
   link.run_for(sim::Duration::seconds(60));
 
   EXPECT_GE(sink.packets(), 8u);  // the odd residual loss is acceptable
-  EXPECT_LE(link.node(0).mac().rate_adapter()->mode_index(), 1u);
+  EXPECT_LE(link.node(0).mac().rate_adapter().mode_index(), 1u);
 }
 
 }  // namespace

@@ -76,10 +76,10 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
 // The same model under the medium's and the timers' patterns: batches of
 // 1-90 events (sorted into one run each), fire-and-forget schedule_at
 // events, and 8 real timers that are re-armed earlier and later,
-// cancelled and destroyed (a fresh timer takes a dead one's place, and
-// often its table index), from outside and from callbacks, their own
-// included; and run_until slices. A timer's arm is an event scheduled at
-// the arm, and a re-arm, cancel or death cancels its pending firing.
+// cancelled and destroyed (a fresh timer takes a dead one's place),
+// from outside and from callbacks, their own included; and run_until
+// slices. A timer's arm is an event scheduled at the arm, and a re-arm,
+// cancel or death cancels its pending firing.
 // Every event that is never cancelled runs once, at its time, in (time,
 // scheduling order) order; cancel() succeeds exactly on timers whose
 // firing has neither run nor been cancelled.

@@ -148,8 +148,8 @@ TEST(SchedulerEdge, PeekNextTimeSkipsCancelledHeads) {
 // drew), and at most one queued entry it counts as its own, at or
 // before that key. A re-arm later leaves the entry to re-key itself at
 // the root; a re-arm earlier queues a new entry and leaves the old one
-// behind; the scheduler finds the timer through a table index that a
-// destroyed timer gives up for the next one.
+// behind; the scheduler finds the timer through its table index, which
+// a destroyed timer nulls and no later timer takes.
 // ---------------------------------------------------------------------
 
 // Records (label, time) when it runs.
@@ -218,8 +218,8 @@ TEST(SchedulerEdge, DestroyedTimersEntryNeverFiresTheTimerReusingItsIndex) {
   old_timer.reset();  // destroyed with its entry queued
   EXPECT_EQ(sched.pending_events(), 0u);
   sched.schedule_at(at_ms(10), record(log, sched, 1));
-  // Takes the freed table index and fires at the old entry's instant,
-  // after the event queued before it.
+  // Takes the next table index, never the destroyed timer's, and fires
+  // at the old entry's instant, after the event queued before it.
   Timer fresh(sched, record(log, sched, 2));
   fresh.arm(Duration::millis(10));
   // A destroyed timer whose index nobody takes: its entry is dropped
@@ -585,8 +585,8 @@ TEST(SchedulerEdge, SweepSurvivesACancelFromADestroyedCapture) {
                            echo_delay_ms)] {});
   }
   killers.clear();
-  // Fresh timers reuse every freed table index: an index freed twice
-  // would give two of them one index, and one would never fire.
+  // Fresh timers take new table indices after the destroyed killers':
+  // each fires once among the dead timers' entries.
   constexpr int kProbes = 16;
   std::array<int, kProbes> probe_runs{};
   std::vector<std::unique_ptr<Timer>> probes;
